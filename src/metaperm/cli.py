@@ -80,12 +80,12 @@ def _add_structure_option(sub):
     )
 
 
-def _add_perm_option(sub):
+def _add_perm_option(sub, default=str(DEFAULT_B), default_help=str(DEFAULT_B)):
     sub.add_argument(
         "--perm",
-        default=str(DEFAULT_B),
+        default=default,
         help="'exhaustive' or the number of random sign assignments "
-        f"(default {DEFAULT_B})",
+        f"(default {default_help})",
     )
 
 
@@ -190,7 +190,11 @@ def _build_parser():
         "--component", type=int, default=1, help="1-based component (marginal methods)"
     )
     _add_structure_option(sub)
-    _add_perm_option(sub)
+    _add_perm_option(
+        sub,
+        default=None,
+        default_help="exhaustive up to 10 studies, else 500 draws seeded by --seed",
+    )
     sub.set_defaults(func=_cmd_simulate)
 
     sub = subs.add_parser("ingest-check", help="validate an input file", parents=[common])
@@ -474,8 +478,7 @@ def _cmd_simulate(args):
         )
     scenario = scenarios[args.scenario]
     structure = _parse_structure(args)
-    token = args.perm.strip().lower()
-    plan = None if token == str(DEFAULT_B) else _parse_plan(args)
+    plan = None if args.perm is None else _parse_plan(args)
     report = coverage_experiment(
         scenario,
         args.method,

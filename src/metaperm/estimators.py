@@ -28,6 +28,7 @@ from .model import (
     HetParams,
     _group_weights,
     _sym_inverse,
+    _sym_inverse_flags,
     between_cov,
     model_terms,
     sym_solve,
@@ -58,6 +59,22 @@ ZETA_MAX = 6.0
 # floor is reached, so boundary solutions stall around 1e-5 rather than
 # descending to TAU_MIN; tau^2 <= 1e-8 is zero at any plausible data scale
 TAU_SNAP = 1e-4
+
+# objective value reported where the trial heterogeneity is invalid
+# (indefinite marginal covariance, singular mean system); its gradient is
+# zero, so a result at this value is never a converged fit
+PENALTY = 1e13
+
+# batched refits (refit_rows): a row stops once its projected gradient is
+# at most ROW_PGTOL, tighter than the scalar fitter's gtol of 1e-8; rows
+# still moving after ROW_MAX_ITER steps are left to the scalar fitter
+ROW_PGTOL = 1e-9
+ROW_MAX_ITER = 100
+# Armijo sufficient-decrease constant and step halvings per iteration
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 30
+# eigenvalue floor of a step's curvature, relative to its largest
+CURVATURE_FLOOR = 1e-12
 
 # secondary stop for alternating fits: objective stationary to this
 # relative level counts as converged even if parameters still jitter
@@ -181,7 +198,7 @@ def _neg_loglik_free(data, mu, structure):
         try:
             t = model_terms(data, mu, sigma)
         except DataError:
-            return 1e13, np.zeros_like(x)
+            return PENALTY, np.zeros_like(x)
         g = _chain_grad(t.grad_sigma, tau_full, K, structure, p)
         return -t.loglik, -g
 
@@ -202,7 +219,7 @@ def _neg_restricted_free(data, structure):
         try:
             groups = _group_weights(data, sigma)
         except DataError:
-            return 1e13, np.zeros_like(x)
+            return PENALTY, np.zeros_like(x)
         A = np.zeros((p, p))
         b = np.zeros(p)
         for g, W, logdet, _ in groups:
@@ -211,7 +228,7 @@ def _neg_restricted_free(data, structure):
         try:
             Ainv, logdet_A, _ = _sym_inverse(A)
         except DataError:
-            return 1e13, np.zeros_like(x)
+            return PENALTY, np.zeros_like(x)
         mu = Ainv @ b
         ll = 0.0
         G = np.zeros((p, p))
@@ -248,7 +265,7 @@ def _neg_profile_marginal_free(data, value, component, structure):
         try:
             groups = _group_weights(data, sigma)
         except DataError:
-            return 1e13, np.zeros_like(x)
+            return PENALTY, np.zeros_like(x)
         A = np.zeros((p, p))
         b = np.zeros(p)
         for g, W, _, _ in groups:
@@ -260,7 +277,7 @@ def _neg_profile_marginal_free(data, value, component, structure):
         except np.linalg.LinAlgError:
             mu_c, _ = sym_solve(A[rest_sel], rhs)
         if not np.all(np.isfinite(mu_c)):
-            return 1e13, np.zeros_like(x)
+            return PENALTY, np.zeros_like(x)
         mu = np.empty(p)
         mu[component] = value
         mu[rest] = mu_c
@@ -287,7 +304,10 @@ def _optimize_eta(fun, x0, bounds, max_inner):
         options={"maxiter": max_inner, "maxcor": 20, "ftol": 1e-13, "gtol": 1e-8},
     )
     ok = bool(res.success)
-    if not ok and np.isfinite(res.fun):
+    if res.fun >= PENALTY:
+        # the penalty's zero gradient passes any stationarity test
+        ok = False
+    elif not ok and np.isfinite(res.fun):
         # accept boundary solutions: judge by the projected gradient step
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])
@@ -559,6 +579,263 @@ def fit_marginal_null(
             last_result=result,
         )
     return result
+
+
+def _unpack_rows(X, structure, p):
+    """Row-wise _unpack: free vectors (R, m) -> tau (R, p), K and Sigma (R, p, p).
+
+    Equal to _unpack row by row, bit for bit; the scalar fitters keep
+    _unpack, which costs a third as much for a single vector.
+    """
+    nt = structure.n_tau(p)
+    tau = np.exp(X[:, :nt])
+    if structure.kind == "cs1":
+        tau = np.repeat(tau, p, axis=1)
+    if structure.kind == "unstructured":
+        K = np.tile(np.eye(p), (X.shape[0], 1, 1))
+        j, k = np.triu_indices(p, 1)
+        K[:, j, k] = K[:, k, j] = np.tanh(X[:, nt:])
+    else:
+        K0 = np.full((p, p), structure.kappa0)
+        np.fill_diagonal(K0, 1.0)
+        K = np.broadcast_to(K0, (X.shape[0], p, p))
+    sigma = K * (tau[:, :, None] * tau[:, None, :])
+    return tau, K, sigma
+
+
+def sigma_rows(X, structure, p):
+    """between_cov(_het_from_free(x)) for every row of X, shape (R, p, p).
+
+    Snaps tau at or below TAU_SNAP to zero and eigenvalue-clips any
+    indefinite assembly at zero, as the scalar path does.
+    """
+    tau, K, _ = _unpack_rows(X, structure, p)
+    tau = np.where(tau <= TAU_SNAP, 0.0, tau)
+    sigma = K * (tau[:, :, None] * tau[:, None, :])
+    neg = np.linalg.eigvalsh(sigma)[:, 0] < 0.0
+    if neg.any():
+        w, Q = np.linalg.eigh(sigma[neg])
+        clipped = (Q * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(Q, -1, -2)
+        sigma[neg] = 0.5 * (clipped + np.swapaxes(clipped, -1, -2))
+    return sigma
+
+
+def _derivative_patterns(structure, p):
+    """Constant patterns of dSigma/dx.
+
+    dSigma/dlog(tau_j) = Sigma * Mt[j] with Mt[j][r, c] = [r == j] + [c == j]
+    (all twos for the shared tau of cs1), and dSigma/datanh(kappa_jk) =
+    (1 - kappa_jk^2) tau_j tau_k Pk[a], Pk[a] the symmetric unit pattern
+    of pair a. Differentiating once more multiplies any dSigma/dx_b by
+    Mt[j] for a tau coordinate, and a kappa pattern by -2 kappa_jk for
+    its own coordinate; mixed kappa pairs vanish.
+    """
+    if structure.kind == "cs1":
+        Mt = np.full((1, p, p), 2.0)
+    else:
+        eye = np.eye(p)
+        Mt = eye[:, :, None] + eye[:, None, :]
+    pairs = _pairs(p) if structure.kind == "unstructured" else []
+    Pk = np.zeros((len(pairs), p, p))
+    for a, (j, k) in enumerate(pairs):
+        Pk[a, j, k] = Pk[a, k, j] = 1.0
+    return Mt, Pk
+
+
+def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
+    """Objective, gradient and both curvatures of every row at X.
+
+    f is the negative profiled log-likelihood of _neg_loglik_free (all
+    components fixed) or _neg_profile_marginal_free (the rest profiled
+    by GLS), g its gradient in the free vector, fisher the expected
+    information 1/2 sum_i tr(W_i E_a W_i E_b) with E_a = dSigma/dx_a on
+    study i's observed block, and obs the Hessian of f, including the
+    curvature of the mean profile. Rows whose marginal covariance or
+    mean system is indefinite or singular get f = inf.
+
+    Returns (f, g, fisher, obs, mu_free).
+    """
+    p = data.p
+    R = X.shape[0]
+    nt = Mt.shape[0]
+    free = np.setdiff1d(np.arange(p), fixed)
+    tau, K, sigma = _unpack_rows(X, structure, p)
+    E = sigma[:, None] * Mt
+    if Pk.shape[0]:
+        j, k = np.triu_indices(p, 1)
+        c = (1.0 - K[:, j, k] ** 2) * tau[:, j] * tau[:, k]
+        E = np.concatenate([E, c[:, :, None, None] * Pk], axis=1)
+    m = E.shape[1]
+
+    bad = np.zeros(R, dtype=bool)
+    A = np.zeros((R, p, p))
+    b = np.zeros((R, p))
+    weights = []
+    for g, Y in zip(data._groups, Ys):
+        rc = (slice(None),) + g.sel
+        W, logdet, indefinite, pinv = _sym_inverse_flags(g.S + sigma[rc][:, None])
+        bad |= (indefinite | pinv).any(axis=1)
+        A[rc] += W.sum(axis=1)
+        b[:, g.idx] += np.einsum("rnij,rnj->ri", W, Y)
+        weights.append((W, logdet))
+
+    mu = np.empty((R, p))
+    mu[:, fixed] = values
+    Ainv = None
+    if free.size:
+        Ainv, _, indefinite, pinv = _sym_inverse_flags(A[:, free[:, None], free])
+        bad |= indefinite | pinv
+        rhs = b[:, free] - A[:, free[:, None], fixed] @ values
+        mu[:, free] = np.einsum("rij,rj->ri", Ainv, rhs)
+
+    f = np.zeros(R)
+    G = np.zeros((R, p, p))
+    fisher = np.zeros((R, m, m))
+    uWu = np.zeros((R, m, m))
+    q = np.zeros((R, m, p))
+    for (g, Y), (W, logdet) in zip(zip(data._groups, Ys), weights):
+        rc = (slice(None),) + g.sel
+        r = Y - mu[:, None, g.idx]
+        s = np.einsum("rnij,rnj->rni", W, r)
+        f += 0.5 * (logdet.sum(axis=1) + np.einsum("rni,rni->r", s, r) + g.Y.size * _LOG_2PI)
+        G[rc] += 0.5 * (np.einsum("rni,rnj->rij", s, s) - W.sum(axis=1))
+        Eg = E[(slice(None), slice(None)) + g.sel]
+        P = np.einsum("rnij,rajk->rnaik", W, Eg)
+        fisher += 0.5 * np.einsum("rnaij,rncji->rac", P, P)
+        u = np.einsum("rajk,rnk->rnaj", Eg, s)
+        Wu = np.einsum("rnij,rnaj->rnai", W, u)
+        uWu += np.einsum("rnai,rnci->rac", u, Wu)
+        q[:, :, g.idx] += Wu.sum(axis=1)
+
+    GE = G[:, None] * E
+    dl = GE.sum(axis=(2, 3))
+    # <G, d2Sigma/dx_a dx_b>: tau rows from the Mt patterns, kappa
+    # diagonal from -2 kappa_jk, mixed kappa pairs zero
+    C = np.zeros((R, m, m))
+    C[:, :nt] = np.einsum("rbij,aij->rab", GE, Mt)
+    C[:, nt:, :nt] = np.swapaxes(C[:, :nt, nt:], 1, 2)
+    if m > nt:
+        kk = np.arange(nt, m)
+        C[:, kk, kk] = -2.0 * K[:, j, k] * dl[:, nt:]
+    obs = uWu - fisher - C
+    if Ainv is not None:
+        qf = q[:, :, free]
+        obs -= np.einsum("rai,rij,rcj->rac", qf, Ainv, qf)
+    f[bad] = np.inf
+    return f, -dl, fisher, obs, mu[:, free]
+
+
+def _step(H, g, held):
+    """Projected Newton direction -H^{-1} g on the free coordinates.
+
+    Held coordinates get no step; eigenvalues are floored at
+    CURVATURE_FLOOR times the largest. Returns (d, positive_definite).
+    """
+    m = g.shape[1]
+    keep = ~held
+    Hm = np.where(keep[:, :, None] & keep[:, None, :], H, 0.0)
+    Hm[:, np.arange(m), np.arange(m)] += held
+    w, Q = np.linalg.eigh(Hm)
+    pd = w[:, 0] > 0.0
+    w = np.maximum(w, CURVATURE_FLOOR * np.abs(w).max(axis=1, keepdims=True))
+    d = -np.einsum("rij,rj->ri", Q / w[:, None, :], np.einsum("rji,rj->ri", Q, g * keep))
+    return d, pd
+
+
+def refit_rows(data, Ys, fixed, values, structure, init):
+    """Constrained ML of the heterogeneity for many outcome sets at once.
+
+    Every row shares data's studies, observation masks and within-study
+    covariances; row b's outcomes are Ys[g][b] for each mask group g of
+    data._groups (arrays of shape (R, n, k)). The mean components listed
+    in fixed are held at values; the others are profiled out by
+    generalized least squares at every trial point. All components fixed
+    is the joint null of fit_eta_given_mu; one fixed is the marginal null
+    of fit_marginal_null. The free vector, bounds and objective are the
+    scalar fitters'.
+
+    All rows start from init and move in lock step by projected Newton
+    steps inside the box (Bertsekas 1982, SIAM J. Control Optim.):
+    Fisher scoring with the expected information 1/2 tr(W dSigma_a W
+    dSigma_b) (Jennrich & Schluchter 1986, Biometrics) while the observed
+    information is not positive definite on the free coordinates, Newton
+    steps once it is, with Armijo backtracking per row. A coordinate at a
+    bound whose gradient points outward is held. A row stops once its
+    projected gradient is at most ROW_PGTOL.
+
+    Returns (X, mu_free, converged): free vectors (R, m), the free mean
+    components profiled at X (R, p - len(fixed)), and the rows that
+    converged. Rows that did not (iteration budget, failed line search,
+    singular or indefinite covariance) carry their last iterate; callers
+    refit those with the scalar fitters.
+    """
+    p = data.p
+    fixed = np.asarray(fixed, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    structure = _require_structure(structure)
+    bounds = np.array(_bounds(structure, p))
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    nt = structure.n_tau(p)
+    Mt, Pk = _derivative_patterns(structure, p)
+    R = Ys[0].shape[0]
+    X = np.tile(_pack(init, structure), (R, 1))
+    mu_free = np.zeros((R, p - fixed.size))
+    converged = np.zeros(R, dtype=bool)
+
+    def evaluate(rows, Xr):
+        return _row_terms(data, [Y[rows] for Y in Ys], Xr, fixed, values, structure, Mt, Pk)
+
+    x0 = X[0]
+    if np.any(np.abs(x0[nt:]) >= ZETA_MAX):
+        # a start on the |kappa| -> 1 ridge, where kappa has almost no
+        # curvature: which boundary maximum the scalar fitter's local
+        # search settles in depends on its path, so it decides every row
+        return X, mu_free, converged
+    rows = np.arange(R)
+    state = evaluate(rows, X)
+    if not np.isfinite(state[0]).all():
+        # the start's marginal covariances do not depend on the outcomes
+        return X, mu_free, converged
+    for _ in range(ROW_MAX_ITER):
+        f, g, fisher, obs, mu_r = state
+        Xr = X[rows]
+        pg = np.abs(np.clip(Xr - g, lo, hi) - Xr).max(axis=1)
+        done = pg <= ROW_PGTOL
+        converged[rows[done]] = True
+        mu_free[rows[done]] = mu_r[done]
+        rows, Xr, f, g, fisher, obs = (a[~done] for a in (rows, Xr, f, g, fisher, obs))
+        if rows.size == 0:
+            break
+        held = ((Xr <= lo) & (g > 0.0)) | ((Xr >= hi) & (g < 0.0))
+        d, newton = _step(obs, g, held)
+        if not newton.all():
+            d[~newton], _ = _step(fisher[~newton], g[~newton], held[~newton])
+        # Armijo backtracking along the projected path, row by row
+        slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(f))
+        new_X = Xr.copy()
+        new_state = None
+        accepted = np.zeros(rows.size, dtype=bool)
+        pending = np.arange(rows.size)
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            Xt = np.clip(Xr[pending] + t * d[pending], lo, hi)
+            trial = evaluate(rows[pending], Xt)
+            decrease = np.einsum("ri,ri->r", g[pending], Xt - Xr[pending])
+            ok = trial[0] <= f[pending] + ARMIJO_C * decrease + slack[pending]
+            if new_state is None:
+                new_state = [np.empty((rows.size,) + a.shape[1:]) for a in trial]
+            for a, v in zip(new_state, trial):
+                a[pending[ok]] = v[ok]
+            new_X[pending[ok]] = Xt[ok]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            t *= 0.5
+        rows = rows[accepted]
+        X[rows] = new_X[accepted]
+        state = [a[accepted] for a in new_state]
+    return X, mu_free, converged
 
 
 def moment_between_cov(data, mu):

@@ -416,16 +416,27 @@ def _sym_inverse(V, rcond=RCOND):
     DataError
         If any matrix has a meaningfully negative eigenvalue.
     """
+    W, logdet, indefinite, pinv = _sym_inverse_flags(V, rcond)
+    if indefinite.any():
+        raise DataError("indefinite marginal covariance; dataset invalid at these parameters")
+    return W, logdet, bool(pinv.any())
+
+
+def _sym_inverse_flags(V, rcond=RCOND):
+    """Batched _sym_inverse that flags failures per matrix instead of raising.
+
+    Returns (W, logdet, indefinite, pinv); the last two are boolean
+    arrays of shape V.shape[:-2]. W and logdet of an indefinite matrix
+    are finite but meaningless.
+    """
     w, Q = np.linalg.eigh(V)
     scale = np.maximum(w[..., -1], 0.0)
-    if np.any(w[..., 0] < -EPS_PSD * np.maximum(1.0, scale)):
-        raise DataError("indefinite marginal covariance; dataset invalid at these parameters")
+    indefinite = w[..., 0] < -EPS_PSD * np.maximum(1.0, scale)
     keep = w > rcond * scale[..., None]
-    used_pinv = bool(not keep.all())
     winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     logdet = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
     W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    return W, logdet, used_pinv
+    return W, logdet, indefinite, ~keep.all(axis=-1)
 
 
 def sym_solve(A, b, rcond=RCOND):

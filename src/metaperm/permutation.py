@@ -21,6 +21,8 @@ from .estimators import (
     fit_eta_given_mu,
     fit_marginal_null,
     moment_between_cov,
+    refit_rows,
+    sigma_rows,
 )
 from .exceptions import (
     DataError,
@@ -32,8 +34,8 @@ from .model import (
     _MaskGroup,
     _group_weights,
     _sym_inverse,
+    _sym_inverse_flags,
     between_cov,
-    marginal_information,
     model_terms,
     quad_form_inv,
 )
@@ -61,6 +63,10 @@ MAX_FAILURE_FRACTION = 0.2
 
 # Schur information below this signals an uninformative component
 MIN_MARGINAL_INFO = 1e-12
+
+# sign rows refit together in one refit_rows call; bounds its largest
+# array, (rows, studies, free parameters, k, k), under exhaustive plans
+REFIT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -205,11 +211,83 @@ class TestResult:
         return self.distribution.size
 
 
+def _score_rows(data, Ys, mus, sigmas):
+    """Score and information of each row at its own mean and Sigma.
+
+    Row b has outcomes Ys[g][b] per mask group, mean mus[b] and
+    between-study covariance sigmas[b]. Returns U (R, p), the scattered
+    information (R, p, p) and the rows whose weights took the
+    pseudoinverse path.
+    """
+    R, p = mus.shape
+    U = np.zeros((R, p))
+    info = np.zeros((R, p, p))
+    pinv = np.zeros(R, dtype=bool)
+    for g, Y in zip(data._groups, Ys):
+        rc = (slice(None),) + g.sel
+        W, _, indefinite, pinv_g = _sym_inverse_flags(g.S + sigmas[rc][:, None])
+        if indefinite.any():
+            raise DataError("indefinite marginal covariance; dataset invalid at these parameters")
+        pinv |= pinv_g.any(axis=1)
+        U[:, g.idx] += np.einsum("rnij,rnj->ri", W, Y - mus[:, None, g.idx])
+        info[rc] += W.sum(axis=1)
+    return U, info, pinv
+
+
+def _joint_statistics(data, Ys, mus, sigmas):
+    """Score statistics U' I^{-1} U of many rows, clamped at zero.
+
+    Returns (statistics, pinv) with pinv flagging the rows whose weights
+    or information took the pseudoinverse path.
+    """
+    U, info, pinv = _score_rows(data, Ys, mus, sigmas)
+    Iinv, _, _, pinv_i = _sym_inverse_flags(info)
+    stats = np.maximum(np.einsum("ri,rij,rj->r", U, Iinv, U), 0.0)
+    return stats, pinv | pinv_i
+
+
+def _marginal_roots(data, Ys, mus, sigmas, component):
+    """Signed marginal score roots U_c / sqrt(J) of many rows.
+
+    U is the scattered score at each row's mean and J the Schur
+    information of the tested component. At a row's own constrained fit
+    the nuisance components of U vanish, so U_c is the efficient score.
+    Returns (roots, J, pinv); pinv flags a pseudoinverse in the Schur
+    complement, and roots are nan where J < MIN_MARGINAL_INFO.
+    """
+    U, info, _ = _score_rows(data, Ys, mus, sigmas)
+    p = mus.shape[1]
+    pinv = np.zeros(mus.shape[0], dtype=bool)
+    J = info[:, component, component]
+    if p > 1:
+        rest = np.array([j for j in range(p) if j != component])
+        Icc_inv, _, _, pinv = _sym_inverse_flags(info[:, rest[:, None], rest])
+        Ica = info[:, rest, component]
+        J = np.maximum(J - np.einsum("ri,rij,rj->r", Ica, Icc_inv, Ica), 0.0)
+    informative = J >= MIN_MARGINAL_INFO
+    roots = np.full(J.shape, np.nan)
+    roots[informative] = U[informative, component] / np.sqrt(J[informative])
+    return roots, J, pinv
+
+
+def _own_outcomes(data):
+    return [g.Y[None] for g in data._groups]
+
+
 def _stat_from_sigma(data, mu, sigma):
     """Quadratic-form score statistic U' I^{-1} U at a given Sigma."""
-    t = model_terms(data, mu, sigma)
-    value, used = quad_form_inv(t.information, t.score)
-    return value, used or t.used_pinv
+    stats, pinv = _joint_statistics(data, _own_outcomes(data), mu[None], sigma[None])
+    return float(stats[0]), bool(pinv[0])
+
+
+def _flipped_outcomes(data, center, signs):
+    """Each sign row's reflected outcomes per mask group, shape (R, n, k)."""
+    Ys = []
+    for g in data._groups:
+        c = center[g.idx]
+        v = signs[:, g.members].astype(float)[:, :, None]
+        Ys.append(c + v * (g.Y - c))
+    return Ys
 
 
 def _flip_dataset(data, center, v):
@@ -225,14 +303,11 @@ def _flip_dataset(data, center, v):
         idx = np.flatnonzero(st.observed)
         y[idx] = 2.0 * center[idx] - y[idx]
         studies[i] = st._with_outcomes(y)
-    groups = []
-    for g in data._groups:
-        c = center[g.idx]
-        vg = v[g.members].astype(float)[:, None]
-        groups.append(
-            _MaskGroup(idx=g.idx, sel=g.sel, members=g.members, Y=c + vg * (g.Y - c), S=g.S)
-        )
-    return data._clone_with(studies, groups=tuple(groups))
+    groups = tuple(
+        _MaskGroup(idx=g.idx, sel=g.sel, members=g.members, Y=Y[0], S=g.S)
+        for g, Y in zip(data._groups, _flipped_outcomes(data, center, v[None]))
+    )
+    return data._clone_with(studies, groups=groups)
 
 
 def _validate_mu(data, mu_null):
@@ -273,26 +348,20 @@ def score_statistic_moment(data, mu_null):
 def _marginal_root(data, mu_full, sigma, component):
     """Signed marginal score root of a dataset at a constrained fit.
 
-    U = sum_i W_i (y_i - mu_full) on observed blocks (scattered),
-    J = the Schur information of the tested component; returns the
-    signed root U_c / sqrt(J), whose square is the marginal statistic.
-    At the dataset's own constrained fit the nuisance components of U
-    vanish, so U_c is the efficient score for the tested component.
+    Returns (root, used_pinv); see _marginal_roots.
     """
-    p = data.p
-    U = np.zeros(p)
-    info = np.zeros((p, p))
-    for g, W, _, _ in _group_weights(data, sigma):
-        r = g.Y - mu_full[g.idx]
-        Wr = np.einsum("nij,nj->ni", W, r)
-        U[g.idx] += Wr.sum(axis=0)
-        info[g.sel] += W.sum(axis=0)
-    J, used = marginal_information(info, component)
-    if J < MIN_MARGINAL_INFO:
+    roots, J, pinv = _marginal_roots(
+        data, _own_outcomes(data), mu_full[None], sigma[None], component
+    )
+    _require_information(J, component)
+    return float(roots[0]), bool(pinv[0])
+
+
+def _require_information(J, component):
+    if np.any(J < MIN_MARGINAL_INFO):
         raise UninformativeComponentError(
-            f"component {component} carries no marginal information (J={J:.3e})"
+            f"component {component} carries no marginal information (J={np.min(J):.3e})"
         )
-    return float(U[component] / np.sqrt(J)), used
 
 
 def _assemble_mu(p, component, value, mu_c):
@@ -360,22 +429,12 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
         stats[all_equal] = t_obs
     else:
         t_obs, cml_obs = score_statistic_cml(data, mu, structure)
-        warm = cml_obs.het
-        stats = np.empty(B)
-        for b in range(B):
-            if all_equal[b]:
-                stats[b] = t_obs
-                continue
-            flipped = _flip_dataset(data, mu, signs[b])
-            try:
-                cml_b = fit_eta_given_mu(data=flipped, mu_null=mu, structure=structure, init=warm)
-            except NonConvergenceError as exc:
-                cml_b = exc.last_result
-                n_failed += 1
-            sigma_b = between_cov(cml_b.het, structure)
-            stats[b], used = _stat_from_sigma(flipped, mu, sigma_b)
-            used_pinv |= used
-        _check_failures(n_failed, int(B - all_equal.sum()))
+        stats = np.full(B, t_obs)
+        refit = ~all_equal
+        stats[refit], n_failed, used_pinv = _permuted_statistics(
+            data, mu, None, signs[refit], structure, cml_obs.het
+        )
+        _check_failures(n_failed, int(refit.sum()))
 
     dist = NullDistribution(
         statistics=stats,
@@ -414,6 +473,67 @@ def _moment_null_statistics(data, mu, sigma, signs):
     return np.maximum(np.einsum("bi,ij,bj->b", U, Iinv, U), 0.0)
 
 
+def _permuted_statistics(data, center, component, signs, structure, warm):
+    """Statistic of each sign row's reflected sample at its own refit.
+
+    With component None the whole mean is fixed at the center and the
+    statistic is the joint score statistic (t1); otherwise that one
+    component is fixed, the rest are profiled, and the statistic is the
+    signed marginal root (t3). The refits of each chunk of REFIT_CHUNK
+    rows run in one refit_rows call warm-started at warm. Rows it leaves
+    unconverged, and marginal rows without information, are refit one
+    at a time with the scalar fitter on the reflected dataset; only a
+    failure there counts in n_failed.
+    Returns (statistics, n_failed, used_pinv).
+    """
+    p = data.p
+    fixed = np.arange(p) if component is None else np.array([component])
+    free = np.array([j for j in range(p) if j not in fixed], dtype=np.intp)
+    out = np.empty(signs.shape[0])
+    n_failed = 0
+    used_pinv = False
+
+    def statistics(Ys, mus, sigmas):
+        if component is None:
+            stats, pinv = _joint_statistics(data, Ys, mus, sigmas)
+            return stats, np.full(stats.shape, np.inf), pinv
+        return _marginal_roots(data, Ys, mus, sigmas, component)
+
+    for start in range(0, signs.shape[0], REFIT_CHUNK):
+        chunk = signs[start:start + REFIT_CHUNK]
+        Ys = _flipped_outcomes(data, center, chunk)
+        X, mu_free, ok = refit_rows(data, Ys, fixed, center[fixed], structure, warm)
+        sigmas = sigma_rows(X, structure, p)
+        mus = np.tile(center, (chunk.shape[0], 1))
+        mus[:, free] = mu_free
+        stats, J, pinv = statistics(Ys, mus, sigmas)
+        redo = np.flatnonzero(~ok | (J < MIN_MARGINAL_INFO))
+        for b in redo:
+            flipped = _flip_dataset(data, center, chunk[b])
+            try:
+                if component is None:
+                    cml_b = fit_eta_given_mu(
+                        data=flipped, mu_null=center, structure=structure, init=warm
+                    )
+                else:
+                    cml_b = fit_marginal_null(
+                        flipped, center[component], component, structure, init=warm
+                    )
+            except NonConvergenceError as exc:
+                cml_b = exc.last_result
+                n_failed += 1
+            sigmas[b] = between_cov(cml_b.het, structure)
+            mus[b, free] = cml_b.mu_c
+        if redo.size:
+            stats[redo], J[redo], pinv[redo] = statistics(
+                [Y[redo] for Y in Ys], mus[redo], sigmas[redo]
+            )
+            _require_information(J[redo], component)
+        out[start:start + chunk.shape[0]] = stats
+        used_pinv |= bool(pinv.any())
+    return out, n_failed, used_pinv
+
+
 def _marginal_signed_distribution(data, value, component, structure, plan):
     """Observed and permuted signed marginal score roots.
 
@@ -432,29 +552,14 @@ def _marginal_signed_distribution(data, value, component, structure, plan):
     s_obs, used_pinv = _marginal_root(data, center, sigma_obs, component)
 
     signs = generate_signs(plan, data.n_studies)
-    B = signs.shape[0]
     row_sums = signs.sum(axis=1, dtype=np.int64)
-    roots = np.empty(B)
-    n_failed = 0
-    warm = cml_obs.het
-    for b in range(B):
-        if row_sums[b] == data.n_studies:
-            roots[b] = s_obs
-            continue
-        if row_sums[b] == -data.n_studies:
-            roots[b] = -s_obs
-            continue
-        flipped = _flip_dataset(data, center, signs[b])
-        try:
-            cml_b = fit_marginal_null(flipped, value, component, structure, init=warm)
-        except NonConvergenceError as exc:
-            cml_b = exc.last_result
-            n_failed += 1
-        sigma_b = between_cov(cml_b.het, structure)
-        mu_b = _assemble_mu(p, component, value, cml_b.mu_c)
-        roots[b], used = _marginal_root(flipped, mu_b, sigma_b, component)
-        used_pinv |= used
-    _check_failures(n_failed, int(B - (np.abs(row_sums) == data.n_studies).sum()))
+    roots = np.where(row_sums > 0, s_obs, -s_obs)
+    refit = np.abs(row_sums) != data.n_studies
+    roots[refit], n_failed, used = _permuted_statistics(
+        data, center, component, signs[refit], structure, cml_obs.het
+    )
+    used_pinv |= used
+    _check_failures(n_failed, int(refit.sum()))
     includes_identity = plan.mode == "exhaustive" or bool((signs == 1).all(axis=1).any())
     return s_obs, roots, n_failed, used_pinv, includes_identity
 

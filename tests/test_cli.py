@@ -237,6 +237,38 @@ class TestSimulate:
         assert rows[0][0] == "scenario"
         assert rows[1][0] == "gauss2-s1"
 
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ([], None),
+            (["--perm", "2400"], ("random", 2400, 11)),
+            (["--perm", "300"], ("random", 300, 11)),
+            (["--perm", "exhaustive"], ("exhaustive", None, None)),
+        ],
+    )
+    def test_explicit_perm_reaches_experiment(self, capsys, monkeypatch, extra, expected):
+        # an explicit --perm equal to the default draw count used to be
+        # dropped in favour of the scenario's own plan
+        seen = {}
+        real = metaperm.cli.coverage_experiment
+
+        def spy(scenario, method, **kwargs):
+            seen["plan"] = kwargs["plan"]
+            return real(scenario, method, **kwargs)
+
+        monkeypatch.setattr(metaperm.cli, "coverage_experiment", spy)
+        code, _, _ = run(
+            capsys,
+            ["simulate", "--scenario", "gauss2-s1", "--method", "t2",
+             "--reps", "100", "--seed", "11", *extra],
+        )
+        assert code == 0
+        plan = seen["plan"]
+        if expected is None:
+            assert plan is None
+        else:
+            assert (plan.mode, plan.n_draws, plan.seed) == expected
+
     def test_unknown_scenario(self, capsys):
         code, _, err = run(
             capsys, ["simulate", "--scenario", "nope", "--method", "t2"]

@@ -10,6 +10,7 @@ from metaperm import (
     Dataset,
     HetParams,
     IncompleteDataError,
+    NonConvergenceError,
     between_cov,
     fit_eta_given_mu,
     fit_marginal_null,
@@ -19,6 +20,7 @@ from metaperm import (
     log_likelihood,
     moment_between_cov,
 )
+from metaperm.estimators import refit_rows, sigma_rows
 
 from conftest import make_mvn
 
@@ -174,6 +176,17 @@ class TestConstrainedEta:
         ll_far = log_likelihood(bivariate6, far, cml.het, UNSTR)
         assert ll_far <= fit.loglik + 1e-9
 
+    def test_invalid_start_is_not_a_converged_fit(self, trivariate_missing):
+        # pairwise correlations of +-0.99 form no correlation matrix, so the
+        # start's marginal covariances are indefinite; the objective's
+        # penalty there has a zero gradient, which must not pass for
+        # convergence
+        K = np.array([[1.0, 0.99, -0.99], [0.99, 1.0, 0.99], [-0.99, 0.99, 1.0]])
+        start = HetParams(tau=[1.0, 1.0, 1.0], kappa=K)
+        with pytest.raises(NonConvergenceError) as info:
+            fit_eta_given_mu(trivariate_missing, [0.2, 0.0, -0.3], init=start)
+        assert not info.value.last_result.converged
+
 
 class TestMarginalNull:
     def test_constraint_inactive_at_ml_optimum(self, bivariate6):
@@ -234,6 +247,34 @@ class TestMarginalNull:
         b = fit_eta_given_mu(univariate10, [0.2])
         assert np.isclose(a.het.tau[0], b.het.tau[0], atol=1e-10)
         assert a.mu_c.size == 0
+
+
+class TestRefitRows:
+    @pytest.mark.parametrize("structure", ["unstructured", "cs:0.3", "cs1:0.3"])
+    @pytest.mark.parametrize("component", [None, 1])
+    def test_rows_match_scalar_fits(self, trivariate_missing, structure, component):
+        # rows: the data and two rescalings of its deviations from mu0,
+        # refit together from one start and one at a time
+        structure = CovStructure.parse(structure)
+        data = trivariate_missing
+        mu0 = np.array([0.2, 0.0, -0.3])
+        fixed = [0, 1, 2] if component is None else [component]
+        scales = np.array([1.0, 0.6, 1.5])
+        Ys = [mu0[g.idx] + scales[:, None, None] * (g.Y - mu0[g.idx]) for g in data._groups]
+        start = HetParams(tau=[0.3, 0.35, 0.4], kappa=np.full((3, 3), 0.3) + 0.7 * np.eye(3))
+        X, mu_free, converged = refit_rows(data, Ys, fixed, mu0[fixed], structure, start)
+        assert converged.all()
+        sigmas = sigma_rows(X, structure, 3)
+        Y, S = arrays(data)
+        observed = np.stack([st.observed for st in data.studies])
+        for b, scale in enumerate(scales):
+            row = Dataset.from_arrays(mu0 + scale * (Y - mu0), S, observed=observed)
+            if component is None:
+                cml = fit_eta_given_mu(row, mu0, structure, init=start)
+            else:
+                cml = fit_marginal_null(row, mu0[component], component, structure, init=start)
+                np.testing.assert_allclose(mu_free[b], cml.mu_c, atol=1e-6)
+            np.testing.assert_allclose(sigmas[b], between_cov(cml.het, structure), atol=1e-6)
 
 
 class TestMomentBetweenCov:

@@ -16,6 +16,7 @@ from metaperm import (
     marginal_permutation_test,
 )
 import metaperm.permutation
+from metaperm.estimators import TAU_MIN
 from metaperm.model import between_cov
 from metaperm.permutation import (
     generate_signs,
@@ -290,21 +291,161 @@ class TestMarginal:
         assert r1.p_value == r2.p_value
         assert np.array_equal(r1.distribution.statistics, r2.distribution.statistics)
 
-    def test_refit_failure_budget(self, bivariate5, monkeypatch):
+    def test_refit_failure_budget(self, bivariate12, monkeypatch):
         # if more than a fifth of the permutation refits fail the test
         # must abort instead of quietly returning a distorted null
-        real = metaperm.permutation.fit_marginal_null
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            result = real(*args, **kwargs)
-            if calls["n"] > 1:
-                raise NonConvergenceError("forced failure", last_result=result)
-            return result
-
-        monkeypatch.setattr(metaperm.permutation, "fit_marginal_null", flaky)
+        _force_refit_failures(monkeypatch, "fit_marginal_null")
         with pytest.raises(NonConvergenceError, match="trustworthy"):
             marginal_permutation_test(
-                bivariate5, 0.1, 0, plan=PermutationPlan.exhaustive()
+                bivariate12, 0.4, 0, plan=PermutationPlan.random(n_draws=100, seed=3)
             )
+
+
+def _no_row_converges(refit_rows):
+    """refit_rows as shipped, but reporting every row unconverged, which
+    sends each one to the scalar fitter."""
+
+    def unconverged(*args, **kwargs):
+        X, mu_free, converged = refit_rows(*args, **kwargs)
+        return X, mu_free, np.zeros_like(converged)
+
+    return unconverged
+
+
+def _force_refit_failures(monkeypatch, scalar_fitter):
+    """Fail every permuted refit: the batched kernel converges no row and
+    every scalar fallback raises; the observed fit (first call) is kept."""
+    unconverged = _no_row_converges(metaperm.permutation.refit_rows)
+    real = getattr(metaperm.permutation, scalar_fitter)
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        result = real(*args, **kwargs)
+        if calls["n"] > 1:
+            raise NonConvergenceError("forced failure", last_result=result)
+        return result
+
+    monkeypatch.setattr(metaperm.permutation, "refit_rows", unconverged)
+    monkeypatch.setattr(metaperm.permutation, scalar_fitter, flaky)
+
+
+def test_joint_refit_failure_budget(bivariate12, monkeypatch):
+    _force_refit_failures(monkeypatch, "fit_eta_given_mu")
+    with pytest.raises(NonConvergenceError, match="trustworthy"):
+        joint_permutation_test(
+            bivariate12, [0.4, -0.2], plan=PermutationPlan.random(n_draws=100, seed=3)
+        )
+
+
+# (fixture, structure, statistic, tested component, offset from the ML
+# mean, plan); each case sends rows through the batched kernel
+BATCHED_CASES = [
+    ("bivariate5", "unstructured", "t1", None, 0.2, "exhaustive"),
+    ("bivariate6", "cs:0.3", "t1", None, -0.2, "exhaustive"),
+    ("bivariate6", "cs:0.3", "t3", 0, 0.2, "exhaustive"),
+    ("bivariate6", "cs1:0.3", "t3", 1, -0.2, "exhaustive"),
+    ("bivariate12", "unstructured", "t1", None, 0.2, "random"),
+    ("bivariate12", "unstructured", "t3", 0, -0.2, "random"),
+    ("bivariate12", "unstructured", "t3", 1, 0.2, "random"),
+    ("trivariate_missing", "cs:0.3", "t1", None, 0.2, "random"),
+    ("trivariate_missing", "cs1:0.3", "t3", 2, -0.2, "random"),
+    ("univariate10", "unstructured", "t1", None, 0.2, "exhaustive"),
+    ("univariate10", "unstructured", "t3", 0, -0.2, "exhaustive"),
+]
+
+
+def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypatch):
+    """Run one test as shipped and once with every row on the scalar fitter.
+
+    Returns (batched result, scalar result, free vectors and converged
+    masks the kernel returned in the batched run).
+    """
+    structure = CovStructure.parse(structure)
+    plan = (
+        PermutationPlan.exhaustive()
+        if plan == "exhaustive"
+        else PermutationPlan.random(n_draws=150, seed=8)
+    )
+    mu = fit_ml(data, structure).mu + offset
+
+    def run():
+        if stat == "t1":
+            return joint_permutation_test(data, mu, plan=plan, stat="cml", structure=structure)
+        return marginal_permutation_test(data, mu[component], component, plan=plan, structure=structure)
+
+    real_rows = metaperm.permutation.refit_rows
+    kernel = []
+
+    def spy(*args, **kwargs):
+        out = real_rows(*args, **kwargs)
+        kernel.append((out[0], out[2]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(metaperm.permutation, "refit_rows", spy)
+        batched = run()
+    with monkeypatch.context() as m:
+        m.setattr(metaperm.permutation, "refit_rows", _no_row_converges(real_rows))
+        scalar = run()
+    return batched, scalar, kernel
+
+
+def _assert_close_to_scalar(batched, scalar):
+    # the scalar fitter stops at a projected gradient of 1e-8, the kernel
+    # at 1e-9; where the likelihood is flat in log tau (tau near zero)
+    # the scalar refit can stop short by a few 1e-6 of a statistic, so
+    # 1e-6 binds all but 1% of rows and 1e-5 binds every row
+    b = batched.distribution.statistics
+    s = scalar.distribution.statistics
+    atol = 1e-9 * np.abs(s).max()
+    np.testing.assert_allclose(b, s, rtol=1e-5, atol=atol)
+    assert np.mean(np.abs(b - s) > 1e-6 * np.abs(s) + atol) <= 0.01
+
+
+class TestBatchedRefits:
+    @pytest.mark.parametrize("name, structure, stat, component, offset, plan", BATCHED_CASES)
+    def test_matches_scalar_refits(
+        self, request, monkeypatch, name, structure, stat, component, offset, plan
+    ):
+        data = request.getfixturevalue(name)
+        batched, scalar, kernel = _batched_and_scalar(
+            data, structure, stat, component, offset, plan, monkeypatch
+        )
+        assert sum(int(ok.sum()) for _, ok in kernel) > 0
+        _assert_close_to_scalar(batched, scalar)
+        assert batched.statistic == scalar.statistic
+        assert batched.p_value == scalar.p_value
+        assert batched.n_failed == scalar.n_failed
+        assert batched.used_pinv == scalar.used_pinv
+
+    def test_boundary_rows_match_scalar_refits(self, trivariate_missing, monkeypatch):
+        # refits that land on the tau -> 0 boundary from an interior start
+        batched, scalar, kernel = _batched_and_scalar(
+            trivariate_missing, "cs:0.3", "t3", 0, 0.2, "random", monkeypatch
+        )
+        X = np.concatenate([x for x, _ in kernel])
+        ok = np.concatenate([c for _, c in kernel])
+        at_floor = (X[:, :3] <= np.log(TAU_MIN) + 1e-9).any(axis=1)
+        assert (ok & at_floor).sum() >= 5
+        assert (ok & ~at_floor).sum() >= 5
+        _assert_close_to_scalar(batched, scalar)
+        assert batched.p_value == scalar.p_value
+
+    def test_ridge_start_left_to_scalar_fitter(self, bivariate6, monkeypatch):
+        # the observed fit sits on the |kappa| -> 1 ridge, so the kernel
+        # hands every row to the scalar fitter and nothing changes
+        batched, scalar, kernel = _batched_and_scalar(
+            bivariate6, "unstructured", "t3", 0, 0.2, "exhaustive", monkeypatch
+        )
+        assert not any(ok.any() for _, ok in kernel)
+        assert np.array_equal(batched.distribution.statistics, scalar.distribution.statistics)
+
+    def test_rows_processed_in_chunks(self, bivariate12, monkeypatch):
+        plan = PermutationPlan.random(n_draws=150, seed=8)
+        whole = joint_permutation_test(bivariate12, [0.6, -0.2], plan=plan)
+        monkeypatch.setattr(metaperm.permutation, "REFIT_CHUNK", 16)
+        chunked = joint_permutation_test(bivariate12, [0.6, -0.2], plan=plan)
+        np.testing.assert_array_equal(
+            whole.distribution.statistics, chunked.distribution.statistics
+        )
