@@ -129,20 +129,28 @@ def _bounds(structure, p):
     return [(np.log(TAU_MIN), np.log(TAU_MAX))] * nt + [(-ZETA_MAX, ZETA_MAX)] * nk
 
 
+def _unpack_rows(X, structure, p):
+    """Free vectors (R, m) -> tau (R, p), correlation matrices and raw Sigma (R, p, p)."""
+    nt = structure.n_tau(p)
+    tau = np.exp(X[:, :nt])
+    if structure.kind == "cs1":
+        tau = np.repeat(tau, p, axis=1)
+    if structure.kind == "unstructured":
+        K = np.zeros((X.shape[0], p, p))
+        z = np.tanh(X[:, nt:])
+        for a, (j, k) in enumerate(_pairs(p)):
+            K[:, j, k] = K[:, k, j] = z[:, a]
+    else:
+        K = np.full((X.shape[0], p, p), structure.kappa0)
+    K.reshape(X.shape[0], -1)[:, :: p + 1] = 1.0
+    sigma = K * (tau[:, :, None] * tau[:, None, :])
+    return tau, K, sigma
+
+
 def _unpack(x, structure, p):
     """Free vector -> (tau length p, correlation matrix, raw Sigma)."""
-    nt = structure.n_tau(p)
-    tau = np.exp(x[:nt])
-    tau_full = np.full(p, tau[0]) if structure.kind == "cs1" else tau
-    if structure.kind == "unstructured":
-        K = np.eye(p)
-        for (j, k), z in zip(_pairs(p), x[nt:]):
-            K[j, k] = K[k, j] = np.tanh(z)
-    else:
-        K = np.full((p, p), structure.kappa0)
-        np.fill_diagonal(K, 1.0)
-    sigma = K * np.outer(tau_full, tau_full)
-    return tau_full, K, sigma
+    tau, K, sigma = _unpack_rows(np.asarray(x)[None], structure, p)
+    return tau[0], K[0], sigma[0]
 
 
 def _pack(het, structure):
@@ -579,28 +587,6 @@ def fit_marginal_null(
             last_result=result,
         )
     return result
-
-
-def _unpack_rows(X, structure, p):
-    """Row-wise _unpack: free vectors (R, m) -> tau (R, p), K and Sigma (R, p, p).
-
-    Equal to _unpack row by row, bit for bit; the scalar fitters keep
-    _unpack, which costs a third as much for a single vector.
-    """
-    nt = structure.n_tau(p)
-    tau = np.exp(X[:, :nt])
-    if structure.kind == "cs1":
-        tau = np.repeat(tau, p, axis=1)
-    if structure.kind == "unstructured":
-        K = np.tile(np.eye(p), (X.shape[0], 1, 1))
-        j, k = np.triu_indices(p, 1)
-        K[:, j, k] = K[:, k, j] = np.tanh(X[:, nt:])
-    else:
-        K0 = np.full((p, p), structure.kappa0)
-        np.fill_diagonal(K0, 1.0)
-        K = np.broadcast_to(K0, (X.shape[0], p, p))
-    sigma = K * (tau[:, :, None] * tau[:, None, :])
-    return tau, K, sigma
 
 
 def sigma_rows(X, structure, p):
