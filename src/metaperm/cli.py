@@ -30,6 +30,7 @@ from .inference import (
     wald_inference,
 )
 from .io import (
+    _region_csv,
     back_transform,
     ingest_diagnostic,
     ingest_nma,
@@ -296,23 +297,6 @@ def _kv_csv(payload):
         elif isinstance(value, (list, tuple)):
             value = ";".join(str(v) for v in value)
         w.writerow([key, value])
-    return buf.getvalue()
-
-
-def _region_csv(grid):
-    buf = _io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(
-        [f"mu{j + 1}" for j in grid.axis_components]
-        + ["statistic", "threshold", "accepted", "p_value"]
-    )
-    for row in grid.to_rows():
-        k = len(grid.axis_components)
-        out = [repr(float(v)) for v in row[:k]]
-        stat, thr, acc, pv = row[k:]
-        out += [repr(float(stat)), repr(float(thr)),
-                "true" if acc else "false", repr(float(pv))]
-        w.writerow(out)
     return buf.getvalue()
 
 

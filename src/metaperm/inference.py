@@ -454,7 +454,9 @@ def confidence_region(
             raise ValueError(f"component index {c} out of range for p={p}")
     if resolution < 20:
         raise ValueError("resolution must be at least 20 points per axis")
-    fit = fit_ml(data, structure)
+    # only default bounds and the fixed components read the ML fit, so a
+    # region with explicit bounds over every component needs no fit
+    fit = fit_ml(data, structure) if bounds is None or len(components) < p else None
     if bounds is None:
         bounds = _default_region_bounds(fit, components)
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]

@@ -19,6 +19,7 @@ Results serialize to versioned JSON; region grids to plot-ready CSV.
 """
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -357,6 +358,22 @@ def ingest_nma(path, reference):
     return Dataset(studies=tuple(studies), labels=tuple(others), scales=("log",) * p)
 
 
+def _region_csv(grid):
+    """Region grid as CSV text; see write_region_csv."""
+    k = len(grid.axis_components)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow([f"mu{j + 1}" for j in grid.axis_components]
+               + ["statistic", "threshold", "accepted", "p_value"])
+    for row in grid.to_rows():
+        out = [repr(float(v)) for v in row[:k]]
+        stat, thr, acc, pv = row[k:]
+        out += [repr(float(stat)), repr(float(thr)),
+                "true" if acc else "false", repr(float(pv))]
+        w.writerow(out)
+    return buf.getvalue()
+
+
 def write_region_csv(grid, path):
     """Region grid as plot-ready CSV.
 
@@ -365,17 +382,8 @@ def write_region_csv(grid, path):
     accepted, p_value. Failed points carry NaN statistics and
     accepted=false.
     """
-    header = [f"mu{j + 1}" for j in grid.axis_components]
-    header += ["statistic", "threshold", "accepted", "p_value"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in grid.to_rows():
-            out = [repr(float(v)) for v in row[: len(grid.axis_components)]]
-            stat, thr, acc, pv = row[len(grid.axis_components):]
-            out += [repr(float(stat)), repr(float(thr)),
-                    "true" if acc else "false", repr(float(pv))]
-            w.writerow(out)
+        fh.write(_region_csv(grid))
 
 
 def back_transform(value, scale):

@@ -12,6 +12,7 @@ nuisance mean and heterogeneity on each permuted sample, and evaluates
 the signed score of the original data at the refitted pseudo-null.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,24 @@ def generate_signs(plan, n_studies):
     return (2 * rng.integers(0, 2, size=(size, n_studies)) - 1).astype(np.int8)
 
 
+@functools.lru_cache(maxsize=1)
+def _sign_plan(plan, n_studies):
+    """Read-only sign matrix of a plan and its int64 row sums.
+
+    Every test of one inversion (lattice points, interval probes,
+    replicates) shares a plan, so the last plan built is kept and reused.
+    Only the int8 signs are kept, not a float copy: at the 2^20 cap
+    (N = 20) a float copy would hold 168 MB. generate_signs is looked up
+    in this module at call time, so perfbench's traced run sees each
+    build.
+    """
+    signs = generate_signs(plan, n_studies)
+    signs.flags.writeable = False
+    row_sums = signs.sum(axis=1, dtype=np.int64)
+    row_sums.flags.writeable = False
+    return signs, row_sums
+
+
 @dataclass(frozen=True, eq=False)
 class NullDistribution:
     """Permutation null distribution with its counting rules.
@@ -184,14 +203,19 @@ class NullDistribution:
             p_above_all = 1.0 / (n + 1)
         if p_above_all > alpha:
             return np.inf
-        s = np.sort(self.statistics)
-        counts = n - np.searchsorted(s, s, side="left")
+        # a statistic s is accepted iff its count #{t >= s} reaches the
+        # smallest count c whose p-value exceeds alpha; the largest such
+        # s is the (n - c)-th order statistic (0-based)
+        counts = np.arange(1, n + 1)
         if self.mode == "exhaustive":
             p = counts / n
         else:
             p = (1.0 + counts) / (n + 1)
         ok = p > alpha
-        return float(s[ok].max()) if ok.any() else -np.inf
+        if not ok[-1]:
+            return -np.inf
+        k = n - (int(np.argmax(ok)) + 1)
+        return float(np.partition(self.statistics, k)[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,6 +413,11 @@ def marginal_score_statistic(data, value, component, structure=None, *, init=Non
     return root * root, cml
 
 
+def _includes_identity(plan, row_sums, n_studies):
+    """True when the plan's rows contain the all-plus assignment."""
+    return plan.mode == "exhaustive" or bool((row_sums == n_studies).any())
+
+
 def _check_failures(n_failed, n_attempted):
     if n_attempted and n_failed > MAX_FAILURE_FRACTION * n_attempted:
         raise NonConvergenceError(
@@ -415,9 +444,9 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     structure = structure if structure is not None else CovStructure.unstructured()
     plan = _default_plan(plan)
     mu = _validate_mu(data, mu_null)
-    signs = generate_signs(plan, data.n_studies)
+    signs, row_sums = _sign_plan(plan, data.n_studies)
     B = signs.shape[0]
-    all_equal = np.abs(signs.sum(axis=1, dtype=np.int64)) == data.n_studies
+    all_equal = np.abs(row_sums) == data.n_studies
     n_failed = 0
     used_pinv = False
 
@@ -439,7 +468,7 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
         statistics=stats,
         mode=plan.mode,
         seed=plan.seed,
-        includes_identity=plan.mode == "exhaustive" or bool((signs == 1).all(axis=1).any()),
+        includes_identity=_includes_identity(plan, row_sums, data.n_studies),
     )
     return TestResult(
         statistic=float(t_obs),
@@ -550,8 +579,7 @@ def _marginal_signed_distribution(data, value, component, structure, plan):
     center = _assemble_mu(p, component, value, cml_obs.mu_c)
     s_obs, used_pinv = _marginal_root(data, center, sigma_obs, component)
 
-    signs = generate_signs(plan, data.n_studies)
-    row_sums = signs.sum(axis=1, dtype=np.int64)
+    signs, row_sums = _sign_plan(plan, data.n_studies)
     roots = np.where(row_sums > 0, s_obs, -s_obs)
     refit = np.abs(row_sums) != data.n_studies
     roots[refit], n_failed, used = _permuted_statistics(
@@ -559,8 +587,7 @@ def _marginal_signed_distribution(data, value, component, structure, plan):
     )
     used_pinv |= used
     _check_failures(n_failed, int(refit.sum()))
-    includes_identity = plan.mode == "exhaustive" or bool((signs == 1).all(axis=1).any())
-    return s_obs, roots, n_failed, used_pinv, includes_identity
+    return s_obs, roots, n_failed, used_pinv, _includes_identity(plan, row_sums, data.n_studies)
 
 
 def marginal_permutation_test(data, value, component, plan=None, structure=None):

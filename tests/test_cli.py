@@ -6,7 +6,14 @@ import json
 import pytest
 
 import metaperm.cli
-from metaperm import NonConvergenceError, write_wide
+from metaperm import (
+    NonConvergenceError,
+    PermutationPlan,
+    confidence_region,
+    ingest_wide,
+    write_region_csv,
+    write_wide,
+)
 from metaperm.cli import main
 
 from conftest import make_mvn, make_univariate
@@ -191,6 +198,23 @@ class TestRegion:
         assert len(lines) == 401
         flags = {line.split(",")[4] for line in lines[1:]}
         assert flags <= {"true", "false"}
+
+    def test_csv_bytes_match_write_region_csv(self, tmp_path, wide_csv):
+        out = tmp_path / "cli.csv"
+        code = main(
+            ["region", wide_csv, "--axes", "y1,y2", "--bounds=-0.2:0.8,-0.8:0.4",
+             "--stat", "t2", "--perm", "exhaustive", "--format", "csv", "--output", str(out)]
+        )
+        assert code == 0
+        grid = confidence_region(
+            ingest_wide(wide_csv),
+            bounds=[(-0.2, 0.8), (-0.8, 0.4)],
+            stat="moment",
+            plan=PermutationPlan.exhaustive(),
+        )
+        ref = tmp_path / "ref.csv"
+        write_region_csv(grid, ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # corner study corrected
     def test_axes_by_label(self, capsys, diag_csv):

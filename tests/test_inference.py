@@ -238,6 +238,25 @@ class TestConfidenceRegion:
         assert not grid.accepted.any()
         assert np.isnan(grid.statistic).all()
 
+    @pytest.mark.parametrize("fixture", ["bivariate5", "bivariate12"])
+    def test_explicit_bounds_over_every_axis_need_no_fit(self, fixture, request, monkeypatch):
+        data = request.getfixturevalue(fixture)
+        kwargs = dict(resolution=20, stat="moment", plan=PermutationPlan.exhaustive())
+        bounds = [(-0.5, 1.0), (-1.0, 0.5)]
+        expected = confidence_region(data, bounds=bounds, **kwargs)
+
+        def fail(*args, **kw):
+            raise NonConvergenceError("forced failure")
+
+        monkeypatch.setattr(metaperm.inference, "fit_ml", fail)
+        grid = confidence_region(data, components=(0, 1), bounds=bounds, **kwargs)
+        for name in ("statistic", "threshold", "p_value", "accepted", "failed"):
+            np.testing.assert_array_equal(getattr(grid, name), getattr(expected, name))
+        assert grid.fixed_components == {}
+        # default bounds come from the fit
+        with pytest.raises(NonConvergenceError, match="forced"):
+            confidence_region(data, **kwargs)
+
     def test_validation(self, bivariate5):
         plan = PermutationPlan.exhaustive()
         with pytest.raises(ValueError, match="two axis"):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaperm import (
     CovStructure,
@@ -31,6 +32,7 @@ from metaperm.model import between_cov
 from metaperm.permutation import (
     _flip_dataset,
     _marginal_root,
+    _sign_plan,
     _stat_from_sigma,
     generate_signs,
     marginal_score_statistic,
@@ -86,6 +88,45 @@ class TestGenerateSigns:
         assert abs(signs.astype(float).mean()) < 0.06
 
 
+def _sorted_threshold(stats, mode, alpha):
+    """NullDistribution.threshold as a sort plus searchsorted: for each
+    sorted value its p-value, then the largest value still accepted."""
+    n = stats.size
+    p_above_all = 0.0 if mode == "exhaustive" else 1.0 / (n + 1)
+    if p_above_all > alpha:
+        return np.inf
+    s = np.sort(stats)
+    counts = n - np.searchsorted(s, s, side="left")
+    if mode == "exhaustive":
+        p = counts / n
+    else:
+        p = (1.0 + counts) / (n + 1)
+    ok = p > alpha
+    return float(s[ok].max()) if ok.any() else -np.inf
+
+
+@st.composite
+def _null_cases(draw):
+    """(statistics, mode, alpha): sizes 1 to 300 and powers of two, values
+    from a few integers (many ties) or continuous, and alphas on the
+    p-value grids of both counting rules."""
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from([2 ** k for k in range(17)])))
+    mode = draw(st.sampled_from(["exhaustive", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        stats = rng.integers(0, draw(st.integers(0, 12)) + 1, size=n).astype(float)
+    else:
+        stats = rng.standard_normal(n)
+    k = st.integers(0, n + 1)
+    alpha = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        k.map(lambda c: c / n),
+        k.map(lambda c: c / (n + 1)),
+        k.map(lambda c: (1.0 + c) / (n + 1)),
+    ))
+    return stats, mode, alpha
+
+
 class TestNullDistribution:
     def test_rejects_bad_vectors(self):
         with pytest.raises(ValueError):
@@ -125,6 +166,65 @@ class TestNullDistribution:
         d = NullDistribution(statistics=np.arange(9.0), mode="random")
         assert d.threshold(0.05) == np.inf
         assert d.accepted(1e9, 0.05)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_null_cases())
+    def test_threshold_matches_sort_oracle(self, case):
+        stats, mode, alpha = case
+        d = NullDistribution(statistics=stats, mode=mode)
+        assert d.threshold(alpha) == _sorted_threshold(stats, mode, alpha)
+
+
+
+class TestSignPlanCache:
+    def _results(self, data, plan, kind):
+        if kind == "marginal":
+            res = marginal_permutation_test(data, 0.1, 0, plan=plan)
+        else:
+            res = joint_permutation_test(data, [0.1, -0.1], plan=plan, stat=kind)
+        d = res.distribution
+        return res.statistic, res.p_value, res.n_failed, d.includes_identity, d.statistics.tobytes()
+
+    def test_interleaved_plans_match_a_cold_cache(self, bivariate5, bivariate6):
+        ex = PermutationPlan.exhaustive()
+        r1 = PermutationPlan.random(n_draws=100, seed=1)
+        r2 = PermutationPlan.random(n_draws=100, seed=2)
+        sequence = [
+            (bivariate5, ex, "moment"),
+            (bivariate5, r1, "moment"),
+            (bivariate5, r1, "cml"),
+            (bivariate5, r2, "moment"),
+            (bivariate6, ex, "moment"),
+            (bivariate5, ex, "marginal"),
+            (bivariate6, r1, "moment"),
+            (bivariate5, r2, "moment"),
+            (bivariate5, ex, "cml"),
+            (bivariate6, ex, "moment"),
+        ]
+        cold = []
+        for data, plan, kind in sequence:
+            _sign_plan.cache_clear()
+            cold.append(self._results(data, plan, kind))
+        for (data, plan, kind), expected in zip(sequence, cold):
+            assert self._results(data, plan, kind) == expected
+
+    def test_cached_arrays_read_only_and_generate_signs_fresh(self, bivariate5):
+        plan = PermutationPlan.random(n_draws=100, seed=1)
+        expected = self._results(bivariate5, plan, "moment")
+        signs, row_sums = _sign_plan(plan, 5)
+        assert not signs.flags.writeable and not row_sums.flags.writeable
+        with pytest.raises(ValueError):
+            signs[0, 0] = -signs[0, 0]
+        np.testing.assert_array_equal(row_sums, signs.sum(axis=1))
+
+        fresh = generate_signs(plan, 5)
+        assert fresh.flags.writeable
+        assert not np.shares_memory(fresh, signs)
+        np.testing.assert_array_equal(fresh, signs)
+        fresh[:] = 1
+        np.testing.assert_array_equal(generate_signs(plan, 5), signs)
+        assert self._results(bivariate5, plan, "moment") == expected
+        assert not (_sign_plan(plan, 5)[0] == 1).all()
 
 
 @pytest.fixture(scope="module")
