@@ -23,13 +23,8 @@ from .model import (
     HetParams,
     StudyRecord,
     between_cov,
-    log_likelihood,
     marginal_information,
     model_terms,
-    reduce_to_observed,
-    score,
-    information,
-    study_weights,
 )
 from .estimators import (
     CmlResult,
@@ -94,12 +89,7 @@ __all__ = [
     "CovStructure",
     "HetParams",
     "between_cov",
-    "reduce_to_observed",
-    "study_weights",
     "model_terms",
-    "log_likelihood",
-    "score",
-    "information",
     "marginal_information",
     "FitResult",
     "CmlResult",

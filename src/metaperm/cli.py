@@ -99,12 +99,6 @@ def _build_parser():
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; computations run single-threaded",
-    )
     common.add_argument("--output", default=None, help="write output to a file")
 
     parser = _Parser(

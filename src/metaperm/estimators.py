@@ -1,9 +1,15 @@
 """Estimators for the multivariate random-effects model.
 
-Maximum likelihood and REML via alternating mean/heterogeneity updates,
-constrained maximum likelihood with the mean vector (or one component)
-held fixed, and the sign-invariant method-of-moments between-study
-covariance with truncation.
+Every heterogeneity fit maximizes one objective, _neg_profiled_free: the
+log-likelihood with some mean components held fixed and the rest
+profiled out by generalized least squares. All components fixed gives
+the joint null of fit_eta_given_mu and the ML heterogeneity step; one
+fixed gives the marginal null of fit_marginal_null; none fixed with the
+restricted term gives REML. The constrained fits are one L-BFGS-B run
+each (_fit_constrained); ML and REML alternate a GLS mean update with
+that heterogeneity step. refit_rows runs the constrained fit for many
+sign-flipped outcome sets at once. The sign-invariant method-of-moments
+between-study covariance with truncation completes the module.
 
 The heterogeneity step optimizes a smooth unconstrained
 reparameterization (log between-study SDs, atanh correlations) with
@@ -197,109 +203,79 @@ def _chain_grad(G, tau_full, K, structure, p):
     return np.concatenate([g_tau, g_kappa])
 
 
-def _neg_loglik_free(data, mu, structure):
-    """Objective closure: -loglik and gradient in the free vector."""
-    p = data.p
-
-    def fun(x):
-        tau_full, K, sigma = _unpack(x, structure, p)
-        try:
-            t = model_terms(data, mu, sigma)
-        except DataError:
-            return PENALTY, np.zeros_like(x)
-        g = _chain_grad(t.grad_sigma, tau_full, K, structure, p)
-        return -t.loglik, -g
-
-    return fun
+def _scatter(groups, p):
+    """Scattered information sum A and weighted moment b = sum W_i y_i."""
+    A = np.zeros((p, p))
+    b = np.zeros(p)
+    for g, W, _, _ in groups:
+        A[g.sel] += W.sum(axis=0)
+        b[g.idx] += np.einsum("nij,nj->i", W, g.Y)
+    return A, b
 
 
-def _neg_restricted_free(data, structure):
-    """Restricted objective: profiles the mean internally.
+def _profiled_mean(groups, p, fixed, values, free):
+    """Mean with the fixed components at values and the free ones by GLS.
 
-    l_R(eta) = l(mu_hat(eta), eta) - 0.5 log|sum_i W_i(eta)|; the mean
-    profile leaves no extra gradient term because the score in mu
-    vanishes at mu_hat(eta).
+    The free components solve their block of the mean system through
+    _sym_inverse, so the score in them vanishes. Returns (mu, Ainv,
+    logdet) with Ainv and logdet those of the free block of the
+    information. Raises DataError if that block is indefinite.
+    """
+    mu = np.empty(p)
+    mu[fixed] = values
+    if not free.size:
+        return mu, np.empty((0, 0)), 0.0
+    A, b = _scatter(groups, p)
+    Ainv, logdet, _ = _sym_inverse(A[np.ix_(free, free)])
+    mu[free] = Ainv @ (b[free] - A[np.ix_(free, fixed)] @ values)
+    return mu, Ainv, logdet
+
+
+def _neg_profiled_free(data, structure, fixed, values, restricted=False):
+    """Objective closure: -loglik and its gradient in the free vector.
+
+    The mean components listed in fixed are held at values; the others
+    are profiled out by generalized least squares at every trial
+    heterogeneity. All components fixed is the joint null (and the ML
+    heterogeneity step at the current mean), one fixed the marginal
+    null. With restricted=True the objective adds -0.5 log|A| of the free
+    block of the information A = sum_i W_i, which with nothing fixed is
+    REML. The score in the profiled components vanishes at their GLS
+    update, so the profile adds no gradient term; the restricted term
+    adds 0.5 sum_i W_i A^{-1} W_i to dl/dSigma.
     """
     p = data.p
+    fixed = np.asarray(fixed, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    free = np.setdiff1d(np.arange(p), fixed)
+    free_sel = np.ix_(free, free)
 
     def fun(x):
         tau_full, K, sigma = _unpack(x, structure, p)
         try:
             groups = _group_weights(data, sigma)
+            mu, Ainv, logdet_A = _profiled_mean(groups, p, fixed, values, free)
         except DataError:
             return PENALTY, np.zeros_like(x)
-        A = np.zeros((p, p))
-        b = np.zeros(p)
-        for g, W, logdet, _ in groups:
-            A[g.sel] += W.sum(axis=0)
-            b[g.idx] += np.einsum("nij,nj->i", W, g.Y)
-        try:
-            Ainv, logdet_A, _ = _sym_inverse(A)
-        except DataError:
-            return PENALTY, np.zeros_like(x)
-        mu = Ainv @ b
+        if restricted:
+            M = np.zeros((p, p))
+            M[free_sel] = Ainv
         ll = 0.0
         G = np.zeros((p, p))
         for g, W, logdet, _ in groups:
             r = g.Y - mu[g.idx]
             Wr = np.einsum("nij,nj->ni", W, r)
             ll -= 0.5 * (logdet.sum() + np.einsum("ni,ni->", Wr, r) + g.Y.size * _LOG_2PI)
-            M = Ainv[g.sel]
-            G[g.sel] += 0.5 * (
-                np.einsum("ni,nj->ij", Wr, Wr)
-                - W.sum(axis=0)
-                + np.einsum("nij,jk,nkl->il", W, M, W)
-            )
-        obj = ll - 0.5 * float(logdet_A)
+            dG = np.einsum("ni,nj->ij", Wr, Wr) - W.sum(axis=0)
+            if restricted:
+                dG += np.einsum("nij,jk,nkl->il", W, M[g.sel], W)
+            G[g.sel] += 0.5 * dG
+        if restricted:
+            ll -= 0.5 * float(logdet_A)
         g = _chain_grad(G, tau_full, K, structure, p)
-        return -obj, -g
+        return -ll, -g
 
     return fun
-
-
-def _neg_profile_marginal_free(data, value, component, structure):
-    """Objective with one mean component fixed and the rest profiled out.
-
-    At every trial heterogeneity the free mean components are set by the
-    generalized-least-squares update, so the score in those components
-    vanishes and the gradient in the free vector needs no extra term.
-    """
-    p = data.p
-    rest = [j for j in range(p) if j != component]
-    rest_sel = np.ix_(rest, rest)
-
-    def objective(x):
-        tau_full, K, sigma = _unpack(x, structure, p)
-        try:
-            groups = _group_weights(data, sigma)
-        except DataError:
-            return PENALTY, np.zeros_like(x)
-        A = np.zeros((p, p))
-        b = np.zeros(p)
-        for g, W, _, _ in groups:
-            A[g.sel] += W.sum(axis=0)
-            b[g.idx] += np.einsum("nij,nj->i", W, g.Y)
-        rhs = b[rest] - A[rest, component] * value
-        try:
-            mu_c = np.linalg.solve(A[rest_sel], rhs)
-        except np.linalg.LinAlgError:
-            mu_c, _ = sym_solve(A[rest_sel], rhs)
-        if not np.all(np.isfinite(mu_c)):
-            return PENALTY, np.zeros_like(x)
-        mu = np.empty(p)
-        mu[component] = value
-        mu[rest] = mu_c
-        ll = 0.0
-        G = np.zeros((p, p))
-        for g, W, logdet, _ in groups:
-            r = g.Y - mu[g.idx]
-            Wr = np.einsum("nij,nj->ni", W, r)
-            ll -= 0.5 * (logdet.sum() + np.einsum("ni,ni->", Wr, r) + g.Y.size * _LOG_2PI)
-            G[g.sel] += 0.5 * (np.einsum("ni,nj->ij", Wr, Wr) - W.sum(axis=0))
-        g_free = _chain_grad(G, tau_full, K, structure, p)
-        return -ll, -g_free
-
-    return objective
 
 
 def _optimize_eta(fun, x0, bounds, max_inner):
@@ -325,16 +301,10 @@ def _optimize_eta(fun, x0, bounds, max_inner):
 
 
 def _scatter_info_moment(data, sigma):
-    """Scattered information sum A and weighted moment b = sum W_i y_i."""
-    p = data.p
-    A = np.zeros((p, p))
-    b = np.zeros(p)
-    used = False
-    for g, W, _, u in _group_weights(data, sigma):
-        used |= u
-        A[g.sel] += W.sum(axis=0)
-        b[g.idx] += np.einsum("nij,nj->i", W, g.Y)
-    return A, b, used
+    """_scatter at sigma, plus whether any weight took the pseudoinverse."""
+    groups = _group_weights(data, sigma)
+    A, b = _scatter(groups, data.p)
+    return A, b, any(used for *_, used in groups)
 
 
 def _gls_mean(A, b):
@@ -378,7 +348,9 @@ def _alternating_fit(data, structure, method, tol, max_outer, max_inner):
     p = data.p
     x = _default_init(data, _naive_mean(data), structure)
     bounds = _bounds(structure, p)
-    restricted = _neg_restricted_free(data, structure) if method == "reml" else None
+    restricted = (
+        _neg_profiled_free(data, structure, (), (), restricted=True) if method == "reml" else None
+    )
     mu = None
     trace = []
     pinv_used = False
@@ -390,8 +362,8 @@ def _alternating_fit(data, structure, method, tol, max_outer, max_inner):
         A, b, used = _scatter_info_moment(data, sigma)
         mu_new, used_solve = _gls_mean(A, b)
         pinv_used |= used or used_solve
-        objective = restricted if restricted is not None else _neg_loglik_free(
-            data, mu_new, structure
+        objective = restricted if restricted is not None else _neg_profiled_free(
+            data, structure, np.arange(p), mu_new
         )
         x_new, ll, ok, _ = _optimize_eta(objective, x, bounds, max_inner)
         delta = np.inf
@@ -458,7 +430,7 @@ def _finalize(data, x, structure, method, trace, iterations, pinv_used, converge
     mu, used_solve = _gls_mean(A, b)
     t = model_terms(data, mu, sigma)
     if method == "reml":
-        loglik = -_neg_restricted_free(data, structure)(x)[0]
+        loglik = -_neg_profiled_free(data, structure, (), (), restricted=True)(x)[0]
     else:
         loglik = t.loglik
     return FitResult(
@@ -475,6 +447,45 @@ def _finalize(data, x, structure, method, trace, iterations, pinv_used, converge
     )
 
 
+def _fit_constrained(data, fixed, values, structure, init, max_inner):
+    """Constrained ML of the heterogeneity with the fixed mean components at values.
+
+    One L-BFGS-B run of _neg_profiled_free from init, or from the
+    moment-based start. Returns a CmlResult whose mu_c holds the free
+    mean components profiled at the fit; raises NonConvergenceError
+    carrying it when the optimizer does not converge.
+    """
+    p = data.p
+    structure = _require_structure(structure)
+    fixed = np.asarray(fixed, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    free = np.setdiff1d(np.arange(p), fixed)
+    if init is not None:
+        x0 = _pack(init, structure)
+    else:
+        mu0 = _naive_mean(data)
+        mu0[fixed] = values
+        x0 = _default_init(data, mu0, structure)
+    fun = _neg_profiled_free(data, structure, fixed, values)
+    x, ll, ok, nit = _optimize_eta(fun, x0, _bounds(structure, p), max_inner)
+    mu_c = np.empty(0)
+    if free.size:
+        # the free components at the returned heterogeneity, so their
+        # score vanishes exactly at the reported point
+        _, _, sigma = _unpack(x, structure, p)
+        mu_c = _profiled_mean(_group_weights(data, sigma), p, fixed, values, free)[0][free]
+    result = CmlResult(
+        het=_het_from_free(x, structure, p),
+        mu_c=mu_c,
+        loglik=ll,
+        converged=ok,
+        iterations=nit,
+    )
+    if not ok:
+        raise NonConvergenceError("constrained fit did not converge", last_result=result)
+    return result
+
+
 def fit_eta_given_mu(data, mu_null, structure=None, *, init=None, max_inner=MAX_INNER):
     """Constrained ML of the heterogeneity with the whole mean fixed.
 
@@ -488,105 +499,34 @@ def fit_eta_given_mu(data, mu_null, structure=None, *, init=None, max_inner=MAX_
     NonConvergenceError
         Carries the last iterate in ``last_result``.
     """
-    structure = _require_structure(structure)
     p = data.p
     mu = np.atleast_1d(np.asarray(mu_null, dtype=float))
     if mu.shape != (p,) or not np.all(np.isfinite(mu)):
         raise ValueError(f"null mean must be a finite vector of length {p}")
-    x0 = _pack(init, structure) if init is not None else _default_init(data, mu, structure)
-    fun = _neg_loglik_free(data, mu, structure)
-    x, ll, ok, nit = _optimize_eta(fun, x0, _bounds(structure, p), max_inner)
-    result = CmlResult(
-        het=_het_from_free(x, structure, p),
-        mu_c=np.empty(0),
-        loglik=ll,
-        converged=ok,
-        iterations=nit,
-    )
-    if not ok:
-        raise NonConvergenceError("constrained fit did not converge", last_result=result)
-    return result
+    return _fit_constrained(data, np.arange(p), mu, structure, init, max_inner)
 
 
-def fit_marginal_null(
-    data,
-    value,
-    component,
-    structure=None,
-    *,
-    init=None,
-    tol=TOL,
-    max_outer=MAX_OUTER,
-    max_inner=MAX_INNER,
-):
+def fit_marginal_null(data, value, component, structure=None, *, init=None, max_inner=MAX_INNER):
     """Constrained ML with one mean component fixed, the rest free.
 
-    Alternates a generalized-least-squares update of the free mean
-    components (given the fixed one) with the heterogeneity step. Any
-    component may be the fixed one; for p=1 this reduces to
-    fit_eta_given_mu.
+    The heterogeneity maximizes the likelihood with the other mean
+    components profiled out by generalized least squares at every trial
+    point; mu_c reports them at the fit. Any component may be the fixed
+    one; for p=1 this is fit_eta_given_mu. iterations counts L-BFGS-B
+    iterations.
+
+    Raises
+    ------
+    NonConvergenceError
+        Carries the last iterate in ``last_result``.
     """
-    structure = _require_structure(structure)
     p = data.p
     value = float(value)
     if not 0 <= component < p:
         raise ValueError(f"component index {component} out of range for p={p}")
-    if p == 1:
-        res = fit_eta_given_mu(
-            data, np.array([value]), structure, init=init, max_inner=max_inner
-        )
-        return res
-    rest = [j for j in range(p) if j != component]
-    if init is not None:
-        x = _pack(init, structure)
-    else:
-        mu0 = _naive_mean(data)
-        mu0[component] = value
-        x = _default_init(data, mu0, structure)
-    bounds = _bounds(structure, p)
-    objective = _neg_profile_marginal_free(data, value, component, structure)
-    converged = False
-    ll = -np.inf
-    iterations = 0
-    stalled = 0
-    for iterations in range(1, max_outer + 1):
-        # heterogeneity step; the free mean components are re-profiled by
-        # the generalized-least-squares update at every trial point, so
-        # the loop's fixed point is the joint constrained maximizer
-        x_new, ll_new, ok, _ = _optimize_eta(objective, x, bounds, max_inner)
-        delta = np.max(np.abs(_natural(x_new, structure, p) - _natural(x, structure, p)))
-        # successive rounds re-solve one fixed objective, so a stationary
-        # value means any residual parameter motion is optimizer jitter
-        settled = iterations > 1 and abs(ll_new - ll) <= LL_STATIONARY * (1.0 + abs(ll_new))
-        x, ll = x_new, ll_new
-        if delta < tol or settled:
-            if ok:
-                converged = True
-                break
-            # parameters fixed but the optimizer keeps reporting failure:
-            # more rounds of the identical problem cannot help
-            stalled += 1
-            if stalled >= 2:
-                break
-    # free mean components profiled at the final heterogeneity, so their
-    # score vanishes exactly at the reported point
-    _, _, sigma = _unpack(x, structure, p)
-    A, b, _ = _scatter_info_moment(data, sigma)
-    rhs = b[rest] - A[rest, component] * value
-    mu_c, _ = _gls_mean(A[np.ix_(rest, rest)], rhs)
-    result = CmlResult(
-        het=_het_from_free(x, structure, p),
-        mu_c=np.asarray(mu_c, dtype=float),
-        loglik=ll,
-        converged=converged,
-        iterations=iterations,
-    )
-    if not converged:
-        raise NonConvergenceError(
-            f"constrained marginal fit did not converge in {max_outer} iterations",
-            last_result=result,
-        )
-    return result
+    if not np.isfinite(value):
+        raise ValueError("null value must be finite")
+    return _fit_constrained(data, [component], [value], structure, init, max_inner)
 
 
 def sigma_rows(X, structure, p):
@@ -631,9 +571,9 @@ def _derivative_patterns(structure, p):
 def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
     """Objective, gradient and both curvatures of every row at X.
 
-    f is the negative profiled log-likelihood of _neg_loglik_free (all
-    components fixed) or _neg_profile_marginal_free (the rest profiled
-    by GLS), g its gradient in the free vector, fisher the expected
+    f is the negative profiled log-likelihood of _neg_profiled_free
+    (unrestricted; the components not in fixed profiled by GLS), g its
+    gradient in the free vector, fisher the expected
     information 1/2 sum_i tr(W_i E_a W_i E_b) with E_a = dSigma/dx_a on
     study i's observed block, and obs the Hessian of f, including the
     curvature of the mean profile. Rows whose marginal covariance or

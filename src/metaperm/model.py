@@ -1,10 +1,10 @@
 """Core multivariate random-effects model.
 
-Data containers, between-study covariance structures, and the
-likelihood, score, and information computations, all with
-missing-outcome reduction. Every study contributes only through its
-observed subvector and submatrices; unobserved components contribute
-exactly zero to the score and information.
+Data containers, between-study covariance structures, and model_terms,
+the one likelihood pass (log-likelihood, score, information and
+dl/dSigma), with missing-outcome reduction. Every study contributes
+only through its observed subvector and submatrices; unobserved
+components contribute exactly zero to the score and information.
 """
 
 from dataclasses import dataclass
@@ -21,12 +21,7 @@ __all__ = [
     "Dataset",
     "CovStructure",
     "HetParams",
-    "reduce_to_observed",
     "between_cov",
-    "study_weights",
-    "log_likelihood",
-    "score",
-    "information",
     "marginal_information",
 ]
 
@@ -449,15 +444,6 @@ def sym_solve(A, b, rcond=RCOND):
     return W @ b, used
 
 
-def quad_form_inv(A, u, rcond=RCOND):
-    """Evaluate u' A^{-1} u robustly, clamped at zero.
-
-    Returns (value, used_pinv).
-    """
-    x, used = sym_solve(A, u, rcond=rcond)
-    return max(float(u @ x), 0.0), used
-
-
 @dataclass(frozen=True, eq=False)
 class ModelTerms:
     """One likelihood pass: value, score, information, covariance gradient."""
@@ -505,68 +491,6 @@ def model_terms(data, mu, sigma, rcond=RCOND):
         info[g.sel] += Wsum
         G[g.sel] += 0.5 * (np.einsum("ni,nj->ij", Wr, Wr) - Wsum)
     return ModelTerms(loglik=float(ll), score=U, information=info, grad_sigma=G, used_pinv=used_any)
-
-
-def reduce_to_observed(study, mu, sigma):
-    """Restrict (y, mu, S, Sigma) to the study's observed components.
-
-    Returns (y_obs, mu_obs, S_obs, Sigma_obs), order preserved.
-    """
-    idx = np.flatnonzero(study.observed)
-    sel = np.ix_(idx, idx)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    return study.y[idx], mu[idx], study.S[sel], sigma[sel]
-
-
-def study_weights(study, het, structure):
-    """Marginal weight matrix (Sigma + S_i)^{-1} on the observed block.
-
-    Returns (W, used_pinv); used_pinv flags the pseudoinverse fallback
-    for numerically singular marginal covariances.
-    """
-    sigma = between_cov(het, structure)
-    idx = np.flatnonzero(study.observed)
-    sel = np.ix_(idx, idx)
-    V = study.S[sel] + sigma[sel]
-    W, _, used = _sym_inverse(V)
-    return W, used
-
-
-def _validate_mu(mu, p):
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.shape != (p,):
-        raise ValueError(f"mean vector must have length {p}")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("mean vector must be finite")
-    return mu
-
-
-def log_likelihood(data, mu, het, structure):
-    """Log-likelihood of the random-effects model at (mu, het).
-
-    Each study contributes -0.5 (log|Sigma+S_i| + r' W_i r + p_i log 2pi)
-    on its observed block, with r = y_i - mu.
-    """
-    mu = _validate_mu(mu, data.p)
-    sigma = between_cov(het, structure)
-    return model_terms(data, mu, sigma).loglik
-
-
-def score(data, mu, het, structure):
-    """Score for the mean: sum of W_i (y_i - mu), scattered to length p."""
-    mu = _validate_mu(mu, data.p)
-    sigma = between_cov(het, structure)
-    return model_terms(data, mu, sigma).score
-
-
-def information(data, het, structure):
-    """Information for the mean: sum of scattered weight matrices.
-
-    Independent of mu; symmetric PSD.
-    """
-    sigma = between_cov(het, structure)
-    return model_terms(data, np.zeros(data.p), sigma).information
 
 
 def marginal_information(info, component=0):

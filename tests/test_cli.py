@@ -392,7 +392,3 @@ class TestOutputHandling:
         text = out_file.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert json.loads(text)["kind"] == "fit"
-
-    def test_threads_flag_accepted(self, capsys, wide_csv):
-        code, _, _ = run(capsys, ["fit", "ml", wide_csv, "--threads", "4"])
-        assert code == 0

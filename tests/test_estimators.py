@@ -17,10 +17,11 @@ from metaperm import (
     fit_ml,
     fit_reml,
     het_from_cov,
-    log_likelihood,
+    model_terms,
     moment_between_cov,
 )
-from metaperm.estimators import refit_rows, sigma_rows
+import metaperm.estimators
+from metaperm.estimators import _neg_profiled_free, _pack, refit_rows, sigma_rows
 
 from conftest import make_mvn
 
@@ -54,6 +55,10 @@ def argmax_tau(objective, y, s2):
         options={"xatol": 1e-10},
     )
     return float(res.x)
+
+
+def loglik(data, mu, het):
+    return model_terms(data, mu, between_cov(het, UNSTR)).loglik
 
 
 def arrays(data):
@@ -95,13 +100,13 @@ class TestFitMl:
 
     def test_local_maximizer_on_lattice(self, bivariate6):
         fit = fit_ml(bivariate6)
-        ll_hat = log_likelihood(bivariate6, fit.mu, fit.het, UNSTR)
+        ll_hat = loglik(bivariate6, fit.mu, fit.het)
         assert np.isclose(ll_hat, fit.loglik, rtol=1e-10)
         for dmu in (-0.05, 0.05):
             for dtau in (-0.05, 0.05):
                 tau = np.clip(fit.het.tau + dtau, 0.0, None)
                 h = HetParams(tau=tau, kappa=fit.het.kappa)
-                assert log_likelihood(bivariate6, fit.mu + dmu, h, UNSTR) <= ll_hat + 1e-10
+                assert loglik(bivariate6, fit.mu + dmu, h) <= ll_hat + 1e-10
 
     def test_requires_two_studies(self):
         data = Dataset.from_arrays([[0.1]], [[[0.2]]])
@@ -173,7 +178,7 @@ class TestConstrainedEta:
         cml = fit_eta_given_mu(bivariate6, far)
         assert np.max(cml.het.tau) > np.max(fit.het.tau)
         # the constrained optimum cannot beat the unconstrained one
-        ll_far = log_likelihood(bivariate6, far, cml.het, UNSTR)
+        ll_far = loglik(bivariate6, far, cml.het)
         assert ll_far <= fit.loglik + 1e-9
 
     def test_invalid_start_is_not_a_converged_fit(self, trivariate_missing):
@@ -243,10 +248,64 @@ class TestMarginalNull:
         assert abs(cml.het.tau[0] - tau_oracle) < 1e-3
 
     def test_univariate_reduces_to_joint_constraint(self, univariate10):
-        a = fit_marginal_null(univariate10, 0.2, 0)
-        b = fit_eta_given_mu(univariate10, [0.2])
-        assert np.isclose(a.het.tau[0], b.het.tau[0], atol=1e-10)
-        assert a.mu_c.size == 0
+        # with p = 1 fixing the one component is the joint null, bit for bit
+        for v in (-0.3, 0.2, 1.5):
+            a = fit_marginal_null(univariate10, v, 0)
+            b = fit_eta_given_mu(univariate10, [v])
+            assert a.het.tau.tobytes() == b.het.tau.tobytes()
+            assert a.loglik == b.loglik and a.iterations == b.iterations
+            assert a.converged and b.converged and a.mu_c.size == b.mu_c.size == 0
+
+    @pytest.mark.parametrize("name, component", [("bivariate6", 0), ("trivariate_missing", 1)])
+    def test_one_optimizer_call(self, request, monkeypatch, name, component):
+        data = request.getfixturevalue(name)
+        real = metaperm.estimators.minimize
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metaperm.estimators, "minimize", counting)
+        cml = fit_marginal_null(data, 0.1, component)
+        assert cml.converged
+        assert len(calls) == 1
+
+
+class TestProfiledObjective:
+    @pytest.mark.parametrize(
+        "name, structure",
+        [
+            ("bivariate6", "unstructured"),
+            ("bivariate6", "cs:0.3"),
+            ("bivariate6", "cs1:0.3"),
+            ("trivariate_missing", "unstructured"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["fixed-all", "fixed-one", "reml"])
+    def test_gradient_matches_central_differences(self, request, name, structure, mode):
+        data = request.getfixturevalue(name)
+        structure = CovStructure.parse(structure)
+        p = data.p
+        mu0 = np.linspace(0.2, -0.1, p)
+        fixed = {"fixed-all": list(range(p)), "fixed-one": [p - 1], "reml": []}[mode]
+        fun = _neg_profiled_free(data, structure, fixed, mu0[fixed], restricted=mode == "reml")
+        kappa = np.full((p, p), 0.3) + 0.7 * np.eye(p)
+        x = _pack(HetParams(tau=np.linspace(0.25, 0.4, p), kappa=kappa), structure)
+        _, g = fun(x)
+        step = 1e-6
+        for a in range(x.size):
+            e = np.zeros_like(x)
+            e[a] = step
+            fd = (fun(x + e)[0] - fun(x - e)[0]) / (2 * step)
+            assert abs(fd - g[a]) < 1e-6 * max(1.0, abs(g[a])), (a, fd, g[a])
+
+    def test_fixed_all_value_is_the_model_terms_loglik(self, trivariate_missing):
+        mu0 = np.array([0.2, 0.0, -0.3])
+        start = HetParams(tau=[0.3, 0.35, 0.4], kappa=np.full((3, 3), 0.3) + 0.7 * np.eye(3))
+        f, _ = _neg_profiled_free(trivariate_missing, UNSTR, [0, 1, 2], mu0)(_pack(start, UNSTR))
+        sigma = between_cov(start, UNSTR)
+        assert f == -model_terms(trivariate_missing, mu0, sigma).loglik
 
 
 class TestRefitRows:

@@ -11,12 +11,8 @@ from metaperm import (
     HetParams,
     StudyRecord,
     between_cov,
-    information,
-    log_likelihood,
     marginal_information,
-    reduce_to_observed,
-    score,
-    study_weights,
+    model_terms,
 )
 
 UNSTR = CovStructure.unstructured()
@@ -31,6 +27,10 @@ def het(tau, kappa=None):
 
 def one_study_dataset(y, s2):
     return Dataset.from_arrays(np.atleast_2d(y), np.asarray(s2)[None, ...])
+
+
+def terms(data, mu, h):
+    return model_terms(data, np.asarray(mu, dtype=float), between_cov(h, UNSTR))
 
 
 class TestStudyRecord:
@@ -96,36 +96,6 @@ class TestDataset:
             )
 
 
-class TestReduceToObserved:
-    def test_identity_mask_returns_inputs_unchanged(self):
-        st = StudyRecord(id="a", y=[0.5, -0.2], S=[[0.2, 0.05], [0.05, 0.3]])
-        mu = np.array([0.1, 0.2])
-        sigma = np.array([[0.09, 0.03], [0.03, 0.16]])
-        y_o, mu_o, S_o, sig_o = reduce_to_observed(st, mu, sigma)
-        assert np.array_equal(y_o, st.y)
-        assert np.array_equal(mu_o, mu)
-        assert np.array_equal(S_o, st.S)
-        assert np.array_equal(sig_o, sigma)
-
-    def test_single_component_restriction(self):
-        st = StudyRecord(
-            id="a", y=[0.5, 9.9], S=[[0.2, 0.0], [0.0, 1.0]], observed=[True, False]
-        )
-        y_o, mu_o, S_o, sig_o = reduce_to_observed(st, np.zeros(2), np.eye(2))
-        assert y_o.shape == (1,) and y_o[0] == 0.5
-        assert S_o.shape == (1, 1) and S_o[0, 0] == 0.2
-
-    def test_diagonal_index_selection(self):
-        st = StudyRecord(
-            id="a",
-            y=[1.0, 2.0, 3.0],
-            S=np.diag([1.0, 2.0, 3.0]),
-            observed=[True, False, True],
-        )
-        _, _, S_o, _ = reduce_to_observed(st, np.zeros(3), np.zeros((3, 3)))
-        assert np.array_equal(S_o, np.diag([1.0, 3.0]))
-
-
 class TestBetweenCov:
     def test_zero_tau_gives_zero_matrix(self):
         assert np.array_equal(between_cov(het([0.0, 0.0]), UNSTR), np.zeros((2, 2)))
@@ -145,45 +115,47 @@ class TestBetweenCov:
 
 
 class TestStudyWeights:
+    # a one-study dataset's information is that study's marginal weight
+    # matrix (Sigma + S_i)^{-1}
     def test_diagonal_inverse(self):
-        st = StudyRecord(id="a", y=[0.0, 0.0], S=np.diag([0.04, 0.04]))
-        W, used = study_weights(st, het([0.0, 0.0]), UNSTR)
-        assert np.allclose(W, np.diag([25.0, 25.0]))
-        assert not used
+        data = one_study_dataset([0.0, 0.0], np.diag([0.04, 0.04]))
+        t = terms(data, np.zeros(2), het([0.0, 0.0]))
+        assert np.allclose(t.information, np.diag([25.0, 25.0]))
+        assert not t.used_pinv
 
     def test_two_by_two_closed_form(self):
-        st = StudyRecord(id="a", y=[0.0, 0.0], S=[[2.0, 1.0], [1.0, 2.0]])
-        W, used = study_weights(st, het([0.0, 0.0]), UNSTR)
+        S = [[2.0, 1.0], [1.0, 2.0]]
+        t = terms(one_study_dataset([0.0, 0.0], S), np.zeros(2), het([0.0, 0.0]))
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        assert np.allclose(W, expected, atol=1e-14)
-        assert not used
+        assert np.allclose(t.information, expected, atol=1e-14)
+        assert not t.used_pinv
 
     def test_singular_marginal_uses_pseudoinverse(self):
         # rank-1 within-study block with zero heterogeneity
         V = np.array([[1.0, 1.0], [1.0, 1.0]])
-        st = StudyRecord(id="a", y=[0.0, 0.0], S=V)
-        W, used = study_weights(st, het([0.0, 0.0]), UNSTR)
-        assert used
+        t = terms(one_study_dataset([0.0, 0.0], V), np.zeros(2), het([0.0, 0.0]))
+        W = t.information
+        assert t.used_pinv
         assert np.allclose(W @ V @ W, W, atol=1e-12)
 
 
 class TestLogLikelihood:
     def test_standard_normal_at_zero(self):
         data = one_study_dataset([0.0], [[1.0]])
-        ll = log_likelihood(data, [0.0], het([0.0]), UNSTR)
+        ll = terms(data, [0.0], het([0.0])).loglik
         assert np.isclose(ll, -0.5 * np.log(2 * np.pi), rtol=1e-14)
 
     def test_doubling_dataset_doubles_loglik(self, bivariate6):
         kappa = np.array([[1.0, 0.3], [0.3, 1.0]])
         h = het([0.2, 0.25], kappa)
         mu = np.array([0.3, -0.1])
-        ll1 = log_likelihood(bivariate6, mu, h, UNSTR)
+        ll1 = terms(bivariate6, mu, h).loglik
         Y = np.stack([st.y for st in bivariate6.studies])
         S = np.stack([st.S for st in bivariate6.studies])
         doubled = Dataset.from_arrays(
             np.vstack([Y, Y]), np.concatenate([S, S], axis=0)
         )
-        ll2 = log_likelihood(doubled, mu, h, UNSTR)
+        ll2 = terms(doubled, mu, h).loglik
         assert np.isclose(ll2, 2 * ll1, rtol=1e-12)
 
     def test_matches_direct_density_product(self, bivariate6):
@@ -195,7 +167,7 @@ class TestLogLikelihood:
             multivariate_normal.logpdf(st.y, mean=mu, cov=sigma + st.S)
             for st in bivariate6.studies
         )
-        assert np.isclose(log_likelihood(bivariate6, mu, h, UNSTR), direct, rtol=1e-12)
+        assert np.isclose(terms(bivariate6, mu, h).loglik, direct, rtol=1e-12)
 
     def test_missing_blocks_use_observed_submodel(self, trivariate_missing):
         kappa = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
@@ -209,37 +181,37 @@ class TestLogLikelihood:
             direct += multivariate_normal.logpdf(
                 st.y[idx], mean=mu[idx], cov=(sigma + st.S)[sel]
             )
-        ll = log_likelihood(trivariate_missing, mu, h, UNSTR)
+        ll = terms(trivariate_missing, mu, h).loglik
         assert np.isclose(ll, direct, rtol=1e-12)
 
 
 class TestScore:
     def test_zero_residual_gives_zero_score(self):
         data = one_study_dataset([0.4, -0.1], np.diag([0.1, 0.2]))
-        U = score(data, [0.4, -0.1], het([0.2, 0.2]), UNSTR)
+        U = terms(data, [0.4, -0.1], het([0.2, 0.2])).score
         assert np.allclose(U, 0.0, atol=1e-14)
 
     def test_sign_flip_negates_score(self, bivariate6):
         h = het([0.2, 0.3], np.array([[1.0, 0.5], [0.5, 1.0]]))
         mu = np.array([0.1, 0.1])
-        U = score(bivariate6, mu, h, UNSTR)
+        U = terms(bivariate6, mu, h).score
         Y = np.stack([st.y for st in bivariate6.studies])
         S = np.stack([st.S for st in bivariate6.studies])
         flipped = Dataset.from_arrays(2 * mu - Y, S)
-        assert np.allclose(score(flipped, mu, h, UNSTR), -U, atol=1e-12)
+        assert np.allclose(terms(flipped, mu, h).score, -U, atol=1e-12)
 
     def test_matches_finite_difference_gradient(self, trivariate_missing):
         kappa = np.array([[1.0, 0.2, -0.1], [0.2, 1.0, 0.3], [-0.1, 0.3, 1.0]])
         h = het([0.25, 0.3, 0.2], kappa)
         mu = np.array([0.15, -0.05, 0.2])
-        U = score(trivariate_missing, mu, h, UNSTR)
+        U = terms(trivariate_missing, mu, h).score
         step = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = step
             fd = (
-                log_likelihood(trivariate_missing, mu + e, h, UNSTR)
-                - log_likelihood(trivariate_missing, mu - e, h, UNSTR)
+                terms(trivariate_missing, mu + e, h).loglik
+                - terms(trivariate_missing, mu - e, h).loglik
             ) / (2 * step)
             assert abs(fd - U[j]) < 1e-6 * max(1.0, abs(U[j]))
 
@@ -247,7 +219,7 @@ class TestScore:
 class TestInformation:
     def test_independent_of_mu(self, bivariate6):
         h = het([0.2, 0.2], np.array([[1.0, 0.1], [0.1, 1.0]]))
-        I1 = information(bivariate6, h, UNSTR)
+        I1 = terms(bivariate6, np.zeros(bivariate6.p), h).information
         assert np.allclose(I1, I1.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(I1) > 0)
 
@@ -255,9 +227,8 @@ class TestInformation:
         S = np.array([[0.2, 0.05], [0.05, 0.3]])
         data = Dataset.from_arrays(np.zeros((4, 2)), np.stack([S] * 4))
         h = het([0.1, 0.1], np.eye(2))
-        st = data.studies[0]
-        W, _ = study_weights(st, h, UNSTR)
-        assert np.allclose(information(data, h, UNSTR), 4 * W, atol=1e-12)
+        W = terms(one_study_dataset(np.zeros(2), S), np.zeros(2), h).information
+        assert np.allclose(terms(data, np.zeros(data.p), h).information, 4 * W, atol=1e-12)
 
     def test_partial_study_scatters_to_observed_entries(self):
         studies = (
@@ -267,7 +238,7 @@ class TestInformation:
             ),
         )
         data = Dataset(studies=studies)
-        I = information(data, het([0.0, 0.0]), UNSTR)
+        I = terms(data, np.zeros(2), het([0.0, 0.0])).information
         # study b contributes 1/0.25 = 4 only at entry (0, 0)
         assert np.isclose(I[0, 0], 2.0 + 4.0)
         assert np.isclose(I[1, 1], 2.0)
@@ -289,7 +260,7 @@ class TestMarginalInformation:
 
     def test_equals_reciprocal_inverse_diagonal(self, trivariate_missing):
         h = het([0.3, 0.25, 0.35], np.eye(3))
-        I = information(trivariate_missing, h, UNSTR)
+        I = terms(trivariate_missing, np.zeros(trivariate_missing.p), h).information
         Iinv = np.linalg.inv(I)
         for j in range(3):
             J, _ = marginal_information(I, j)

@@ -22,8 +22,7 @@ import metaperm.permutation
 from metaperm.estimators import (
     TAU_MIN,
     _het_from_free,
-    _neg_loglik_free,
-    _neg_profile_marginal_free,
+    _neg_profiled_free,
     _pack,
     fit_eta_given_mu,
     fit_marginal_null,
@@ -543,15 +542,15 @@ def _assert_kernel_row_no_worse(run, i, x_kernel, mu_free, statistic):
         at_kernel, _ = _marginal_root(flipped, mu, sigma, component)
     assert at_kernel == pytest.approx(statistic, rel=1e-9, abs=1e-12)
 
-    if component is None or data.p == 1:
-        fun = _neg_loglik_free(flipped, run.center, structure)
-        fit = fit_eta_given_mu
+    fixed = list(range(data.p)) if component is None else [component]
+    fun = _neg_profiled_free(flipped, structure, fixed, run.center[fixed])
+    if component is None:
+        fit = lambda d, s, init: fit_eta_given_mu(d, run.center, s, init=init)
     else:
         value = run.center[component]
-        fun = _neg_profile_marginal_free(flipped, value, component, structure)
-        fit = lambda d, _, s, init: fit_marginal_null(d, value, component, s, init=init)
+        fit = lambda d, s, init: fit_marginal_null(d, value, component, s, init=init)
     try:
-        scalar_het = fit(flipped, run.center, structure, init=run.warm).het
+        scalar_het = fit(flipped, structure, init=run.warm).het
     except NonConvergenceError as exc:
         scalar_het = exc.last_result.het
     f_kernel = fun(_pack(kernel_het, structure))[0]
