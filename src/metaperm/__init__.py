@@ -21,7 +21,6 @@ from .model import (
     CovStructure,
     Dataset,
     HetParams,
-    StudyRecord,
     between_cov,
     marginal_information,
     model_terms,
@@ -84,7 +83,6 @@ __all__ = [
     "NonConvergenceError",
     "SingularInformationError",
     "UninformativeComponentError",
-    "StudyRecord",
     "Dataset",
     "CovStructure",
     "HetParams",

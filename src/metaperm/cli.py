@@ -482,7 +482,6 @@ def _cmd_ingest_check(args):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         data = _load_dataset(args)
-    masks = np.stack([st.observed for st in data.studies])
     payload = {
         "kind": "ingest-check",
         "input": args.input,
@@ -491,8 +490,8 @@ def _cmd_ingest_check(args):
         "n_outcomes": data.p,
         "labels": list(data.labels),
         "scales": list(data.scales),
-        "complete": bool(masks.all()),
-        "observed_per_outcome": masks.sum(axis=0).tolist(),
+        "complete": data.complete,
+        "observed_per_outcome": data.observed.sum(axis=0).tolist(),
         "warnings": [str(w.message) for w in caught],
     }
     if args.format == "csv":

@@ -317,12 +317,9 @@ def _gls_mean(A, b):
 def _naive_mean(data):
     p = data.p
     total = np.zeros(p)
-    count = np.zeros(p)
-    for st in data.studies:
-        idx = np.flatnonzero(st.observed)
-        total[idx] += st.y[idx]
-        count[idx] += 1.0
-    return total / count
+    for y, mask in zip(data.Y, data.observed):
+        total[mask] += y[mask]
+    return total / data.observed.sum(axis=0)
 
 
 def _default_init(data, mu, structure):
@@ -783,10 +780,8 @@ def moment_between_cov(data, mu):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.shape != (p,) or not np.all(np.isfinite(mu)):
         raise ValueError(f"mean vector must be a finite vector of length {p}")
-    Y = np.stack([st.y for st in data.studies])
-    S = np.stack([st.S for st in data.studies])
-    R = Y - mu
-    raw = (np.einsum("ni,nj->ij", R, R) - S.sum(axis=0)) / data.n_studies
+    R = data.Y - mu
+    raw = (np.einsum("ni,nj->ij", R, R) - data.S.sum(axis=0)) / data.n_studies
     raw = 0.5 * (raw + raw.T)
     M = raw.copy()
     bad = np.diag(raw) <= 0.0

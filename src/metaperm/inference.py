@@ -18,6 +18,7 @@ from .estimators import fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
 from .model import CovStructure, RCOND
 from .permutation import (
+    NullDistribution,
     _default_plan,
     _marginal_signed_distribution,
     joint_permutation_test,
@@ -218,10 +219,7 @@ def _signed_p(data, value, component, structure, plan):
     s_obs, roots, _, _, _ = _marginal_signed_distribution(
         data, float(value), component, structure, plan
     )
-    count = int(np.count_nonzero(roots >= s_obs))
-    if plan.mode == "exhaustive":
-        return count / roots.size
-    return (1 + count) / (roots.size + 1)
+    return NullDistribution(statistics=roots, mode=plan.mode).p_value(s_obs)
 
 
 def _wald_anchor(data, component, structure):

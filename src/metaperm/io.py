@@ -28,7 +28,7 @@ from collections import defaultdict
 import numpy as np
 
 from .exceptions import DataError
-from .model import Dataset, StudyRecord
+from .model import Dataset
 
 __all__ = [
     "ingest_wide",
@@ -118,13 +118,15 @@ def ingest_wide(path):
             stacklevel=2,
         )
 
-    studies = []
-    for i, row in enumerate(rows, 2):
+    ids = []
+    Y = np.zeros((len(rows), p))
+    S = np.zeros((len(rows), p, p))
+    masks = np.zeros((len(rows), p), dtype=bool)
+    # y, S_i and observed are row views of Y, S and masks, filled in place
+    for y, S_i, observed, (i, row) in zip(Y, S, masks, enumerate(rows, 2)):
         sid = row.get(lower["id"]) or f"row{i}"
         where = f"{path} row {i} (study {sid})"
-        y = np.zeros(p)
         var = np.ones(p)
-        observed = np.zeros(p, dtype=bool)
         for j in range(p):
             y_cell = row.get(lower[f"y{j + 1}"], "")
             s_cell = row.get(lower[f"{spread}{j + 1}"], "")
@@ -142,7 +144,7 @@ def ingest_wide(path):
             var[j] = s * s if spread == "se" else s
         if not observed.any():
             raise DataError(f"{where}: study reports no outcomes")
-        S = np.diag(var)
+        S_i[np.arange(p), np.arange(p)] = var
         for (a, b), col in rho_cols.items():
             cell = row.get(col, "")
             if _blank(cell):
@@ -150,9 +152,9 @@ def ingest_wide(path):
             r = _parse_float(cell, where)
             if not -1.0 <= r <= 1.0:
                 raise DataError(f"{where}: correlation {col} outside [-1, 1]")
-            S[a, b] = S[b, a] = r * math.sqrt(var[a] * var[b])
-        studies.append(StudyRecord(id=str(sid), y=y, S=S, observed=observed))
-    return Dataset(studies=tuple(studies))
+            S_i[a, b] = S_i[b, a] = r * math.sqrt(var[a] * var[b])
+        ids.append(sid)
+    return Dataset(Y=Y, S=S, observed=masks, ids=ids)
 
 
 def write_wide(data, path):
@@ -171,17 +173,17 @@ def write_wide(data, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for st in data.studies:
-            row = [st.id]
-            se = np.sqrt(np.clip(np.diag(st.S), 0.0, None))
+        for sid, y, S, observed in zip(data.ids, data.Y, data.S, data.observed):
+            row = [sid]
+            se = np.sqrt(np.clip(np.diag(S), 0.0, None))
             for j in range(p):
-                if st.observed[j]:
-                    row += [repr(float(st.y[j])), repr(float(se[j]))]
+                if observed[j]:
+                    row += [repr(float(y[j])), repr(float(se[j]))]
                 else:
                     row += ["", ""]
             for a, b in pairs:
-                if st.observed[a] and st.observed[b] and se[a] > 0 and se[b] > 0:
-                    row.append(repr(float(st.S[a, b] / (se[a] * se[b]))))
+                if observed[a] and observed[b] and se[a] > 0 and se[b] > 0:
+                    row.append(repr(float(S[a, b] / (se[a] * se[b]))))
                 else:
                     row.append("")
             w.writerow(row)
@@ -217,9 +219,12 @@ def ingest_diagnostic(path, correction=0.5, return_corrections=False):
     for col in ("id", "tp", "fn", "tn", "fp"):
         if col not in lower:
             raise DataError(f"{path}: missing required column '{col}'")
-    studies = []
+    ids = []
+    Y = np.zeros((len(rows), 2))
+    S = np.zeros((len(rows), 2, 2))
     corrected_ids = []
-    for i, row in enumerate(rows, 2):
+    # y and S_i are row views of Y and S, filled in place
+    for y, S_i, (i, row) in zip(Y, S, enumerate(rows, 2)):
         sid = str(row.get(lower["id"]) or f"row{i}")
         where = f"{path} row {i} (study {sid})"
         counts = {}
@@ -228,17 +233,15 @@ def ingest_diagnostic(path, correction=0.5, return_corrections=False):
             if v < 0 or v != int(v):
                 raise DataError(f"{where}: {col} must be a nonnegative integer")
             counts[col] = v
-        y1, v1, c1 = _logit_outcome(
+        y[0], S_i[0, 0], c1 = _logit_outcome(
             counts["tp"], counts["tp"] + counts["fn"], correction, where
         )
-        y2, v2, c2 = _logit_outcome(
+        y[1], S_i[1, 1], c2 = _logit_outcome(
             counts["fp"], counts["tn"] + counts["fp"], correction, where
         )
         if c1 or c2:
             corrected_ids.append(sid)
-        studies.append(
-            StudyRecord(id=sid, y=np.array([y1, y2]), S=np.diag([v1, v2]))
-        )
+        ids.append(sid)
     if corrected_ids:
         warnings.warn(
             f"{path}: continuity correction applied to studies "
@@ -246,7 +249,7 @@ def ingest_diagnostic(path, correction=0.5, return_corrections=False):
             stacklevel=2,
         )
     data = Dataset(
-        studies=tuple(studies), labels=("sens", "fpr"), scales=("logit", "logit")
+        Y=Y, S=S, ids=ids, labels=("sens", "fpr"), scales=("logit", "logit")
     )
     if return_corrections:
         return data, tuple(corrected_ids)
@@ -327,8 +330,11 @@ def ingest_nma(path, reference):
     others = [t for t in treatments if t != reference]
     p = len(others)
     col_of = {t: j for j, t in enumerate(others)}
-    studies = []
-    for sid in order:
+    Y = np.zeros((len(order), p))
+    S = np.zeros((len(order), p, p))
+    masks = np.zeros((len(order), p), dtype=bool)
+    # y, S_i and observed are row views of Y, S and masks, filled in place
+    for y, S_i, observed, sid in zip(Y, S, masks, order):
         arms = dict(by_study[sid])
         if reference not in arms:
             arms[reference] = (PSEUDO_ARM_EVENTS, 2.0 * PSEUDO_ARM_EVENTS)
@@ -339,9 +345,6 @@ def ingest_nma(path, reference):
             for t, (e, n) in arms.items()
         }
         ref_logodds, ref_var = contrib[reference]
-        y = np.zeros(p)
-        S = np.zeros((p, p))
-        observed = np.zeros(p, dtype=bool)
         cols = [col_of[t] for t in arms if t != reference]
         for t in arms:
             if t == reference:
@@ -349,13 +352,14 @@ def ingest_nma(path, reference):
             j = col_of[t]
             observed[j] = True
             y[j] = contrib[t][0] - ref_logodds
-            S[j, j] = contrib[t][1] + ref_var
+            S_i[j, j] = contrib[t][1] + ref_var
         for a in cols:
             for b in cols:
                 if a != b:
-                    S[a, b] = ref_var
-        studies.append(StudyRecord(id=sid, y=y, S=S, observed=observed))
-    return Dataset(studies=tuple(studies), labels=tuple(others), scales=("log",) * p)
+                    S_i[a, b] = ref_var
+    return Dataset(
+        Y=Y, S=S, observed=masks, ids=order, labels=tuple(others), scales=("log",) * p
+    )
 
 
 def _region_csv(grid):

@@ -17,7 +17,6 @@ from .exceptions import DataError
 __all__ = [
     "EPS_PSD",
     "RCOND",
-    "StudyRecord",
     "Dataset",
     "CovStructure",
     "HetParams",
@@ -36,88 +35,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _freeze(arr):
-    arr = np.array(arr, dtype=float)
+    return _readonly(np.array(arr, dtype=float))
+
+
+def _readonly(arr):
+    """Mark an array this module owns read-only and return it."""
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class StudyRecord:
-    """One study: effect estimates, observation mask, within-study covariance.
-
-    Parameters
-    ----------
-    id : str
-        Study label.
-    y : array_like, shape (p,)
-        Outcome estimates on the working scale. Entries at unobserved
-        positions are ignored.
-    S : array_like, shape (p, p)
-        Known within-study covariance. Rows/columns of unobserved
-        components are ignored.
-    observed : array_like of bool, shape (p,), optional
-        Observation mask. Defaults to all observed.
-    """
-
-    id: str
-    y: np.ndarray
-    S: np.ndarray
-    observed: np.ndarray = None
-
-    def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if y.ndim != 1:
-            raise DataError(f"study {self.id}: y must be a vector, got shape {y.shape}")
-        p = y.size
-        S = np.asarray(self.S, dtype=float)
-        if S.shape != (p, p):
-            raise DataError(f"study {self.id}: S must be {p}x{p}, got {S.shape}")
-        if self.observed is None:
-            mask = np.ones(p, dtype=bool)
-        else:
-            mask = np.asarray(self.observed, dtype=bool)
-            if mask.shape != (p,):
-                raise DataError(f"study {self.id}: mask must have length {p}")
-        if not mask.any():
-            raise DataError(f"study {self.id}: no observed outcomes")
-        idx = np.flatnonzero(mask)
-        y_obs = y[idx]
-        if not np.all(np.isfinite(y_obs)):
-            raise DataError(f"study {self.id}: non-finite observed outcome")
-        S_obs = S[np.ix_(idx, idx)]
-        if not np.all(np.isfinite(S_obs)):
-            raise DataError(f"study {self.id}: non-finite covariance entry")
-        if not np.allclose(S_obs, S_obs.T, rtol=1e-8, atol=1e-12):
-            raise DataError(f"study {self.id}: observed covariance block not symmetric")
-        diag = np.diag(S_obs)
-        if np.any(diag <= 0.0):
-            raise DataError(f"study {self.id}: non-positive variance on an observed outcome")
-        w = np.linalg.eigvalsh(0.5 * (S_obs + S_obs.T))
-        if w[0] < -EPS_PSD * max(1.0, w[-1]):
-            raise DataError(f"study {self.id}: observed covariance block not PSD")
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "S", _freeze(0.5 * (S + S.T)))
-        mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "observed", mask)
-
-    @property
-    def p(self):
-        return self.y.size
-
-    @property
-    def n_observed(self):
-        return int(self.observed.sum())
-
-    def _with_outcomes(self, y):
-        # internal fast clone: reflection of already-validated outcomes
-        # preserves every record invariant, so validation is skipped
-        clone = object.__new__(StudyRecord)
-        object.__setattr__(clone, "id", self.id)
-        object.__setattr__(clone, "y", _freeze(y))
-        object.__setattr__(clone, "S", self.S)
-        object.__setattr__(clone, "observed", self.observed)
-        return clone
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +55,29 @@ class _MaskGroup:
     S: np.ndarray        # stacked observed covariance blocks, shape (n, k, k)
 
 
+def _reject_first(ids, bad, message):
+    """Raise DataError naming the first study, in study order, flagged bad."""
+    if bad.any():
+        raise DataError(f"study {ids[int(np.argmax(bad))]}: {message}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of studies with a common outcome dimension.
+    """Immutable stack of studies with a common outcome dimension.
+
+    Every study contributes only through its observed entries, so
+    unobserved entries of Y and S may hold anything, NaN included.
 
     Parameters
     ----------
-    studies : sequence of StudyRecord
+    Y : array_like, shape (N, p)
+        Outcome estimates on the working scale.
+    S : array_like, shape (N, p, p)
+        Known within-study covariances, stored as 0.5 * (S + S^T).
+    observed : array_like of bool, shape (N, p), optional
+        Observation masks. Defaults to all observed.
+    ids : sequence of str, optional
+        Study labels, defaulting to study1..studyN.
     labels : sequence of str, optional
         Outcome names, defaulting to y1..yp.
     scales : sequence of str, optional
@@ -145,21 +85,61 @@ class Dataset:
         Used only by the reporting layer for back-transformation.
     """
 
-    studies: tuple
+    Y: np.ndarray
+    S: np.ndarray
+    observed: np.ndarray = None
+    ids: tuple = None
     labels: tuple = None
     scales: tuple = None
 
     def __post_init__(self):
-        studies = tuple(self.studies)
-        if not studies:
+        Y = np.array(self.Y, dtype=float, order="C")
+        if Y.ndim != 2:
+            raise DataError(f"Y must be an N x p array, got shape {Y.shape}")
+        N, p = Y.shape
+        if N == 0:
             raise DataError("dataset has no studies")
-        p = studies[0].p
-        for st in studies:
-            if st.p != p:
-                raise DataError(f"study {st.id}: dimension {st.p} != {p}")
-        seen = np.zeros(p, dtype=bool)
-        for st in studies:
-            seen |= st.observed
+        S = np.array(self.S, dtype=float, order="C")
+        if S.shape != (N, p, p):
+            raise DataError(f"S must have shape {(N, p, p)}, got {S.shape}")
+        if self.observed is None:
+            observed = np.ones((N, p), dtype=bool)
+        else:
+            observed = np.array(self.observed, dtype=bool, order="C")
+            if observed.shape != (N, p):
+                raise DataError(f"observed must have shape {(N, p)}, got {observed.shape}")
+        if self.ids is None:
+            ids = tuple(f"study{i + 1}" for i in range(N))
+        else:
+            ids = tuple(str(i) for i in self.ids)
+            if len(ids) != N:
+                raise DataError(f"expected {N} study ids, got {len(ids)}")
+        _reject_first(ids, ~observed.any(axis=1), "no observed outcomes")
+        _reject_first(
+            ids, (observed & ~np.isfinite(Y)).any(axis=1), "non-finite observed outcome"
+        )
+        pairs = observed[:, :, None] & observed[:, None, :]
+        _reject_first(
+            ids, (pairs & ~np.isfinite(S)).any(axis=(1, 2)), "non-finite covariance entry"
+        )
+        S_obs = np.where(pairs, S, 0.0)
+        asym = ~np.isclose(S_obs, np.swapaxes(S_obs, 1, 2), rtol=1e-8, atol=1e-12)
+        _reject_first(ids, asym.any(axis=(1, 2)), "observed covariance block not symmetric")
+        _reject_first(
+            ids,
+            (observed & (np.diagonal(S_obs, axis1=1, axis2=2) <= 0.0)).any(axis=1),
+            "non-positive variance on an observed outcome",
+        )
+        object.__setattr__(self, "Y", _readonly(Y))
+        object.__setattr__(self, "S", _readonly(0.5 * (S + np.swapaxes(S, 1, 2))))
+        object.__setattr__(self, "observed", _readonly(observed))
+        object.__setattr__(self, "ids", ids)
+        not_psd = np.zeros(N, dtype=bool)
+        for g in self._groups:
+            w = np.linalg.eigvalsh(g.S)
+            not_psd[g.members] = w[:, 0] < -EPS_PSD * np.maximum(1.0, w[:, -1])
+        _reject_first(ids, not_psd, "observed covariance block not PSD")
+        seen = observed.any(axis=0)
         if not seen.all():
             missing = [str(j + 1) for j in np.flatnonzero(~seen)]
             raise DataError(f"outcome(s) {', '.join(missing)} observed in no study")
@@ -180,76 +160,48 @@ class Dataset:
             for s in scales:
                 if s not in ("identity", "logit", "log"):
                     raise DataError(f"unknown outcome scale {s!r}")
-        object.__setattr__(self, "studies", studies)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scales", scales)
 
     @classmethod
     def from_arrays(cls, Y, S, observed=None, ids=None, labels=None, scales=None):
-        """Build a dataset from stacked arrays.
-
-        Parameters
-        ----------
-        Y : array_like, shape (N, p)
-        S : array_like, shape (N, p, p)
-        observed : array_like of bool, shape (N, p), optional
-        ids : sequence of str, optional
-        """
-        Y = np.asarray(Y, dtype=float)
-        S = np.asarray(S, dtype=float)
-        N = Y.shape[0]
-        if ids is None:
-            ids = [f"study{i + 1}" for i in range(N)]
-        studies = []
-        for i in range(N):
-            mask = None if observed is None else observed[i]
-            studies.append(StudyRecord(id=str(ids[i]), y=Y[i], S=S[i], observed=mask))
-        return cls(studies=tuple(studies), labels=labels, scales=scales)
+        """Build a dataset from stacked arrays; same as the constructor."""
+        return cls(Y=Y, S=S, observed=observed, ids=ids, labels=labels, scales=scales)
 
     @property
     def n_studies(self):
-        return len(self.studies)
+        return self.Y.shape[0]
 
     @property
     def p(self):
-        return self.studies[0].p
+        return self.Y.shape[1]
 
     @property
     def complete(self):
         """True when every study observes every outcome."""
-        return all(st.observed.all() for st in self.studies)
-
-    def _clone_with(self, studies, groups=None):
-        # internal fast clone sharing labels/scales; optionally seeds the
-        # packed-group cache when the caller already built it
-        clone = object.__new__(Dataset)
-        object.__setattr__(clone, "studies", tuple(studies))
-        object.__setattr__(clone, "labels", self.labels)
-        object.__setattr__(clone, "scales", self.scales)
-        if groups is not None:
-            clone.__dict__["_groups"] = groups
-        return clone
+        return bool(self.observed.all())
 
     @cached_property
     def _groups(self):
-        """Studies grouped by observation mask for batched evaluation."""
+        """Studies grouped by observation mask for batched evaluation.
+
+        Groups come in order of first appearance and members in study
+        order, so every sum over groups and members runs in study order.
+        """
         order = {}
-        for pos, st in enumerate(self.studies):
-            order.setdefault(st.observed.tobytes(), []).append(pos)
+        for pos, mask in enumerate(self.observed):
+            order.setdefault(mask.tobytes(), []).append(pos)
         groups = []
-        for key, members in order.items():
-            mask = np.frombuffer(key, dtype=bool)
-            idx = np.flatnonzero(mask)
-            sel = np.ix_(idx, idx)
-            Y = np.stack([self.studies[m].y[idx] for m in members])
-            S = np.stack([self.studies[m].S[sel] for m in members])
+        for members in order.values():
+            members = np.asarray(members, dtype=np.intp)
+            idx = np.flatnonzero(self.observed[members[0]])
             groups.append(
                 _MaskGroup(
                     idx=idx,
-                    sel=sel,
-                    members=np.asarray(members, dtype=np.intp),
-                    Y=_freeze(Y),
-                    S=_freeze(S),
+                    sel=np.ix_(idx, idx),
+                    members=members,
+                    Y=_readonly(self.Y[np.ix_(members, idx)]),
+                    S=_readonly(self.S[np.ix_(members, idx, idx)]),
                 )
             )
         return tuple(groups)

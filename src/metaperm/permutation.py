@@ -13,7 +13,7 @@ the signed score of the original data at the refitted pseudo-null.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .exceptions import (
 )
 from .model import (
     CovStructure,
-    _MaskGroup,
     _group_weights,
     _sym_inverse,
     _sym_inverse_flags,
@@ -50,7 +49,6 @@ __all__ = [
     "TestResult",
     "generate_signs",
     "score_statistic_cml",
-    "score_statistic_moment",
     "marginal_score_statistic",
     "joint_permutation_test",
     "marginal_permutation_test",
@@ -316,23 +314,12 @@ def _flipped_outcomes(data, center, signs):
 
 
 def _flip_dataset(data, center, v):
-    """Reflect flagged studies' observed outcomes around the center.
+    """The dataset with outcomes reflected by one sign row around the center.
 
-    Returns a dataset clone whose packed groups are flipped in one
-    vectorized pass; reflection preserves all record invariants.
+    Uses the expression of _flipped_outcomes, so the packed groups of
+    the result equal that row's flipped outcomes bit for bit.
     """
-    studies = list(data.studies)
-    for i in np.flatnonzero(v < 0):
-        st = studies[i]
-        y = st.y.copy()
-        idx = np.flatnonzero(st.observed)
-        y[idx] = 2.0 * center[idx] - y[idx]
-        studies[i] = st._with_outcomes(y)
-    groups = tuple(
-        _MaskGroup(idx=g.idx, sel=g.sel, members=g.members, Y=Y[0], S=g.S)
-        for g, Y in zip(data._groups, _flipped_outcomes(data, center, v[None]))
-    )
-    return data._clone_with(studies, groups=groups)
+    return replace(data, Y=center + v[:, None].astype(float) * (data.Y - center))
 
 
 def _validate_mu(data, mu_null):
@@ -355,19 +342,6 @@ def score_statistic_cml(data, mu_null, structure=None, *, init=None):
     sigma = between_cov(cml.het, structure)
     value, _ = _stat_from_sigma(data, mu, sigma)
     return value, cml
-
-
-def score_statistic_moment(data, mu_null):
-    """Pseudo-efficient score statistic at a joint null.
-
-    Plugs the sign-invariant moment estimator of the between-study
-    covariance into the score quadratic form; no iterative fitting.
-    Requires complete data.
-    """
-    mu = _validate_mu(data, mu_null)
-    sigma, _ = moment_between_cov(data, mu)
-    value, _ = _stat_from_sigma(data, mu, sigma)
-    return value
 
 
 def _marginal_root(data, mu_full, sigma, component):

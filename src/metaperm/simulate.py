@@ -10,7 +10,7 @@ the acceptance rate with its binomial Monte Carlo standard error.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy.special import expit, logit
 from .estimators import fit_ml, fit_reml
 from .exceptions import DataError, NonConvergenceError, SingularInformationError
 from .inference import wald_inference
-from .model import Dataset, StudyRecord
+from .model import Dataset
 from .permutation import (
     DEFAULT_SEED,
     PermutationPlan,
@@ -322,18 +322,13 @@ def apply_missingness(data, rates, seed):
     if not rates.any():
         return data
     rng = np.random.default_rng(seed)
-    existing = np.stack([st.observed for st in data.studies])
     for _ in range(100000):
-        mask = existing & (rng.random((data.n_studies, p)) >= rates)
+        mask = data.observed & (rng.random((data.n_studies, p)) >= rates)
         if mask.any(axis=1).all() and mask.any(axis=0).all():
             break
     else:
         raise RuntimeError("could not draw a valid missingness pattern")
-    studies = tuple(
-        StudyRecord(id=st.id, y=st.y, S=st.S, observed=mask[i])
-        for i, st in enumerate(data.studies)
-    )
-    return Dataset(studies=studies, labels=data.labels, scales=data.scales)
+    return replace(data, observed=mask)
 
 
 def _normalize_method(method):

@@ -95,6 +95,4 @@ def trivariate_missing():
     observed[4, 1] = observed[4, 2] = False
     observed[7, 0] = observed[7, 2] = False
     observed[8, 1] = False
-    Y = np.stack([st.y for st in complete.studies])
-    S = np.stack([st.S for st in complete.studies])
-    return Dataset.from_arrays(Y, S, observed=observed)
+    return Dataset.from_arrays(complete.Y, complete.S, observed=observed)

@@ -61,12 +61,6 @@ def loglik(data, mu, het):
     return model_terms(data, mu, between_cov(het, UNSTR)).loglik
 
 
-def arrays(data):
-    Y = np.stack([st.y for st in data.studies])
-    S = np.stack([st.S for st in data.studies])
-    return Y, S
-
-
 class TestFitMl:
     def test_homogeneous_data_recovers_common_value(self):
         y = np.full((4, 1), 0.7)
@@ -77,7 +71,7 @@ class TestFitMl:
         assert fit.het.tau[0] == 0.0
 
     def test_univariate_matches_grid_search_oracle(self, univariate10):
-        Y, S = arrays(univariate10)
+        Y, S = univariate10.Y, univariate10.S
         y, s2 = Y[:, 0], S[:, 0, 0]
         fit = fit_ml(univariate10)
         tau_oracle = argmax_tau(univariate_profile_ml, y, s2)
@@ -122,7 +116,7 @@ class TestFitMl:
 
 class TestFitReml:
     def test_univariate_matches_grid_search_oracle(self, univariate10):
-        Y, S = arrays(univariate10)
+        Y, S = univariate10.Y, univariate10.S
         y, s2 = Y[:, 0], S[:, 0, 0]
         fit = fit_reml(univariate10)
         tau_oracle = argmax_tau(univariate_restricted, y, s2)
@@ -161,7 +155,7 @@ class TestConstrainedEta:
         assert np.allclose(cml.het.kappa, fit.het.kappa, atol=1e-4)
 
     def test_univariate_matches_grid_search_oracle(self, univariate10):
-        Y, S = arrays(univariate10)
+        Y, S = univariate10.Y, univariate10.S
         y, s2 = Y[:, 0], S[:, 0, 0]
         mu0 = 0.1
 
@@ -203,7 +197,7 @@ class TestMarginalNull:
     def test_diagonal_weights_decouple_components(self):
         data = make_mvn(5, 8, tau=(0.2, 0.3), kappa=0.0, rho_range=(0.0, 0.0))
         structure = CovStructure.cs(0.0)
-        Y, S = arrays(data)
+        Y, S = data.Y, data.S
         fits = [fit_marginal_null(data, v, 0, structure) for v in (-1.0, 2.0)]
         # with diagonal weights the free component ignores the fixed one
         assert np.isclose(fits[0].mu_c[0], fits[1].mu_c[0], atol=1e-6)
@@ -324,10 +318,9 @@ class TestRefitRows:
         X, mu_free, converged = refit_rows(data, Ys, fixed, mu0[fixed], structure, start)
         assert converged.all()
         sigmas = sigma_rows(X, structure, 3)
-        Y, S = arrays(data)
-        observed = np.stack([st.observed for st in data.studies])
+        Y, S = data.Y, data.S
         for b, scale in enumerate(scales):
-            row = Dataset.from_arrays(mu0 + scale * (Y - mu0), S, observed=observed)
+            row = Dataset.from_arrays(mu0 + scale * (Y - mu0), S, observed=data.observed)
             if component is None:
                 cml = fit_eta_given_mu(row, mu0, structure, init=start)
             else:
@@ -359,7 +352,7 @@ class TestMomentBetweenCov:
     def test_exact_sign_invariance(self, bivariate6):
         mu = np.array([0.3, -0.1])
         base, _ = moment_between_cov(bivariate6, mu)
-        Y, S = arrays(bivariate6)
+        Y, S = bivariate6.Y, bivariate6.S
         rng = np.random.default_rng(5)
         for _ in range(8):
             v = rng.choice([-1.0, 1.0], size=6)

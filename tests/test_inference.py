@@ -12,7 +12,6 @@ from metaperm import (
     NonConvergenceError,
     PermutationPlan,
     SingularInformationError,
-    StudyRecord,
     confidence_interval,
     confidence_region,
     fit_ml,
@@ -27,11 +26,12 @@ from metaperm import (
 @pytest.fixture(scope="module")
 def equal_var_fit():
     """Homogeneous equal-variance studies with closed-form Wald quantities."""
-    studies = [
-        StudyRecord(id=f"s{i}", y=[yv], S=[[0.04]])
-        for i, yv in enumerate([0.1, 0.2, 0.3, 0.4])
-    ]
-    return fit_ml(Dataset(studies=studies))
+    data = Dataset(
+        Y=[[0.1], [0.2], [0.3], [0.4]],
+        S=np.full((4, 1, 1), 0.04),
+        ids=[f"s{i}" for i in range(4)],
+    )
+    return fit_ml(data)
 
 
 class TestWaldInference:

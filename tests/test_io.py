@@ -11,7 +11,6 @@ from metaperm import (
     Dataset,
     PermutationPlan,
     RegionGrid,
-    StudyRecord,
     back_transform,
     fit_ml,
     ingest_diagnostic,
@@ -40,14 +39,12 @@ class TestIngestWide:
         write_wide(trivariate_missing, path)
         back = ingest_wide(path)
         assert back.n_studies == trivariate_missing.n_studies
-        for a, b in zip(trivariate_missing.studies, back.studies):
-            assert a.id == b.id
-            assert np.array_equal(a.observed, b.observed)
-            idx = np.flatnonzero(a.observed)
-            assert np.max(np.abs(a.y[idx] - b.y[idx])) <= 1e-12
-            assert np.max(
-                np.abs(a.S[np.ix_(idx, idx)] - b.S[np.ix_(idx, idx)])
-            ) <= 1e-12
+        assert back.ids == trivariate_missing.ids
+        observed = trivariate_missing.observed
+        assert np.array_equal(back.observed, observed)
+        pairs = observed[:, :, None] & observed[:, None, :]
+        assert np.max(np.abs(trivariate_missing.Y - back.Y)[observed]) <= 1e-12
+        assert np.max(np.abs(trivariate_missing.S - back.S)[pairs]) <= 1e-12
 
     def test_correlation_column(self, tmp_path):
         path = write(
@@ -55,18 +52,18 @@ class TestIngestWide:
             "id,y1,se1,y2,se2,rho12\na,0.5,0.2,-0.1,0.3,0.7\n",
         )
         data = ingest_wide(path)
-        st = data.studies[0]
-        assert st.S[0, 0] == pytest.approx(0.04, rel=1e-12)
-        assert st.S[1, 1] == pytest.approx(0.09, rel=1e-12)
-        assert st.S[0, 1] == pytest.approx(0.7 * 0.2 * 0.3, rel=1e-12)
+        S = data.S[0]
+        assert S[0, 0] == pytest.approx(0.04, rel=1e-12)
+        assert S[1, 1] == pytest.approx(0.09, rel=1e-12)
+        assert S[0, 1] == pytest.approx(0.7 * 0.2 * 0.3, rel=1e-12)
 
     def test_variance_columns(self, tmp_path):
         path = write(
             tmp_path / "w.csv",
             "id,y1,var1,y2,var2,rho12\na,0.5,0.04,-0.1,0.09,0.0\n",
         )
-        st = ingest_wide(path).studies[0]
-        assert st.S[0, 0] == 0.04 and st.S[1, 1] == 0.09
+        S = ingest_wide(path).S[0]
+        assert S[0, 0] == 0.04 and S[1, 1] == 0.09
 
     def test_blank_cells_mark_unobserved(self, tmp_path):
         path = write(
@@ -74,8 +71,8 @@ class TestIngestWide:
             "id,y1,se1,y2,se2,rho12\na,0.5,0.2,,,\nb,0.1,0.3,0.2,0.4,0.1\n",
         )
         data = ingest_wide(path)
-        assert data.studies[0].observed.tolist() == [True, False]
-        assert data.studies[1].observed.tolist() == [True, True]
+        assert data.observed[0].tolist() == [True, False]
+        assert data.observed[1].tolist() == [True, True]
 
     def test_missing_rho_warns_and_defaults_to_zero(self, tmp_path):
         path = write(
@@ -84,7 +81,7 @@ class TestIngestWide:
         )
         with pytest.warns(UserWarning, match="correlation"):
             data = ingest_wide(path)
-        assert data.studies[0].S[0, 1] == 0.0
+        assert data.S[0, 0, 1] == 0.0
 
     def test_value_without_spread_rejected(self, tmp_path):
         path = write(
@@ -128,12 +125,12 @@ class TestIngestDiagnostic:
             "id,tp,fn,tn,fp\ns1,50,50,75,25\n",
         )
         data = ingest_diagnostic(path)
-        st = data.studies[0]
-        assert st.y[0] == pytest.approx(0.0, abs=1e-15)
-        assert st.S[0, 0] == pytest.approx(1 / 50 + 1 / 50, rel=1e-12)
-        assert st.y[1] == pytest.approx(math.log(25 / 75), rel=1e-12)
-        assert st.S[1, 1] == pytest.approx(1 / 25 + 1 / 75, rel=1e-12)
-        assert st.S[0, 1] == 0.0
+        y, S = data.Y[0], data.S[0]
+        assert y[0] == pytest.approx(0.0, abs=1e-15)
+        assert S[0, 0] == pytest.approx(1 / 50 + 1 / 50, rel=1e-12)
+        assert y[1] == pytest.approx(math.log(25 / 75), rel=1e-12)
+        assert S[1, 1] == pytest.approx(1 / 25 + 1 / 75, rel=1e-12)
+        assert S[0, 1] == 0.0
         assert data.labels == ("sens", "fpr")
         assert data.scales == ("logit", "logit")
 
@@ -145,17 +142,17 @@ class TestIngestDiagnostic:
         with pytest.warns(UserWarning, match="perfect"):
             data, corrected = ingest_diagnostic(path, return_corrections=True)
         assert corrected == ("perfect",)
-        st = data.studies[0]
-        assert st.y[0] == pytest.approx(math.log(100.5 / 0.5), rel=1e-12)
-        assert st.S[0, 0] == pytest.approx(1 / 100.5 + 1 / 0.5, rel=1e-12)
+        y, S = data.Y[0], data.S[0]
+        assert y[0] == pytest.approx(math.log(100.5 / 0.5), rel=1e-12)
+        assert S[0, 0] == pytest.approx(1 / 100.5 + 1 / 0.5, rel=1e-12)
         # the clean margin of the same study is untouched
-        assert st.y[1] == pytest.approx(math.log(25 / 75), rel=1e-12)
+        assert y[1] == pytest.approx(math.log(25 / 75), rel=1e-12)
 
     def test_correction_size_parameter(self, tmp_path):
         path = write(tmp_path / "d.csv", "id,tp,fn,tn,fp\ns,100,0,75,25\n")
         with pytest.warns(UserWarning):
             data = ingest_diagnostic(path, correction=1.0)
-        assert data.studies[0].y[0] == pytest.approx(math.log(101 / 1), rel=1e-12)
+        assert data.Y[0, 0] == pytest.approx(math.log(101 / 1), rel=1e-12)
 
     def test_validation(self, tmp_path):
         with pytest.raises(DataError, match="nonnegative"):
@@ -177,9 +174,9 @@ class TestIngestNma:
         data = ingest_nma(path, reference="control")
         assert data.labels == ("drug",)
         assert data.scales == ("log",)
-        st = data.studies[0]
-        assert st.y[0] == pytest.approx(math.log(20 / 80) - math.log(10 / 90), rel=1e-12)
-        assert st.S[0, 0] == pytest.approx(
+        y, S = data.Y[0], data.S[0]
+        assert y[0] == pytest.approx(math.log(20 / 80) - math.log(10 / 90), rel=1e-12)
+        assert S[0, 0] == pytest.approx(
             1 / 20 + 1 / 80 + 1 / 10 + 1 / 90, rel=1e-12
         )
 
@@ -192,9 +189,9 @@ class TestIngestNma:
             "s1,b,30,100\n",
         )
         data = ingest_nma(path, reference="control")
-        st = data.studies[0]
+        S = data.S[0]
         ja, jb = data.labels.index("a"), data.labels.index("b")
-        assert st.S[ja, jb] == pytest.approx(1 / 10 + 1 / 90, rel=1e-12)
+        assert S[ja, jb] == pytest.approx(1 / 10 + 1 / 90, rel=1e-12)
 
     def test_pseudo_reference_for_missing_arm(self, tmp_path):
         path = write(
@@ -206,13 +203,13 @@ class TestIngestNma:
             "s2,b,30,100\n",
         )
         data = ingest_nma(path, reference="control")
-        st = data.studies[1]
-        assert st.observed.all()
+        y, S = data.Y[1], data.S[1]
+        assert data.observed[1].all()
         ja, jb = data.labels.index("a"), data.labels.index("b")
         # fictitious reference arm: log odds zero, variance 2000
-        assert st.y[ja] == pytest.approx(math.log(20 / 80), rel=1e-12)
-        assert st.S[ja, jb] == pytest.approx(2000.0, rel=1e-12)
-        assert st.S[ja, ja] == pytest.approx(1 / 20 + 1 / 80 + 2000.0, rel=1e-12)
+        assert y[ja] == pytest.approx(math.log(20 / 80), rel=1e-12)
+        assert S[ja, jb] == pytest.approx(2000.0, rel=1e-12)
+        assert S[ja, ja] == pytest.approx(1 / 20 + 1 / 80 + 2000.0, rel=1e-12)
 
     def test_zero_cell_correction_applies_to_all_arms(self, tmp_path):
         path = write(
@@ -221,10 +218,11 @@ class TestIngestNma:
             "s1,control,0,100\n"
             "s1,drug,20,100\n",
         )
-        st = ingest_nma(path, reference="control").studies[0]
+        data = ingest_nma(path, reference="control")
+        y, S = data.Y[0], data.S[0]
         expected = math.log(20.5 / 80.5) - math.log(0.5 / 100.5)
-        assert st.y[0] == pytest.approx(expected, rel=1e-12)
-        assert st.S[0, 0] == pytest.approx(
+        assert y[0] == pytest.approx(expected, rel=1e-12)
+        assert S[0, 0] == pytest.approx(
             1 / 20.5 + 1 / 80.5 + 1 / 0.5 + 1 / 100.5, rel=1e-12
         )
 

@@ -9,7 +9,6 @@ from metaperm import (
     DataError,
     Dataset,
     HetParams,
-    StudyRecord,
     between_cov,
     marginal_information,
     model_terms,
@@ -33,56 +32,79 @@ def terms(data, mu, h):
     return model_terms(data, np.asarray(mu, dtype=float), between_cov(h, UNSTR))
 
 
-class TestStudyRecord:
+class TestStudyValidation:
     def test_defaults_to_fully_observed(self):
-        st = StudyRecord(id="a", y=[0.1, 0.2], S=np.eye(2))
-        assert st.observed.all() and st.p == 2 and st.n_observed == 2
+        data = one_study_dataset([0.1, 0.2], np.eye(2))
+        assert data.observed.all() and data.p == 2 and data.observed.sum() == 2
 
     def test_rejects_nonpositive_observed_variance(self):
         with pytest.raises(DataError):
-            StudyRecord(id="a", y=[0.1], S=[[0.0]])
+            one_study_dataset([0.1], [[0.0]])
         with pytest.raises(DataError):
-            StudyRecord(id="a", y=[0.1, 0.2], S=[[1.0, 0.0], [0.0, -0.5]])
+            one_study_dataset([0.1, 0.2], [[1.0, 0.0], [0.0, -0.5]])
 
     def test_rejects_asymmetric_observed_block(self):
         with pytest.raises(DataError):
-            StudyRecord(id="a", y=[0.1, 0.2], S=[[1.0, 0.5], [0.1, 1.0]])
+            one_study_dataset([0.1, 0.2], [[1.0, 0.5], [0.1, 1.0]])
 
     def test_rejects_non_psd_observed_block(self):
         # correlation magnitude above 1 makes the block indefinite
         with pytest.raises(DataError):
-            StudyRecord(id="a", y=[0.0, 0.0], S=[[1.0, 1.5], [1.5, 1.0]])
+            one_study_dataset([0.0, 0.0], [[1.0, 1.5], [1.5, 1.0]])
 
     def test_rejects_empty_mask(self):
         with pytest.raises(DataError):
-            StudyRecord(id="a", y=[0.1], S=[[1.0]], observed=[False])
+            Dataset.from_arrays([[0.1]], [[[1.0]]], observed=[[False]])
 
     def test_ignores_unobserved_garbage(self):
-        st = StudyRecord(
-            id="a",
-            y=[0.5, np.nan],
-            S=[[0.2, 0.0], [0.0, -9.0]],
-            observed=[True, False],
+        # a second, complete study observes outcome 2
+        data = Dataset.from_arrays(
+            [[0.5, np.nan], [0.1, 0.2]],
+            [[[0.2, 0.0], [0.0, -9.0]], np.eye(2)],
+            observed=[[True, False], [True, True]],
         )
-        assert st.n_observed == 1
+        assert data.observed[0].sum() == 1
+
+    def test_error_names_the_failing_study(self):
+        # only study c's block is indefinite, and its mask group comes second
+        S = np.stack([np.eye(2)] * 4)
+        S[2] = [[1.0, 1.5], [1.5, 1.0]]
+        observed = np.array([[True, False], [True, True], [True, True], [True, False]])
+        with pytest.raises(DataError, match="^study c: observed covariance block not PSD$"):
+            Dataset.from_arrays(np.zeros((4, 2)), S, observed=observed, ids=list("abcd"))
+
+    def test_error_names_the_first_failing_study(self):
+        # b and c both fail; c's mask group comes first, b in study order
+        S = np.stack([np.eye(3)] * 3)
+        S[1:, 0, 1] = S[1:, 1, 0] = 1.5
+        observed = np.array([[True, True, False], [True, True, True], [True, True, False]])
+        with pytest.raises(DataError, match="^study b: observed covariance block not PSD$"):
+            Dataset.from_arrays(np.zeros((3, 3)), S, observed=observed, ids=list("abc"))
 
 
 class TestDataset:
     def test_requires_every_outcome_somewhere(self):
-        studies = (
-            StudyRecord(id="a", y=[0.1, 0.0], S=np.eye(2), observed=[True, False]),
-            StudyRecord(id="b", y=[0.2, 0.0], S=np.eye(2), observed=[True, False]),
-        )
         with pytest.raises(DataError):
-            Dataset(studies=studies)
+            Dataset.from_arrays(
+                [[0.1, 0.0], [0.2, 0.0]],
+                np.stack([np.eye(2)] * 2),
+                observed=[[True, False], [True, False]],
+            )
 
     def test_rejects_mixed_dimensions(self):
-        studies = (
-            StudyRecord(id="a", y=[0.1], S=[[1.0]]),
-            StudyRecord(id="b", y=[0.1, 0.2], S=np.eye(2)),
-        )
         with pytest.raises(DataError):
-            Dataset(studies=studies)
+            Dataset.from_arrays([[0.1], [0.1]], np.stack([np.eye(2)] * 2))
+
+    def test_groups_keep_first_appearance_order(self, trivariate_missing):
+        groups = trivariate_missing._groups
+        assert [g.idx.tolist() for g in groups] == [
+            [0, 1, 2], [0, 1], [1, 2], [0], [1], [0, 2]
+        ]
+        assert [g.members.tolist() for g in groups] == [
+            [0, 2, 5, 6, 9], [1], [3], [4], [7], [8]
+        ]
+        for g in groups:
+            np.testing.assert_array_equal(g.Y, trivariate_missing.Y[np.ix_(g.members, g.idx)])
 
     def test_default_labels_and_scales(self, bivariate6):
         assert bivariate6.labels == ("y1", "y2")
@@ -150,8 +172,7 @@ class TestLogLikelihood:
         h = het([0.2, 0.25], kappa)
         mu = np.array([0.3, -0.1])
         ll1 = terms(bivariate6, mu, h).loglik
-        Y = np.stack([st.y for st in bivariate6.studies])
-        S = np.stack([st.S for st in bivariate6.studies])
+        Y, S = bivariate6.Y, bivariate6.S
         doubled = Dataset.from_arrays(
             np.vstack([Y, Y]), np.concatenate([S, S], axis=0)
         )
@@ -164,8 +185,8 @@ class TestLogLikelihood:
         mu = np.array([0.2, 0.1])
         sigma = between_cov(h, UNSTR)
         direct = sum(
-            multivariate_normal.logpdf(st.y, mean=mu, cov=sigma + st.S)
-            for st in bivariate6.studies
+            multivariate_normal.logpdf(y, mean=mu, cov=sigma + S)
+            for y, S in zip(bivariate6.Y, bivariate6.S)
         )
         assert np.isclose(terms(bivariate6, mu, h).loglik, direct, rtol=1e-12)
 
@@ -175,11 +196,12 @@ class TestLogLikelihood:
         mu = np.array([0.1, 0.0, -0.1])
         sigma = between_cov(h, UNSTR)
         direct = 0.0
-        for st in trivariate_missing.studies:
-            idx = np.flatnonzero(st.observed)
+        data = trivariate_missing
+        for y, S, observed in zip(data.Y, data.S, data.observed):
+            idx = np.flatnonzero(observed)
             sel = np.ix_(idx, idx)
             direct += multivariate_normal.logpdf(
-                st.y[idx], mean=mu[idx], cov=(sigma + st.S)[sel]
+                y[idx], mean=mu[idx], cov=(sigma + S)[sel]
             )
         ll = terms(trivariate_missing, mu, h).loglik
         assert np.isclose(ll, direct, rtol=1e-12)
@@ -195,9 +217,7 @@ class TestScore:
         h = het([0.2, 0.3], np.array([[1.0, 0.5], [0.5, 1.0]]))
         mu = np.array([0.1, 0.1])
         U = terms(bivariate6, mu, h).score
-        Y = np.stack([st.y for st in bivariate6.studies])
-        S = np.stack([st.S for st in bivariate6.studies])
-        flipped = Dataset.from_arrays(2 * mu - Y, S)
+        flipped = Dataset.from_arrays(2 * mu - bivariate6.Y, bivariate6.S)
         assert np.allclose(terms(flipped, mu, h).score, -U, atol=1e-12)
 
     def test_matches_finite_difference_gradient(self, trivariate_missing):
@@ -231,13 +251,12 @@ class TestInformation:
         assert np.allclose(terms(data, np.zeros(data.p), h).information, 4 * W, atol=1e-12)
 
     def test_partial_study_scatters_to_observed_entries(self):
-        studies = (
-            StudyRecord(id="a", y=[0.1, 0.2], S=np.diag([0.5, 0.5])),
-            StudyRecord(
-                id="b", y=[0.3, 0.0], S=np.diag([0.25, 1.0]), observed=[True, False]
-            ),
+        data = Dataset.from_arrays(
+            [[0.1, 0.2], [0.3, 0.0]],
+            [np.diag([0.5, 0.5]), np.diag([0.25, 1.0])],
+            observed=[[True, True], [True, False]],
+            ids=("a", "b"),
         )
-        data = Dataset(studies=studies)
         I = terms(data, np.zeros(2), het([0.0, 0.0])).information
         # study b contributes 1/0.25 = 4 only at entry (0, 0)
         assert np.isclose(I[0, 0], 2.0 + 4.0)

@@ -13,7 +13,6 @@ from metaperm import (
     NonConvergenceError,
     NullDistribution,
     PermutationPlan,
-    StudyRecord,
     fit_ml,
     joint_permutation_test,
     marginal_permutation_test,
@@ -263,8 +262,8 @@ class TestJointCml:
         # weights at the constrained heterogeneity fit
         mu0 = 0.1
         value, cml = score_statistic_cml(univariate10, [mu0])
-        y = np.array([st.y[0] for st in univariate10.studies])
-        s2 = np.array([st.S[0, 0] for st in univariate10.studies])
+        y = univariate10.Y[:, 0]
+        s2 = univariate10.S[:, 0, 0]
         w = 1.0 / (s2 + cml.het.tau[0] ** 2)
         U = np.sum(w * (y - mu0))
         assert value == pytest.approx(U * U / np.sum(w), rel=1e-12)
@@ -292,8 +291,7 @@ class TestJointMoment:
         res = joint_permutation_test(
             data, mu, plan=PermutationPlan.exhaustive(), stat="moment"
         )
-        Y = np.array([st.y for st in data.studies])
-        Ss = np.array([st.S for st in data.studies])
+        Y, Ss = data.Y, data.S
         R = Y - mu
         raw = R.T @ R / 3 - Ss.mean(axis=0)
         eigvals, eigvecs = np.linalg.eigh(raw)
@@ -316,11 +314,9 @@ class TestJointMoment:
         mu = np.array([0.1, -0.1])
         plan = PermutationPlan.exhaustive()
         base = joint_permutation_test(bivariate5, mu, plan=plan, stat="moment")
-        studies = []
-        for i, st in enumerate(bivariate5.studies):
-            y = 2.0 * mu - st.y if i in (0, 2) else st.y
-            studies.append(StudyRecord(id=st.id, y=y, S=st.S))
-        flipped = Dataset(studies=studies)
+        Y = bivariate5.Y.copy()
+        Y[[0, 2]] = 2.0 * mu - Y[[0, 2]]
+        flipped = Dataset(Y=Y, S=bivariate5.S, ids=bivariate5.ids)
         other = joint_permutation_test(flipped, mu, plan=plan, stat="moment")
         np.testing.assert_allclose(
             np.sort(base.distribution.statistics),
@@ -381,10 +377,11 @@ class TestMarginal:
         mu_full[[0, 2]] = cml.mu_c
         U = np.zeros(3)
         info = np.zeros((3, 3))
-        for st in trivariate_missing.studies:
-            idx = np.flatnonzero(st.observed)
-            Wi = np.linalg.inv(st.S[np.ix_(idx, idx)] + sigma[np.ix_(idx, idx)])
-            U[idx] += Wi @ (st.y[idx] - mu_full[idx])
+        data = trivariate_missing
+        for y, S, observed in zip(data.Y, data.S, data.observed):
+            idx = np.flatnonzero(observed)
+            Wi = np.linalg.inv(S[np.ix_(idx, idx)] + sigma[np.ix_(idx, idx)])
+            U[idx] += Wi @ (y[idx] - mu_full[idx])
             info[np.ix_(idx, idx)] += Wi
         rest = [0, 2]
         schur = info[1, 1] - info[1, rest] @ np.linalg.solve(

@@ -22,11 +22,10 @@ from metaperm.simulate import CHI2_SCALE, VAR_RANGE
 
 
 def datasets_equal(a, b):
-    return all(
-        np.array_equal(sa.y, sb.y)
-        and np.array_equal(sa.S, sb.S)
-        and np.array_equal(sa.observed, sb.observed)
-        for sa, sb in zip(a.studies, b.studies)
+    return (
+        np.array_equal(a.Y, b.Y)
+        and np.array_equal(a.S, b.S)
+        and np.array_equal(a.observed, b.observed)
     )
 
 
@@ -93,14 +92,14 @@ class TestGenerateGaussian:
         data = generate_gaussian(scn, 3)
         assert data.n_studies == 10 and data.p == 3
         lo, hi = VAR_RANGE
-        for st in data.studies:
-            assert st.observed.all()
-            d = np.diag(st.S)
+        assert data.observed.all()
+        for S in data.S:
+            d = np.diag(S)
             assert np.all((d >= lo) & (d <= hi))
             # off-diagonals are exactly rho * s_j * s_k
             s = np.sqrt(d)
             np.testing.assert_allclose(
-                st.S, 0.25 * np.outer(s, s) + np.diag(d - 0.25 * d), rtol=1e-12
+                S, 0.25 * np.outer(s, s) + np.diag(d - 0.25 * d), rtol=1e-12
             )
 
     def test_variance_draws_match_truncated_chi2_mean(self):
@@ -112,7 +111,7 @@ class TestGenerateGaussian:
         draws = []
         for seed in range(200):
             data = generate_gaussian(scn, seed)
-            draws.extend(st.S[j, j] for st in data.studies for j in range(2))
+            draws.extend(S[j, j] for S in data.S for j in range(2))
         assert np.mean(draws) == pytest.approx(expected, rel=0.02)
 
     def test_wrong_kind_rejected(self):
@@ -128,9 +127,9 @@ class TestGenerateDiagnostic:
         assert datasets_equal(data, generate_diagnostic(scn, 4))
         assert data.labels == ("sens", "fpr")
         assert data.scales == ("logit", "logit")
-        for st in data.studies:
-            assert st.S[0, 1] == 0.0  # independent binomials
-            assert np.all(np.diag(st.S) > 0.0)
+        for S in data.S:
+            assert S[0, 1] == 0.0  # independent binomials
+            assert np.all(np.diag(S) > 0.0)
 
     def test_corner_counts_stay_finite(self):
         # success probability near one forces counts at the boundary, so
@@ -141,9 +140,9 @@ class TestGenerateDiagnostic:
         )
         for seed in range(40):
             data = generate_diagnostic(scn, seed)
-            for st in data.studies:
-                assert np.all(np.isfinite(st.y))
-                assert np.all(np.diag(st.S) > 0.0)
+            for y, S in zip(data.Y, data.S):
+                assert np.all(np.isfinite(y))
+                assert np.all(np.diag(S) > 0.0)
 
     def test_wrong_kind_rejected(self):
         scn = Scenario.gaussian("g", n_studies=8, p=2, tau_sq=0.04, kappa=0.3, rho=0.0)
@@ -160,14 +159,13 @@ def complete():
 class TestApplyMissingness:
     def test_invariants_hold(self, complete):
         masked = apply_missingness(complete, (0.3, 0.3), seed=7)
-        obs = np.stack([st.observed for st in masked.studies])
+        obs = masked.observed
         assert obs.any(axis=1).all()  # no study fully masked
         assert obs.any(axis=0).all()  # every outcome somewhere
         frac = 1.0 - obs.mean()
         assert 0.05 < frac < 0.45
         # outcomes and covariances are untouched, only masks change
-        for a, b in zip(complete.studies, masked.studies):
-            assert np.array_equal(a.y, b.y) and np.array_equal(a.S, b.S)
+        assert np.array_equal(complete.Y, masked.Y) and np.array_equal(complete.S, masked.S)
 
     def test_deterministic(self, complete):
         a = apply_missingness(complete, (0.3, 0.3), seed=7)
@@ -177,8 +175,7 @@ class TestApplyMissingness:
     def test_composes_with_existing_masks(self, complete):
         once = apply_missingness(complete, (0.3, 0.3), seed=7)
         twice = apply_missingness(once, (0.2, 0.2), seed=9)
-        for a, b in zip(once.studies, twice.studies):
-            assert np.all(b.observed <= a.observed)
+        assert np.all(twice.observed <= once.observed)
 
     def test_zero_rates_return_input(self, complete):
         assert apply_missingness(complete, (0.0, 0.0), seed=1) is complete
@@ -198,7 +195,7 @@ class TestGenerate:
         )
         data = generate(scn, 5)
         assert data.p == 3
-        n_masked = sum(int((~st.observed).sum()) for st in data.studies)
+        n_masked = int((~data.observed).sum())
         assert n_masked > 0
 
     def test_seed_types_agree(self):
