@@ -133,19 +133,22 @@ def generate_signs(plan, n_studies):
 
 @functools.lru_cache(maxsize=1)
 def _sign_plan(plan, n_studies):
-    """Read-only sign matrix of a plan and its int64 row sums.
+    """Read-only float64 sign matrix of a plan and its int64 row sums.
 
     Every test of one inversion (lattice points, interval probes,
     replicates) shares a plan, so the last plan built is kept and reused.
-    Only the int8 signs are kept, not a float copy: at the 2^20 cap
-    (N = 20) a float copy would hold 168 MB. generate_signs is looked up
-    in this module at call time, so perfbench's traced run sees each
-    build.
+    The signs are kept as float64, the dtype every test multiplies them
+    in, so no test converts them again. That holds 8 bytes per study per
+    sign row between tests: 8 MB at N = 16, and 168 MB at the 2^20 cap
+    (N = 20) where int8 signs would hold 21 MB. generate_signs is
+    looked up in this module at call time, so perfbench's traced run
+    sees each build.
     """
     signs = generate_signs(plan, n_studies)
-    signs.flags.writeable = False
     row_sums = signs.sum(axis=1, dtype=np.int64)
     row_sums.flags.writeable = False
+    signs = signs.astype(float)
+    signs.flags.writeable = False
     return signs, row_sums
 
 
@@ -178,7 +181,10 @@ class NullDistribution:
 
     def p_value(self, t_obs):
         """Upper-tail p-value of an observed statistic; ties count in."""
-        count = int(np.count_nonzero(self.statistics >= t_obs))
+        return self._p_from_count(int(np.count_nonzero(self.statistics >= t_obs)))
+
+    def _p_from_count(self, count):
+        """p-value of a statistic that count permutation values reach."""
         if self.mode == "exhaustive":
             return count / self.size
         return (1 + count) / (self.size + 1)
@@ -195,24 +201,22 @@ class NullDistribution:
         every permutation value is accepted, -inf when nothing is.
         """
         n = self.size
-        if self.mode == "exhaustive":
-            p_above_all = 0.0
-        else:
-            p_above_all = 1.0 / (n + 1)
-        if p_above_all > alpha:
+        if self._p_from_count(0) > alpha:
             return np.inf
+        if not self._p_from_count(n) > alpha:
+            return -np.inf
         # a statistic s is accepted iff its count #{t >= s} reaches the
         # smallest count c whose p-value exceeds alpha; the largest such
-        # s is the (n - c)-th order statistic (0-based)
-        counts = np.arange(1, n + 1)
-        if self.mode == "exhaustive":
-            p = counts / n
-        else:
-            p = (1.0 + counts) / (n + 1)
-        ok = p > alpha
-        if not ok[-1]:
-            return -np.inf
-        k = n - (int(np.argmax(ok)) + 1)
+        # s is the (n - c)-th order statistic (0-based). The p-value rises
+        # with the count, so a guess solved from alpha is corrected by
+        # stepping with the very expressions p_value uses
+        guess = alpha * n + 1 if self.mode == "exhaustive" else alpha * (n + 1)
+        c = min(max(int(guess), 1), n)
+        while c > 1 and self._p_from_count(c - 1) > alpha:
+            c -= 1
+        while not self._p_from_count(c) > alpha:
+            c += 1
+        k = n - c
         return float(np.partition(self.statistics, k)[k])
 
 
@@ -257,6 +261,34 @@ def _score_rows(data, Ys, mus, sigmas):
     return U, info, pinv
 
 
+def _quad_forms(U, Iinv):
+    """Quadratic forms U_r' Iinv U_r of the rows of U, shape (R,).
+
+    Iinv is one (p, p) matrix shared by every row or one per row,
+    (R, p, p). Each term is (U_i Iinv_ij) U_j, summed from zero with i
+    outer and j inner. That is the order of np.einsum("ri,rij,rj->r")
+    and np.einsum("bi,ij,bj->b"), so the result equals theirs bit for
+    bit at a fraction of their cost; region thresholds compare these
+    statistics exactly. At p = 2 with one row, or two rows sharing one
+    inverse, einsum sums each i's two terms before adding them to the
+    total, and so does this.
+    """
+    R, p = U.shape
+    paired = p == 2 and R <= (2 if Iinv.ndim == 2 else 1)
+    columns = U.T.copy()
+    out = np.zeros(R)
+    term = np.empty_like(out)
+    for i in range(p):
+        acc = np.zeros(R) if paired else out
+        for j in range(p):
+            np.multiply(columns[i], Iinv[..., i, j], out=term)
+            term *= columns[j]
+            acc += term
+        if paired:
+            out += acc
+    return out
+
+
 def _joint_statistics(data, Ys, mus, sigmas):
     """Score statistics U' I^{-1} U of many rows, clamped at zero.
 
@@ -265,7 +297,7 @@ def _joint_statistics(data, Ys, mus, sigmas):
     """
     U, info, pinv = _score_rows(data, Ys, mus, sigmas)
     Iinv, _, _, pinv_i = _sym_inverse_flags(info)
-    stats = np.maximum(np.einsum("ri,rij,rj->r", U, Iinv, U), 0.0)
+    stats = np.maximum(_quad_forms(U, Iinv), 0.0)
     return stats, pinv | pinv_i
 
 
@@ -286,7 +318,7 @@ def _marginal_roots(data, Ys, mus, sigmas, component):
         rest = np.array([j for j in range(p) if j != component])
         Icc_inv, _, _, pinv = _sym_inverse_flags(info[:, rest[:, None], rest])
         Ica = info[:, rest, component]
-        J = np.maximum(J - np.einsum("ri,rij,rj->r", Ica, Icc_inv, Ica), 0.0)
+        J = np.maximum(J - _quad_forms(Ica, Icc_inv), 0.0)
     informative = J >= MIN_MARGINAL_INFO
     roots = np.full(J.shape, np.nan)
     roots[informative] = U[informative, component] / np.sqrt(J[informative])
@@ -308,7 +340,7 @@ def _flipped_outcomes(data, center, signs):
     Ys = []
     for g in data._groups:
         c = center[g.idx]
-        v = signs[:, g.members].astype(float)[:, :, None]
+        v = signs[:, g.members][:, :, None]
         Ys.append(c + v * (g.Y - c))
     return Ys
 
@@ -319,7 +351,7 @@ def _flip_dataset(data, center, v):
     Uses the expression of _flipped_outcomes, so the packed groups of
     the result equal that row's flipped outcomes bit for bit.
     """
-    return replace(data, Y=center + v[:, None].astype(float) * (data.Y - center))
+    return replace(data, Y=center + v[:, None] * (data.Y - center))
 
 
 def _validate_mu(data, mu_null):
@@ -470,9 +502,9 @@ def _moment_null_statistics(data, mu, sigma, signs):
         Wr = np.einsum("nij,nj->ni", W, r)
         Wr_full[np.ix_(g.members, g.idx)] = Wr
         info[g.sel] += W.sum(axis=0)
-    U = signs.astype(float) @ Wr_full  # (B, p)
+    U = signs @ Wr_full  # (B, p)
     Iinv, _, _ = _sym_inverse(info)
-    return np.maximum(np.einsum("bi,ij,bj->b", U, Iinv, U), 0.0)
+    return np.maximum(_quad_forms(U, Iinv), 0.0)
 
 
 def _permuted_statistics(data, center, component, signs, structure, warm):

@@ -25,11 +25,13 @@ from metaperm.estimators import (
     _pack,
     fit_eta_given_mu,
     fit_marginal_null,
+    moment_between_cov,
 )
 from metaperm.model import between_cov
 from metaperm.permutation import (
     _flip_dataset,
     _marginal_root,
+    _quad_forms,
     _sign_plan,
     _stat_from_sigma,
     generate_signs,
@@ -37,7 +39,7 @@ from metaperm.permutation import (
     score_statistic_cml,
 )
 
-from conftest import make_mvn
+from conftest import make_mvn, make_univariate
 
 
 class TestPermutationPlan:
@@ -210,13 +212,14 @@ class TestSignPlanCache:
         plan = PermutationPlan.random(n_draws=100, seed=1)
         expected = self._results(bivariate5, plan, "moment")
         signs, row_sums = _sign_plan(plan, 5)
+        assert signs.dtype == np.float64 and row_sums.dtype == np.int64
         assert not signs.flags.writeable and not row_sums.flags.writeable
         with pytest.raises(ValueError):
             signs[0, 0] = -signs[0, 0]
         np.testing.assert_array_equal(row_sums, signs.sum(axis=1))
 
         fresh = generate_signs(plan, 5)
-        assert fresh.flags.writeable
+        assert fresh.dtype == np.int8 and fresh.flags.writeable
         assert not np.shares_memory(fresh, signs)
         np.testing.assert_array_equal(fresh, signs)
         fresh[:] = 1
@@ -335,6 +338,100 @@ class TestJointMoment:
                 plan=PermutationPlan.exhaustive(),
                 stat="moment",
             )
+
+
+class TestQuadForms:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 2, 65536])
+    def test_matches_einsum_bitwise(self, p, rows):
+        # region thresholds compare statistics exactly, so the quadratic
+        # forms must keep einsum's summation order, not just its value;
+        # few rows get many draws, because einsum's order changes with
+        # the shape there and a single draw often rounds alike either way
+        rng = np.random.default_rng([p, rows])
+        for _ in range(200 if rows <= 2 else 1):
+            U = rng.standard_normal((rows, p)) * rng.uniform(0.1, 10.0, size=(rows, 1))
+            A = rng.standard_normal((rows, p, p))
+            Iinv = np.linalg.inv(A @ A.transpose(0, 2, 1) + np.eye(p))
+            assert np.array_equal(_quad_forms(U, Iinv), np.einsum("ri,rij,rj->r", U, Iinv, U))
+            shared = Iinv[0]
+            assert np.array_equal(
+                _quad_forms(U, shared), np.einsum("bi,ij,bj->b", U, shared, U)
+            )
+
+
+def _enumerated_moment_null(data, mu):
+    """Exhaustive t2 null built one flip at a time, binary order.
+
+    Each flip reflects the dataset around mu and recomputes the moment
+    covariance, which must not move. The statistic then comes from
+    direct linear algebra at that covariance, with the flip's signs
+    applied to the residuals exactly, so complementary flips tie.
+    """
+    N, p = data.n_studies, data.p
+    sigma, _ = moment_between_cov(data, mu)
+    R = data.Y - mu
+    W = [np.linalg.inv(data.S[i] + sigma) for i in range(N)]
+    info = sum(W)
+    stats = np.empty(2 ** N)
+    for b in range(2 ** N):
+        v = np.array([1.0 - 2.0 * ((b >> i) & 1) for i in range(N)])
+        flipped = Dataset(Y=mu + v[:, None] * R, S=data.S, ids=data.ids)
+        np.testing.assert_allclose(
+            moment_between_cov(flipped, mu)[0], sigma, rtol=1e-12, atol=1e-15
+        )
+        U = np.zeros(p)
+        for i in range(N):
+            U += v[i] * (W[i] @ R[i])
+        stats[b] = U @ np.linalg.solve(info, U)
+    return stats
+
+
+class TestMomentOracle:
+    @pytest.mark.parametrize("name", ["bivariate5", "bivariate6", "univariate6"])
+    def test_exhaustive_matches_enumeration(self, request, name):
+        data = make_univariate(3, 6) if name == "univariate6" else request.getfixturevalue(name)
+        ml = fit_ml(data).mu
+        plan = PermutationPlan.exhaustive()
+        p_values = set()
+        for offset in (0.0, 0.1, -0.25, 0.5, 1.0):
+            mu = ml + offset
+            res = joint_permutation_test(data, mu, plan=plan, stat="moment")
+            stats = _enumerated_moment_null(data, mu)
+            np.testing.assert_allclose(
+                res.distribution.statistics, stats, rtol=1e-12, atol=1e-12 * stats.max()
+            )
+            assert res.p_value == np.count_nonzero(stats >= stats[0]) / stats.size
+            p_values.add(res.p_value)
+        assert len(p_values) >= 3
+
+
+@st.composite
+def _study_orders(draw):
+    """(dataset, null mean, study order): N from 3 to 8, one or two outcomes."""
+    n = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        data = make_univariate(seed, n)
+    else:
+        data = make_mvn(seed, n)
+    offset = draw(st.floats(-1.0, 1.0))
+    order = draw(st.permutations(range(n)))
+    return data, data.Y.mean(axis=0) + offset, list(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_study_orders())
+def test_moment_null_invariant_to_study_order(case):
+    data, mu, order = case
+    plan = PermutationPlan.exhaustive()
+    base = joint_permutation_test(data, mu, plan=plan, stat="moment")
+    shuffled = Dataset(Y=data.Y[order], S=data.S[order], ids=[data.ids[i] for i in order])
+    other = joint_permutation_test(shuffled, mu, plan=plan, stat="moment")
+    assert other.p_value == base.p_value
+    a = np.sort(base.distribution.statistics)
+    b = np.sort(other.distribution.statistics)
+    np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12 * a.max())
 
 
 class TestMarginal:
