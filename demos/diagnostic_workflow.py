@@ -8,6 +8,7 @@ both on the logit working scale and back-transformed to a probability.
 """
 
 import tempfile
+import warnings
 
 from metaperm import (
     PermutationPlan,
@@ -36,10 +37,14 @@ def main():
         fh.write(COUNTS)
         path = fh.name
 
-    data, corrected = ingest_diagnostic(path, return_corrections=True)
+    # corrected studies are named in a warning, as `metaperm ingest-check` reports them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = ingest_diagnostic(path)
     print(f"{data.n_studies} studies; outcomes {data.labels} on {data.scales} scales")
-    if corrected:
-        print(f"continuity correction applied to: {', '.join(corrected)}")
+    for w in caught:
+        # "<path>: continuity correction applied to studies <id>, ..."
+        print(str(w.message).split(": ", 1)[1])
 
     fit = fit_ml(data)
     names = dict(zip(data.labels, fit.mu))

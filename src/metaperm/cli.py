@@ -60,6 +60,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _level(text):
+    """argparse type of --alpha: a number strictly between 0 and 1."""
+    try:
+        if 0.0 < float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+
+
 def _add_input_options(sub):
     sub.add_argument("input", help="input CSV file")
     sub.add_argument(
@@ -92,7 +102,7 @@ def _add_perm_option(sub, default=str(DEFAULT_B), default_help=str(DEFAULT_B)):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=0.05, help="test level")
+    common.add_argument("--alpha", type=_level, default=0.05, help="test level, in (0, 1)")
     common.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="random seed for sign draws"
     )
@@ -465,7 +475,7 @@ def _cmd_simulate(args):
         seed=args.seed,
         alpha=args.alpha,
         component=args.component - 1,
-        structure=structure if args.structure != "unstructured" else None,
+        structure=structure,
     )
     if args.format == "csv":
         buf = _io.StringIO()
@@ -504,21 +514,15 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         text = args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (UninformativeComponentError, SingularInformationError, OSError) as exc:
+    except (DataError, UninformativeComponentError, SingularInformationError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -29,10 +29,13 @@ from .exceptions import (
     SingularInformationError,
 )
 from .model import (
+    _LOG_2PI,
     EPS_PSD,
-    CovStructure,
     HetParams,
+    _check_component,
+    _finite_mean,
     _group_weights,
+    _require_structure,
     _sym_inverse,
     _sym_inverse_flags,
     between_cov,
@@ -51,6 +54,9 @@ __all__ = [
     "het_from_cov",
 ]
 
+# alternating fits stop once no parameter moves by more than TOL, and
+# give up after MAX_OUTER rounds; one L-BFGS-B run takes at most
+# MAX_INNER iterations
 TOL = 1e-8
 MAX_OUTER = 500
 MAX_INNER = 200
@@ -85,8 +91,6 @@ CURVATURE_FLOOR = 1e-12
 # secondary stop for alternating fits: objective stationary to this
 # relative level counts as converged even if parameters still jitter
 LL_STATIONARY = 1e-10
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +178,9 @@ def _pack(het, structure):
     return np.concatenate(x) if len(x) > 1 else np.asarray(x[0])
 
 
-def _het_from_free(x, structure, p, snap=True):
+def _het_from_free(x, structure, p):
     tau_full, K, _ = _unpack(x, structure, p)
-    if snap:
-        tau_full = np.where(tau_full <= TAU_SNAP, 0.0, tau_full)
+    tau_full = np.where(tau_full <= TAU_SNAP, 0.0, tau_full)
     kappa = K if structure.kind == "unstructured" else None
     return HetParams(tau=tau_full, kappa=kappa)
 
@@ -278,14 +281,14 @@ def _neg_profiled_free(data, structure, fixed, values, restricted=False):
     return fun
 
 
-def _optimize_eta(fun, x0, bounds, max_inner):
+def _optimize_eta(fun, x0, bounds):
     res = minimize(
         fun,
         x0,
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        options={"maxiter": max_inner, "maxcor": 20, "ftol": 1e-13, "gtol": 1e-8},
+        options={"maxiter": MAX_INNER, "maxcor": 20, "ftol": 1e-13, "gtol": 1e-8},
     )
     ok = bool(res.success)
     if res.fun >= PENALTY:
@@ -334,11 +337,7 @@ def _default_init(data, mu, structure):
     return _pack(het0, structure)
 
 
-def _require_structure(structure):
-    return structure if structure is not None else CovStructure.unstructured()
-
-
-def _alternating_fit(data, structure, method, tol, max_outer, max_inner):
+def _alternating_fit(data, structure, method):
     structure = _require_structure(structure)
     if data.n_studies < 2:
         raise DataError("fitting requires at least two studies")
@@ -354,7 +353,7 @@ def _alternating_fit(data, structure, method, tol, max_outer, max_inner):
     converged = False
     iterations = 0
     stalled = 0
-    for iterations in range(1, max_outer + 1):
+    for iterations in range(1, MAX_OUTER + 1):
         _, _, sigma = _unpack(x, structure, p)
         A, b, used = _scatter_info_moment(data, sigma)
         mu_new, used_solve = _gls_mean(A, b)
@@ -362,7 +361,7 @@ def _alternating_fit(data, structure, method, tol, max_outer, max_inner):
         objective = restricted if restricted is not None else _neg_profiled_free(
             data, structure, np.arange(p), mu_new
         )
-        x_new, ll, ok, _ = _optimize_eta(objective, x, bounds, max_inner)
+        x_new, ll, ok, _ = _optimize_eta(objective, x, bounds)
         delta = np.inf
         settled = False
         if mu is not None:
@@ -375,7 +374,7 @@ def _alternating_fit(data, structure, method, tol, max_outer, max_inner):
             settled = abs(ll - trace[-1]) <= LL_STATIONARY * (1.0 + abs(ll))
         trace.append(ll)
         mu, x = mu_new, x_new
-        if delta < tol or settled:
+        if delta < TOL or settled:
             if ok:
                 converged = True
                 break
@@ -385,38 +384,42 @@ def _alternating_fit(data, structure, method, tol, max_outer, max_inner):
     result = _finalize(data, x, structure, method, tuple(trace), iterations, pinv_used, converged)
     if not converged:
         raise NonConvergenceError(
-            f"{method.upper()} fit did not converge in {max_outer} outer iterations",
+            f"{method.upper()} fit did not converge in {MAX_OUTER} outer iterations",
             last_result=result,
         )
     return result
 
 
-def fit_ml(data, structure=None, *, tol=TOL, max_outer=MAX_OUTER, max_inner=MAX_INNER):
+def fit_ml(data, structure=None):
     """Maximum likelihood fit by alternating mean and heterogeneity updates.
 
     The mean step is generalized least squares at the current
     heterogeneity; the heterogeneity step maximizes the likelihood at the
-    updated mean. Iterates until the largest parameter change falls
-    below tol.
+    updated mean in one L-BFGS-B run of at most MAX_INNER (200)
+    iterations. Iterates until the largest parameter change falls below
+    TOL (1e-8), or the objective is stationary, for at most MAX_OUTER
+    (500) rounds.
 
     Raises
     ------
     NonConvergenceError
-        When the iteration budget is exhausted; carries the last iterate.
+        When MAX_OUTER rounds pass without convergence; carries the last
+        iterate.
     SingularInformationError
         When the weight sum carries no information about the mean.
     """
-    return _alternating_fit(data, structure, "ml", tol, max_outer, max_inner)
+    return _alternating_fit(data, structure, "ml")
 
 
-def fit_reml(data, structure=None, *, tol=TOL, max_outer=MAX_OUTER, max_inner=MAX_INNER):
+def fit_reml(data, structure=None):
     """REML fit: heterogeneity maximizes the restricted log-likelihood.
 
     The restricted objective internally profiles the mean, so the outer
     alternation settles within a couple of rounds; the reported mean is
-    the generalized-least-squares mean at the REML heterogeneity.
+    the generalized-least-squares mean at the REML heterogeneity. The
+    stopping rule and budgets are fit_ml's.
     """
-    return _alternating_fit(data, structure, "reml", tol, max_outer, max_inner)
+    return _alternating_fit(data, structure, "reml")
 
 
 def _finalize(data, x, structure, method, trace, iterations, pinv_used, converged):
@@ -444,7 +447,7 @@ def _finalize(data, x, structure, method, trace, iterations, pinv_used, converge
     )
 
 
-def _fit_constrained(data, fixed, values, structure, init, max_inner):
+def _fit_constrained(data, fixed, values, structure, init):
     """Constrained ML of the heterogeneity with the fixed mean components at values.
 
     One L-BFGS-B run of _neg_profiled_free from init, or from the
@@ -464,7 +467,7 @@ def _fit_constrained(data, fixed, values, structure, init, max_inner):
         mu0[fixed] = values
         x0 = _default_init(data, mu0, structure)
     fun = _neg_profiled_free(data, structure, fixed, values)
-    x, ll, ok, nit = _optimize_eta(fun, x0, _bounds(structure, p), max_inner)
+    x, ll, ok, nit = _optimize_eta(fun, x0, _bounds(structure, p))
     mu_c = np.empty(0)
     if free.size:
         # the free components at the returned heterogeneity, so their
@@ -483,7 +486,7 @@ def _fit_constrained(data, fixed, values, structure, init, max_inner):
     return result
 
 
-def fit_eta_given_mu(data, mu_null, structure=None, *, init=None, max_inner=MAX_INNER):
+def fit_eta_given_mu(data, mu_null, structure=None, *, init=None):
     """Constrained ML of the heterogeneity with the whole mean fixed.
 
     Parameters
@@ -496,14 +499,11 @@ def fit_eta_given_mu(data, mu_null, structure=None, *, init=None, max_inner=MAX_
     NonConvergenceError
         Carries the last iterate in ``last_result``.
     """
-    p = data.p
-    mu = np.atleast_1d(np.asarray(mu_null, dtype=float))
-    if mu.shape != (p,) or not np.all(np.isfinite(mu)):
-        raise ValueError(f"null mean must be a finite vector of length {p}")
-    return _fit_constrained(data, np.arange(p), mu, structure, init, max_inner)
+    mu = _finite_mean(mu_null, data.p, "null mean")
+    return _fit_constrained(data, np.arange(data.p), mu, structure, init)
 
 
-def fit_marginal_null(data, value, component, structure=None, *, init=None, max_inner=MAX_INNER):
+def fit_marginal_null(data, value, component, structure=None, *, init=None):
     """Constrained ML with one mean component fixed, the rest free.
 
     The heterogeneity maximizes the likelihood with the other mean
@@ -517,13 +517,11 @@ def fit_marginal_null(data, value, component, structure=None, *, init=None, max_
     NonConvergenceError
         Carries the last iterate in ``last_result``.
     """
-    p = data.p
     value = float(value)
-    if not 0 <= component < p:
-        raise ValueError(f"component index {component} out of range for p={p}")
+    _check_component(component, data.p)
     if not np.isfinite(value):
         raise ValueError("null value must be finite")
-    return _fit_constrained(data, [component], [value], structure, init, max_inner)
+    return _fit_constrained(data, [component], [value], structure, init)
 
 
 def sigma_rows(X, structure, p):
@@ -776,11 +774,7 @@ def moment_between_cov(data, mu):
     """
     if not data.complete:
         raise IncompleteDataError("moment between-study covariance needs complete data")
-    p = data.p
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.shape != (p,) or not np.all(np.isfinite(mu)):
-        raise ValueError(f"mean vector must be a finite vector of length {p}")
-    R = data.Y - mu
+    R = data.Y - _finite_mean(mu, data.p, "mean vector")
     raw = (np.einsum("ni,nj->ij", R, R) - data.S.sum(axis=0)) / data.n_studies
     raw = 0.5 * (raw + raw.T)
     M = raw.copy()

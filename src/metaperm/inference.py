@@ -16,7 +16,7 @@ from scipy.stats import chi2, norm
 
 from .estimators import fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
-from .model import CovStructure, RCOND
+from .model import RCOND, _check_component, _finite_mean, _require_structure
 from .permutation import (
     NullDistribution,
     _default_plan,
@@ -37,10 +37,19 @@ __all__ = [
 ]
 
 # working-scale tolerance for interval endpoints and point estimates
-DEFAULT_XTOL = 1e-4
+XTOL = 1e-4
 # outward scan: step size as a fraction of the Wald standard error
-DEFAULT_STEP_FRACTION = 0.25
-DEFAULT_MAX_STEPS = 64
+STEP_FRACTION = 0.25
+MAX_STEPS = 64
+# default region bounds: the box around the Wald ellipse at this level,
+# widened by this factor
+REGION_ELLIPSE_LEVEL = 0.999
+REGION_INFLATE = 1.5
+
+
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -181,16 +190,13 @@ def wald_inference(fit, alpha=0.05, mu_null=None):
     """
     if not fit.converged:
         raise ValueError("Wald inference requires a converged fit")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     p = fit.mu.size
     info = fit.information
     cov = _checked_information_inverse(info)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     z = norm.ppf(1.0 - alpha / 2.0)
-    mu0 = np.zeros(p) if mu_null is None else np.asarray(mu_null, dtype=float)
-    if mu0.shape != (p,) or not np.all(np.isfinite(mu0)):
-        raise ValueError(f"mu_null must be a finite vector of length {p}")
+    mu0 = _finite_mean(np.zeros(p) if mu_null is None else mu_null, p, "mu_null")
     d = fit.mu - mu0
     stat = float(d @ info @ d)
     return WaldSummary(
@@ -229,28 +235,21 @@ def _wald_anchor(data, component, structure):
     return float(fit.mu[component]), float(np.sqrt(max(cov[component, component], 0.0)))
 
 
-def median_unbiased_estimate(
-    data,
-    component,
-    plan=None,
-    structure=None,
-    *,
-    xtol=DEFAULT_XTOL,
-    full_output=False,
-):
+def median_unbiased_estimate(data, component, plan=None, structure=None, *, full_output=False):
     """Median-unbiased point estimate of one mean component.
 
     Solves for the null value at which the one-sided permutation
     p-value of the signed marginal score equals one half, by bisection
-    within four Wald standard errors of the ML estimate. The one-sided
-    p-value increases in the null value, so the solution balances the
-    permutation distribution around the observed signed score.
+    to XTOL (1e-4, working scale) within four Wald standard errors of
+    the ML estimate. The one-sided p-value increases in the null value,
+    so the solution balances the permutation distribution around the
+    observed signed score.
 
     Falls back to the ML component estimate when no crossing exists in
     the bracket; with full_output=True returns (value, diagnostics)
     where diagnostics reports crossed, the bracket, and the probe trace.
     """
-    structure = structure if structure is not None else CovStructure.unstructured()
+    structure = _require_structure(structure)
     plan = _default_plan(plan)
     anchor, anchor_se = _wald_anchor(data, component, structure)
     lo, hi = anchor - 4.0 * anchor_se, anchor + 4.0 * anchor_se
@@ -267,7 +266,7 @@ def median_unbiased_estimate(
         value = anchor
     else:
         a, b = lo, hi
-        while b - a > xtol:
+        while b - a > XTOL:
             mid = 0.5 * (a + b)
             # p is a step function; keep f(a) <= 0 < f(b) up to ties
             if f(mid) <= 0.0:
@@ -286,28 +285,18 @@ def median_unbiased_estimate(
     return float(value)
 
 
-def confidence_interval(
-    data,
-    component,
-    alpha=0.05,
-    plan=None,
-    structure=None,
-    *,
-    step_fraction=DEFAULT_STEP_FRACTION,
-    max_steps=DEFAULT_MAX_STEPS,
-    xtol=DEFAULT_XTOL,
-    center=None,
-):
+def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, *, center=None):
     """Permutation confidence interval for one mean component.
 
     Inverts the marginal permutation test: the interval is the set of
     null values whose test at level alpha does not reject. Starting
     from the median-unbiased estimate (or a supplied center), the scan
-    moves outward in steps of step_fraction times the Wald standard
-    error until the first rejection on each side (at most max_steps),
-    then bisects the bracketing pair to xtol on the working scale. The
-    same sign plan is reused at every evaluated null, so acceptance is
-    deterministic and the interval endpoints are well defined.
+    moves outward in steps of STEP_FRACTION (a quarter) of the Wald
+    standard error until the first rejection on each side, for at most
+    MAX_STEPS (64) steps, then bisects the bracketing pair to XTOL
+    (1e-4) on the working scale. The same sign plan is reused at every
+    evaluated null, so acceptance is deterministic and the interval
+    endpoints are well defined.
 
     A side with no rejection within the scan range reports the last
     scanned value with open_ended=True in its diagnostics. If the
@@ -315,17 +304,14 @@ def confidence_interval(
     is returned with monotone_crossing=False on both sides; the scan
     trace is always attached for inspection.
     """
-    structure = structure if structure is not None else CovStructure.unstructured()
+    structure = _require_structure(structure)
     plan = _default_plan(plan)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     _, anchor_se = _wald_anchor(data, component, structure)
     if center is None:
-        center = median_unbiased_estimate(
-            data, component, plan, structure, xtol=max(xtol, 1e-4)
-        )
+        center = median_unbiased_estimate(data, component, plan, structure)
     center = float(center)
-    step = step_fraction * anchor_se
+    step = STEP_FRACTION * anchor_se
 
     def probe(m):
         res = marginal_permutation_test(data, m, component, plan=plan, structure=structure)
@@ -333,28 +319,13 @@ def confidence_interval(
 
     p_center, center_ok = probe(center)
     diagnostics = {"center": {"value": center, "p_value": p_center, "accepted": center_ok}}
-    if not center_ok:
-        for side in ("lower", "upper"):
-            diagnostics[side] = {
-                "monotone_crossing": False,
-                "open_ended": False,
-                "scan": [(center, p_center, False)],
-            }
-        return Interval(
-            lower=center,
-            upper=center,
-            alpha=float(alpha),
-            center=center,
-            component=int(component),
-            boundary_diagnostics=diagnostics,
-        )
-
     bounds = {}
     for side, direction in (("lower", -1.0), ("upper", 1.0)):
-        scan = [(center, p_center, True)]
+        scan = [(center, p_center, center_ok)]
         inner = center
         outer = None
-        for k in range(1, max_steps + 1):
+        # a rejected center scans no further: the interval is [center, center]
+        for k in range(1, MAX_STEPS + 1 if center_ok else 1):
             m = center + direction * k * step
             p, ok = probe(m)
             scan.append((m, p, ok))
@@ -363,16 +334,8 @@ def confidence_interval(
             else:
                 outer = m
                 break
-        if outer is None:
-            bounds[side] = inner
-            diagnostics[side] = {
-                "monotone_crossing": False,
-                "open_ended": True,
-                "scan": scan,
-            }
-            continue
         # bisect the accepted/rejected bracket; report the accepted end
-        while abs(outer - inner) > xtol:
+        while outer is not None and abs(outer - inner) > XTOL:
             mid = 0.5 * (inner + outer)
             p, ok = probe(mid)
             scan.append((mid, p, ok))
@@ -382,8 +345,8 @@ def confidence_interval(
                 outer = mid
         bounds[side] = inner
         diagnostics[side] = {
-            "monotone_crossing": True,
-            "open_ended": False,
+            "monotone_crossing": outer is not None,
+            "open_ended": center_ok and outer is None,
             "scan": scan,
         }
     return Interval(
@@ -396,13 +359,13 @@ def confidence_interval(
     )
 
 
-def _default_region_bounds(fit, components, inflate=1.5, ellipse_level=0.999):
-    """Bounding box of the Wald ellipse at ellipse_level, inflated."""
+def _default_region_bounds(fit, components):
+    """Bounding box of the Wald ellipse at REGION_ELLIPSE_LEVEL, inflated."""
     cov = _checked_information_inverse(fit.information)
-    radius2 = chi2.ppf(ellipse_level, df=fit.mu.size)
+    radius2 = chi2.ppf(REGION_ELLIPSE_LEVEL, df=fit.mu.size)
     out = []
     for j in components:
-        half = inflate * np.sqrt(radius2 * max(cov[j, j], 0.0))
+        half = REGION_INFLATE * np.sqrt(radius2 * max(cov[j, j], 0.0))
         out.append((float(fit.mu[j] - half), float(fit.mu[j] + half)))
     return out
 
@@ -423,22 +386,26 @@ def confidence_region(
     the chosen components; components not listed are held fixed at the
     ML estimate, so the output is a slice through that point. The grid
     covers the declared bounds exactly (linspace endpoints inclusive).
-    Default bounds are the bounding box of the 99.9 percent Wald
-    ellipse inflated by half again. Lattice points whose test fails
-    are marked failed and not accepted rather than aborting the scan.
+    Default bounds are the bounding box of the Wald ellipse at
+    REGION_ELLIPSE_LEVEL (99.9 percent), widened by REGION_INFLATE (half
+    again). Lattice points whose test fails are marked failed and not
+    accepted rather than aborting the scan.
 
     Parameters
     ----------
     components : sequence of int, optional
         Mean components spanning the grid, at least two; defaults to
         all components.
+    alpha : float
+        Level of each lattice test, in (0, 1).
     bounds : sequence of (low, high), optional
         One finite pair per listed component.
     resolution : int
         Lattice points per axis, at least 20.
     """
-    structure = structure if structure is not None else CovStructure.unstructured()
+    structure = _require_structure(structure)
     plan = _default_plan(plan)
+    _check_alpha(alpha)
     p = data.p
     if components is None:
         components = tuple(range(p))
@@ -448,8 +415,7 @@ def confidence_region(
     if len(set(components)) != len(components):
         raise ValueError("axis components must be distinct")
     for c in components:
-        if not 0 <= c < p:
-            raise ValueError(f"component index {c} out of range for p={p}")
+        _check_component(c, p)
     if resolution < 20:
         raise ValueError("resolution must be at least 20 points per axis")
     # only default bounds and the fixed components read the ML fit, so a

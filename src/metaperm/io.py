@@ -47,6 +47,9 @@ SCHEMA_VERSION = 1
 # nearly zero information, so only within-study contrasts carry weight
 PSEUDO_ARM_EVENTS = 0.001
 
+# added to a 2x2 margin's count at 0 or full, and twice to its size
+CONTINUITY_CORRECTION = 0.5
+
 
 def _read_rows(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -189,7 +192,7 @@ def write_wide(data, path):
             w.writerow(row)
 
 
-def _logit_outcome(x, n, correction, where):
+def _logit_outcome(x, n, where):
     """Empirical logit and its variance with continuity correction."""
     if n < 1:
         raise DataError(f"{where}: empty margin")
@@ -197,22 +200,22 @@ def _logit_outcome(x, n, correction, where):
     x = float(x)
     n = float(n)
     if x == 0.0 or x == n:
-        x += correction
-        n += 2.0 * correction
+        x += CONTINUITY_CORRECTION
+        n += 2.0 * CONTINUITY_CORRECTION
         corrected = True
     return math.log(x / (n - x)), 1.0 / x + 1.0 / (n - x), corrected
 
 
-def ingest_diagnostic(path, correction=0.5, return_corrections=False):
+def ingest_diagnostic(path):
     """Dataset of logit sensitivity and logit false positive rate.
 
     Per study, outcome 1 uses the true-positive margin (tp of tp + fn)
     and outcome 2 the false-positive margin (fp of tn + fp); variances
     are 1/x + 1/(n - x) and the within-study correlation is zero. A
-    margin at 0 or full gets the continuity correction added (the
-    correction to the count, twice to the size) before the transform;
-    corrected study ids are reported via a warning, and also returned
-    when return_corrections is set.
+    margin at 0 or full gets CONTINUITY_CORRECTION (0.5) added to its
+    count, and twice that to its size, before the transform. One
+    warning, "<path>: continuity correction applied to studies <id>,
+    ...", names the corrected studies.
     """
     fields, rows = _read_rows(path)
     lower = {f.lower(): f for f in fields}
@@ -234,10 +237,10 @@ def ingest_diagnostic(path, correction=0.5, return_corrections=False):
                 raise DataError(f"{where}: {col} must be a nonnegative integer")
             counts[col] = v
         y[0], S_i[0, 0], c1 = _logit_outcome(
-            counts["tp"], counts["tp"] + counts["fn"], correction, where
+            counts["tp"], counts["tp"] + counts["fn"], where
         )
         y[1], S_i[1, 1], c2 = _logit_outcome(
-            counts["fp"], counts["tn"] + counts["fp"], correction, where
+            counts["fp"], counts["tn"] + counts["fp"], where
         )
         if c1 or c2:
             corrected_ids.append(sid)
@@ -248,12 +251,9 @@ def ingest_diagnostic(path, correction=0.5, return_corrections=False):
             f"{', '.join(corrected_ids)}",
             stacklevel=2,
         )
-    data = Dataset(
+    return Dataset(
         Y=Y, S=S, ids=ids, labels=("sens", "fpr"), scales=("logit", "logit")
     )
-    if return_corrections:
-        return data, tuple(corrected_ids)
-    return data
 
 
 def _check_connected(arm_sets, treatments):

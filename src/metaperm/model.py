@@ -33,6 +33,8 @@ RCOND = 1e-10
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+_INDEFINITE = "indefinite marginal covariance; dataset invalid at these parameters"
+
 
 def _freeze(arr):
     return _readonly(np.array(arr, dtype=float))
@@ -307,6 +309,24 @@ class HetParams:
         return self.tau.size
 
 
+def _require_structure(structure):
+    """The given between-study structure, unstructured when None."""
+    return structure if structure is not None else CovStructure.unstructured()
+
+
+def _check_component(component, p):
+    if not 0 <= component < p:
+        raise ValueError(f"component index {component} out of range for p={p}")
+
+
+def _finite_mean(mu, p, name):
+    """mu as a float vector of length p; ValueError unless it is one and finite."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.shape != (p,) or not np.all(np.isfinite(mu)):
+        raise ValueError(f"{name} must be a finite vector of length {p}")
+    return mu
+
+
 def _correlation_matrix(het, structure, p):
     if structure.kind == "unstructured":
         if het.kappa is None:
@@ -338,10 +358,10 @@ def between_cov(het, structure):
     return sigma
 
 
-def _sym_inverse(V, rcond=RCOND):
+def _sym_inverse(V):
     """Invert a batch of symmetric matrices by eigendecomposition.
 
-    Eigenvalues below ``rcond`` times the largest are dropped, which
+    Eigenvalues below RCOND times the largest are dropped, which
     realizes the Moore-Penrose pseudoinverse on the numerically singular
     subspace; the log-determinant then refers to the retained spectrum.
 
@@ -363,13 +383,13 @@ def _sym_inverse(V, rcond=RCOND):
     DataError
         If any matrix has a meaningfully negative eigenvalue.
     """
-    W, logdet, indefinite, pinv = _sym_inverse_flags(V, rcond)
+    W, logdet, indefinite, pinv = _sym_inverse_flags(V)
     if indefinite.any():
-        raise DataError("indefinite marginal covariance; dataset invalid at these parameters")
+        raise DataError(_INDEFINITE)
     return W, logdet, bool(pinv.any())
 
 
-def _sym_inverse_flags(V, rcond=RCOND):
+def _sym_inverse_flags(V):
     """Batched _sym_inverse that flags failures per matrix instead of raising.
 
     Returns (W, logdet, indefinite, pinv); the last two are boolean
@@ -379,20 +399,20 @@ def _sym_inverse_flags(V, rcond=RCOND):
     w, Q = np.linalg.eigh(V)
     scale = np.maximum(w[..., -1], 0.0)
     indefinite = w[..., 0] < -EPS_PSD * np.maximum(1.0, scale)
-    keep = w > rcond * scale[..., None]
+    keep = w > RCOND * scale[..., None]
     winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     logdet = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
     W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
     return W, logdet, indefinite, ~keep.all(axis=-1)
 
 
-def sym_solve(A, b, rcond=RCOND):
+def sym_solve(A, b):
     """Solve the symmetric system A x = b with pseudoinverse fallback.
 
     Returns (x, used_pinv).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    W, _, used = _sym_inverse(A, rcond=rcond)
+    W, _, used = _sym_inverse(A)
     return W @ b, used
 
 
@@ -407,7 +427,7 @@ class ModelTerms:
     used_pinv: bool
 
 
-def _group_weights(data, sigma, rcond=RCOND):
+def _group_weights(data, sigma):
     """Per-group marginal weights (Sigma + S_i)^{-1} on observed blocks.
 
     Yields (group, W, logdet) with W of shape (n, k, k).
@@ -415,12 +435,12 @@ def _group_weights(data, sigma, rcond=RCOND):
     out = []
     for g in data._groups:
         V = g.S + sigma[g.sel]
-        W, logdet, used = _sym_inverse(V, rcond=rcond)
+        W, logdet, used = _sym_inverse(V)
         out.append((g, W, logdet, used))
     return out
 
 
-def model_terms(data, mu, sigma, rcond=RCOND):
+def model_terms(data, mu, sigma):
     """Evaluate log-likelihood, score, information and dl/dSigma in one pass.
 
     The score and information are scattered to full p-dimensional
@@ -433,7 +453,7 @@ def model_terms(data, mu, sigma, rcond=RCOND):
     info = np.zeros((p, p))
     G = np.zeros((p, p))
     used_any = False
-    for g, W, logdet, used in _group_weights(data, sigma, rcond=rcond):
+    for g, W, logdet, used in _group_weights(data, sigma):
         used_any |= used
         r = g.Y - mu[g.idx]
         Wr = np.einsum("nij,nj->ni", W, r)
@@ -453,8 +473,7 @@ def marginal_information(info, component=0):
     """
     info = np.asarray(info, dtype=float)
     p = info.shape[0]
-    if not 0 <= component < p:
-        raise ValueError(f"component index {component} out of range for p={p}")
+    _check_component(component, p)
     if p == 1:
         return float(info[0, 0]), False
     rest = [j for j in range(p) if j != component]

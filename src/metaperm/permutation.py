@@ -31,9 +31,9 @@ from .exceptions import (
     UninformativeComponentError,
 )
 from .model import (
-    CovStructure,
-    _group_weights,
-    _sym_inverse,
+    _INDEFINITE,
+    _finite_mean,
+    _require_structure,
     _sym_inverse_flags,
     between_cov,
     # not called here; perfbench's traced run counts likelihood passes
@@ -73,14 +73,14 @@ REFIT_CHUNK = 256
 class PermutationPlan:
     """How to enumerate sign assignments.
 
-    mode "exhaustive" visits all 2^N assignments (subject to the cap);
-    mode "random" draws n_draws iid uniform assignments from the seed.
+    mode "exhaustive" visits all 2^N assignments, for N up to 20:
+    size_for refuses more than EXHAUSTIVE_CAP (2^20) rows. Mode
+    "random" draws n_draws iid uniform assignments from the seed.
     """
 
     mode: str
     n_draws: int = None
     seed: int = None
-    exhaustive_cap: int = EXHAUSTIVE_CAP
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
@@ -92,8 +92,8 @@ class PermutationPlan:
                 raise ValueError("random plans need an explicit seed")
 
     @classmethod
-    def exhaustive(cls, cap=EXHAUSTIVE_CAP):
-        return cls(mode="exhaustive", exhaustive_cap=cap)
+    def exhaustive(cls):
+        return cls(mode="exhaustive")
 
     @classmethod
     def random(cls, n_draws=DEFAULT_B, seed=DEFAULT_SEED):
@@ -102,10 +102,10 @@ class PermutationPlan:
     def size_for(self, n_studies):
         if self.mode == "exhaustive":
             size = 2 ** n_studies
-            if size > self.exhaustive_cap:
+            if size > EXHAUSTIVE_CAP:
                 raise ValueError(
                     f"exhaustive enumeration of 2^{n_studies} assignments exceeds the "
-                    f"cap {self.exhaustive_cap}; use a random plan"
+                    f"cap {EXHAUSTIVE_CAP}; use a random plan"
                 )
             return size
         return self.n_draws
@@ -164,7 +164,6 @@ class NullDistribution:
 
     statistics: np.ndarray
     mode: str
-    seed: int = None
     includes_identity: bool = False
 
     def __post_init__(self):
@@ -238,6 +237,19 @@ class TestResult:
         return self.distribution.size
 
 
+def _row_weights(g, sigmas):
+    """Weights (S_i + Sigma_r)^{-1} of one mask group's studies under each row's Sigma.
+
+    Returns W, shape (R, n, k, k), and the rows whose weights took the
+    pseudoinverse path. Raises DataError if any marginal covariance is
+    indefinite.
+    """
+    W, _, indefinite, pinv = _sym_inverse_flags(g.S + sigmas[(slice(None),) + g.sel][:, None])
+    if indefinite.any():
+        raise DataError(_INDEFINITE)
+    return W, pinv.any(axis=1)
+
+
 def _score_rows(data, Ys, mus, sigmas):
     """Score and information of each row at its own mean and Sigma.
 
@@ -251,13 +263,10 @@ def _score_rows(data, Ys, mus, sigmas):
     info = np.zeros((R, p, p))
     pinv = np.zeros(R, dtype=bool)
     for g, Y in zip(data._groups, Ys):
-        rc = (slice(None),) + g.sel
-        W, _, indefinite, pinv_g = _sym_inverse_flags(g.S + sigmas[rc][:, None])
-        if indefinite.any():
-            raise DataError("indefinite marginal covariance; dataset invalid at these parameters")
-        pinv |= pinv_g.any(axis=1)
+        W, pinv_g = _row_weights(g, sigmas)
+        pinv |= pinv_g
         U[:, g.idx] += np.einsum("rnij,rnj->ri", W, Y - mus[:, None, g.idx])
-        info[rc] += W.sum(axis=1)
+        info[(slice(None),) + g.sel] += W.sum(axis=1)
     return U, info, pinv
 
 
@@ -354,13 +363,6 @@ def _flip_dataset(data, center, v):
     return replace(data, Y=center + v[:, None] * (data.Y - center))
 
 
-def _validate_mu(data, mu_null):
-    mu = np.atleast_1d(np.asarray(mu_null, dtype=float))
-    if mu.shape != (data.p,) or not np.all(np.isfinite(mu)):
-        raise ValueError(f"null mean must be a finite vector of length {data.p}")
-    return mu
-
-
 def score_statistic_cml(data, mu_null, structure=None, *, init=None):
     """Efficient score statistic at a joint null.
 
@@ -368,8 +370,8 @@ def score_statistic_cml(data, mu_null, structure=None, *, init=None):
     the statistic is the quadratic form of the score in the inverse
     information. Returns (value, CmlResult).
     """
-    structure = structure if structure is not None else CovStructure.unstructured()
-    mu = _validate_mu(data, mu_null)
+    structure = _require_structure(structure)
+    mu = _finite_mean(mu_null, data.p, "null mean")
     cml = fit_eta_given_mu(data, mu, structure, init=init)
     sigma = between_cov(cml.het, structure)
     value, _ = _stat_from_sigma(data, mu, sigma)
@@ -411,7 +413,7 @@ def marginal_score_statistic(data, value, component, structure=None, *, init=Non
     squared component score over its Schur information.
     Returns (value, CmlResult).
     """
-    structure = structure if structure is not None else CovStructure.unstructured()
+    structure = _require_structure(structure)
     cml = fit_marginal_null(data, value, component, structure, init=init)
     sigma = between_cov(cml.het, structure)
     mu_full = _assemble_mu(data.p, component, float(value), cml.mu_c)
@@ -447,9 +449,9 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     """
     if stat not in ("cml", "moment"):
         raise ValueError(f"unknown joint statistic {stat!r}")
-    structure = structure if structure is not None else CovStructure.unstructured()
+    structure = _require_structure(structure)
     plan = _default_plan(plan)
-    mu = _validate_mu(data, mu_null)
+    mu = _finite_mean(mu_null, data.p, "null mean")
     signs, row_sums = _sign_plan(plan, data.n_studies)
     B = signs.shape[0]
     all_equal = np.abs(row_sums) == data.n_studies
@@ -458,8 +460,7 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
 
     if stat == "moment":
         sigma, _ = moment_between_cov(data, mu)
-        stats = _moment_null_statistics(data, mu, sigma, signs)
-        t_obs, used_pinv = _stat_from_sigma(data, mu, sigma)
+        t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, signs)
         stats[all_equal] = t_obs
     else:
         t_obs, cml_obs = score_statistic_cml(data, mu, structure)
@@ -473,7 +474,6 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     dist = NullDistribution(
         statistics=stats,
         mode=plan.mode,
-        seed=plan.seed,
         includes_identity=_includes_identity(plan, row_sums, data.n_studies),
     )
     return TestResult(
@@ -487,24 +487,34 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     )
 
 
-def _moment_null_statistics(data, mu, sigma, signs):
-    """Vectorized permutation statistics for the moment plug-in.
+def _moment_statistics(data, mu, sigma, signs):
+    """Observed and permuted statistics of the moment plug-in (t2).
 
     The moment covariance is sign-invariant, so every assignment shares
-    one weight set: U_b = sum_i v_bi W_i r_i, T_b = U_b' I^{-1} U_b.
+    one weight set: U_b = sum_i v_bi W_i r_i, T_b = U_b' I^{-1} U_b. The
+    weights are inverted once. The observed statistic is summed as
+    _stat_from_sigma sums it, so it equals that bit for bit. Raises
+    DataError if a marginal covariance or the information is
+    indefinite. Returns (t_obs, statistics, used_pinv).
     """
     p = data.p
-    N = data.n_studies
-    Wr_full = np.zeros((N, p))
-    info = np.zeros((p, p))
-    for g, W, _, _ in _group_weights(data, sigma):
+    Wr_full = np.zeros((data.n_studies, p))
+    U_obs = np.zeros((1, p))
+    info = np.zeros((1, p, p))
+    used_pinv = False
+    for g in data._groups:
+        W, pinv = _row_weights(g, sigma[None])
+        used_pinv |= bool(pinv[0])
         r = g.Y - mu[g.idx]
-        Wr = np.einsum("nij,nj->ni", W, r)
-        Wr_full[np.ix_(g.members, g.idx)] = Wr
-        info[g.sel] += W.sum(axis=0)
-    U = signs @ Wr_full  # (B, p)
-    Iinv, _, _ = _sym_inverse(info)
-    return np.maximum(_quad_forms(U, Iinv), 0.0)
+        Wr_full[np.ix_(g.members, g.idx)] = np.einsum("nij,nj->ni", W[0], r)
+        U_obs[:, g.idx] += np.einsum("rnij,rnj->ri", W, r[None])
+        info[(slice(None),) + g.sel] += W.sum(axis=1)
+    Iinv, _, indefinite, pinv = _sym_inverse_flags(info)
+    if indefinite.any():
+        raise DataError(_INDEFINITE)
+    t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
+    stats = np.maximum(_quad_forms(signs @ Wr_full, Iinv[0]), 0.0)
+    return t_obs, stats, used_pinv or bool(pinv[0])
 
 
 def _permuted_statistics(data, center, component, signs, structure, warm):
@@ -605,12 +615,11 @@ def marginal_permutation_test(data, value, component, plan=None, structure=None)
     statistic is the component score of that sample at its own refit,
     mirroring how the observed statistic is built from the data.
     """
-    structure = structure if structure is not None else CovStructure.unstructured()
+    structure = _require_structure(structure)
     plan = _default_plan(plan)
     p = data.p
     value = float(value)
-    if not 0 <= component < p:
-        raise ValueError(f"component index {component} out of range for p={p}")
+    # fit_marginal_null, the first step, rejects a component out of range
     s_obs, roots, n_failed, used_pinv, includes_identity = _marginal_signed_distribution(
         data, value, component, structure, plan
     )
@@ -618,7 +627,6 @@ def marginal_permutation_test(data, value, component, plan=None, structure=None)
     dist = NullDistribution(
         statistics=roots * roots,
         mode=plan.mode,
-        seed=plan.seed,
         includes_identity=includes_identity,
     )
     mu_null = np.full(p, np.nan)

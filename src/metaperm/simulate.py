@@ -18,8 +18,8 @@ from scipy.special import expit, logit
 
 from .estimators import fit_ml, fit_reml
 from .exceptions import DataError, NonConvergenceError, SingularInformationError
-from .inference import wald_inference
-from .model import Dataset
+from .inference import _check_alpha, wald_inference
+from .model import Dataset, _check_component
 from .permutation import (
     DEFAULT_SEED,
     PermutationPlan,
@@ -358,11 +358,9 @@ def _default_plan_for(scenario, seed):
 
 def _accepts_truth(data, scenario, method, target, component, plan, alpha, structure):
     mu_true = np.asarray(scenario.mu)
-    if method == "perm-t1":
-        res = joint_permutation_test(data, mu_true, plan=plan, stat="cml", structure=structure)
-        return res.p_value > alpha
-    if method == "perm-t2":
-        res = joint_permutation_test(data, mu_true, plan=plan, stat="moment", structure=structure)
+    if method in ("perm-t1", "perm-t2"):
+        stat = "cml" if method == "perm-t1" else "moment"
+        res = joint_permutation_test(data, mu_true, plan=plan, stat=stat, structure=structure)
         return res.p_value > alpha
     if method == "perm-t3":
         res = marginal_permutation_test(
@@ -394,7 +392,8 @@ def coverage_experiment(
     parameter, and tallies acceptance. The joint permutation statistics
     and the Wald ellipsoid target the whole mean vector; the marginal
     statistic targets the chosen component, as do Wald intervals when
-    target="marginal" is requested for a Wald method.
+    target="marginal" is requested for a Wald method; component must
+    then index the scenario's outcomes. alpha must lie in (0, 1).
     Replicates where the method fails to converge are excluded from the
     tally and counted, so comparator failures cannot masquerade as
     coverage. Results do not depend on evaluation order.
@@ -402,6 +401,7 @@ def coverage_experiment(
     method = _normalize_method(method)
     if reps < 100:
         raise ValueError("coverage experiments need at least 100 replicates")
+    _check_alpha(alpha)
     if target is None:
         target = "marginal" if method == "perm-t3" else "joint"
     if target not in ("joint", "marginal"):
@@ -410,6 +410,8 @@ def coverage_experiment(
         raise ValueError("the marginal statistic only targets one component")
     if method in ("perm-t1", "perm-t2") and target != "joint":
         raise ValueError("joint statistics cannot target a single component")
+    if target == "marginal":
+        _check_component(component, scenario.p)
     if plan is None and method.startswith("perm"):
         plan = _default_plan_for(scenario, seed)
     children = np.random.SeedSequence(seed).spawn(reps)

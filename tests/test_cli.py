@@ -300,6 +300,16 @@ class TestSimulate:
         assert code == 1
         assert "unknown scenario" in err
 
+    def test_component_out_of_range(self, capsys):
+        # an index past the scenario's outcomes is a usage error, not an internal one
+        code, _, err = run(
+            capsys,
+            ["simulate", "--scenario", "diag-n8-d1-h2", "--method", "perm-t3",
+             "--component", "3"],
+        )
+        assert code == 1
+        assert "out of range" in err
+
 
 class TestIngestCheck:
     def test_diagnostic_reports_warnings(self, capsys, diag_csv):
@@ -379,6 +389,27 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["transmogrify"])
         assert code == 1
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "ml", "{wide}"],
+        ["test-joint", "{wide}", "--mu-null", "0,0"],
+        ["test-marginal", "{wide}", "--component", "1", "--mu1-null", "0"],
+        ["ci", "{wide}", "--component", "1"],
+        ["region", "{wide}", "--axes", "1,2"],
+        ["simulate", "--scenario", "diag-n8-d1-h2", "--method", "perm-t2", "--reps", "100"],
+        ["ingest-check", "{wide}"],
+    ],
+)
+def test_alpha_outside_unit_interval_is_usage_error(capsys, wide_csv, argv, alpha):
+    # every subcommand shares --alpha, and the parser rejects it before any work
+    code, out, err = run(capsys, [a.format(wide=wide_csv) for a in argv] + ["--alpha", alpha])
+    assert code == 1
+    assert out == ""
+    assert "--alpha" in err
 
 
 class TestOutputHandling:

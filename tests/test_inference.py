@@ -21,6 +21,7 @@ from metaperm import (
     overall_null_test,
     wald_inference,
 )
+from metaperm.inference import XTOL
 
 
 @pytest.fixture(scope="module")
@@ -126,18 +127,24 @@ class TestMedianUnbiasedEstimate:
 
 
 class TestConfidenceInterval:
-    def test_invert_marginal_test(self, univariate10, u10_plan, u10_interval):
+    @pytest.mark.parametrize(
+        "name, n_draws, seed", [("univariate10", 150, 3), ("bivariate12", 100, 20240101)]
+    )
+    def test_invert_marginal_test(self, request, name, n_draws, seed):
         # the interval must agree with the pointwise test under the same
-        # plan: just inside each endpoint accepts, just outside rejects
-        iv = u10_interval
+        # plan: each endpoint accepts, one bisection tolerance outside it
+        # rejects
+        data = request.getfixturevalue(name)
+        plan = PermutationPlan.random(n_draws=n_draws, seed=seed)
+        iv = confidence_interval(data, 0, alpha=0.05, plan=plan)
         assert iv.lower < iv.center < iv.upper
         for m, expect in (
-            (iv.lower - 0.05, False),
-            (iv.lower + 0.05, True),
-            (iv.upper - 0.05, True),
-            (iv.upper + 0.05, False),
+            (iv.lower - XTOL, False),
+            (iv.lower, True),
+            (iv.upper, True),
+            (iv.upper + XTOL, False),
         ):
-            res = marginal_permutation_test(univariate10, m, 0, plan=u10_plan)
+            res = marginal_permutation_test(data, m, 0, plan=plan)
             assert (res.p_value > 0.05) is expect
 
     def test_boundary_diagnostics(self, u10_interval):
@@ -271,3 +278,15 @@ class TestConfidenceRegion:
             confidence_region(bivariate5, bounds=[(0.0, 1.0)], plan=plan)
         with pytest.raises(ValueError, match="finite"):
             confidence_region(bivariate5, bounds=[(0.0, 1.0), (2.0, 1.0)], plan=plan)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_rejects_alpha_outside_unit_interval(self, bivariate6, alpha):
+        # alpha = 1.5 used to accept no lattice point and alpha = 0 every one
+        with pytest.raises(ValueError, match="alpha"):
+            confidence_region(
+                bivariate6,
+                alpha=alpha,
+                bounds=[(-0.5, 1.2), (-1.0, 0.6)],
+                stat="moment",
+                plan=PermutationPlan.exhaustive(),
+            )

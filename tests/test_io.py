@@ -139,20 +139,13 @@ class TestIngestDiagnostic:
             tmp_path / "d.csv",
             "id,tp,fn,tn,fp\nperfect,100,0,75,25\nplain,40,60,50,50\n",
         )
-        with pytest.warns(UserWarning, match="perfect"):
-            data, corrected = ingest_diagnostic(path, return_corrections=True)
-        assert corrected == ("perfect",)
+        with pytest.warns(UserWarning, match="applied to studies perfect$"):
+            data = ingest_diagnostic(path)
         y, S = data.Y[0], data.S[0]
         assert y[0] == pytest.approx(math.log(100.5 / 0.5), rel=1e-12)
         assert S[0, 0] == pytest.approx(1 / 100.5 + 1 / 0.5, rel=1e-12)
         # the clean margin of the same study is untouched
         assert y[1] == pytest.approx(math.log(25 / 75), rel=1e-12)
-
-    def test_correction_size_parameter(self, tmp_path):
-        path = write(tmp_path / "d.csv", "id,tp,fn,tn,fp\ns,100,0,75,25\n")
-        with pytest.warns(UserWarning):
-            data = ingest_diagnostic(path, correction=1.0)
-        assert data.Y[0, 0] == pytest.approx(math.log(101 / 1), rel=1e-12)
 
     def test_validation(self, tmp_path):
         with pytest.raises(DataError, match="nonnegative"):

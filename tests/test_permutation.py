@@ -59,8 +59,10 @@ class TestPermutationPlan:
 
     def test_exhaustive_size_and_cap(self):
         assert PermutationPlan.exhaustive().size_for(5) == 32
+        assert PermutationPlan.exhaustive().size_for(20) == 2 ** 20
+        # refused from the size alone, before any sign is built
         with pytest.raises(ValueError, match="cap"):
-            PermutationPlan.exhaustive(cap=16).size_for(5)
+            PermutationPlan.exhaustive().size_for(21)
 
 
 class TestGenerateSigns:
@@ -397,6 +399,10 @@ class TestMomentOracle:
         for offset in (0.0, 0.1, -0.25, 0.5, 1.0):
             mu = ml + offset
             res = joint_permutation_test(data, mu, plan=plan, stat="moment")
+            # the observed statistic is bit for bit the one _stat_from_sigma
+            # computes at the moment Sigma
+            sigma, _ = moment_between_cov(data, mu)
+            assert res.statistic == _stat_from_sigma(data, mu, sigma)[0]
             stats = _enumerated_moment_null(data, mu)
             np.testing.assert_allclose(
                 res.distribution.statistics, stats, rtol=1e-12, atol=1e-12 * stats.max()

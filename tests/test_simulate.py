@@ -331,6 +331,24 @@ class TestCoverageExperiment:
         with pytest.raises(ValueError, match="component"):
             coverage_experiment(gauss_small, "t1", reps=100, target="marginal")
 
+    @pytest.mark.parametrize("component", [2, -1])
+    @pytest.mark.parametrize("method, target", [("t3", None), ("ml", "marginal")])
+    def test_rejects_component_out_of_range(self, gauss_small, monkeypatch, method, target,
+                                            component):
+        # checked before any replicate is generated
+        monkeypatch.setattr(metaperm.simulate, "generate", None)
+        with pytest.raises(ValueError, match="out of range"):
+            coverage_experiment(
+                gauss_small, method, reps=100, target=target, component=component
+            )
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_rejects_alpha_outside_unit_interval(self, gauss_small, monkeypatch, alpha):
+        # alpha = 1.5 used to report coverage 0.0
+        monkeypatch.setattr(metaperm.simulate, "generate", None)
+        with pytest.raises(ValueError, match="alpha"):
+            coverage_experiment(gauss_small, "t2", reps=100, alpha=alpha)
+
     def test_report_rows(self, gauss_small):
         rep = coverage_experiment(gauss_small, "t2", reps=100, seed=11)
         row = rep.to_row()
