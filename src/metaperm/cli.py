@@ -260,8 +260,13 @@ def _resolve_component(data, token):
         raise _UsageError(
             f"unknown outcome {token!r}; labels are {', '.join(data.labels)}"
         ) from None
-    if not 1 <= idx <= data.p:
-        raise _UsageError(f"component index {idx} out of range 1..{data.p}")
+    return _zero_based(idx, data.p)
+
+
+def _zero_based(idx, p):
+    """0-based index of a 1-based component; usage error unless in 1..p."""
+    if not 1 <= idx <= p:
+        raise _UsageError(f"component index {idx} out of range 1..{p}")
     return idx - 1
 
 
@@ -474,7 +479,7 @@ def _cmd_simulate(args):
         plan=plan,
         seed=args.seed,
         alpha=args.alpha,
-        component=args.component - 1,
+        component=_zero_based(args.component, scenario.p),
         structure=structure,
     )
     if args.format == "csv":

@@ -11,6 +11,10 @@ that heterogeneity step. refit_rows runs the constrained fit for many
 sign-flipped outcome sets at once. The sign-invariant method-of-moments
 between-study covariance with truncation completes the module.
 
+Every likelihood evaluation is model.py's pass; the scalar objective
+adds only the REML term and the batched kernel _row_terms only the
+Fisher and observed curvatures of its Newton steps.
+
 The heterogeneity step optimizes a smooth unconstrained
 reparameterization (log between-study SDs, atanh correlations) with
 analytic gradients, so refits from a warm start cost a handful of
@@ -29,18 +33,18 @@ from .exceptions import (
     SingularInformationError,
 )
 from .model import (
-    _LOG_2PI,
     EPS_PSD,
     HetParams,
     _check_component,
     _finite_mean,
-    _group_weights,
+    _gls_profile,
+    _loglik_terms,
+    _require_definite,
     _require_structure,
-    _sym_inverse,
-    _sym_inverse_flags,
+    _scatter,
+    _weights,
     between_cov,
     model_terms,
-    sym_solve,
 )
 
 __all__ = [
@@ -206,77 +210,33 @@ def _chain_grad(G, tau_full, K, structure, p):
     return np.concatenate([g_tau, g_kappa])
 
 
-def _scatter(groups, p):
-    """Scattered information sum A and weighted moment b = sum W_i y_i."""
-    A = np.zeros((p, p))
-    b = np.zeros(p)
-    for g, W, _, _ in groups:
-        A[g.sel] += W.sum(axis=0)
-        b[g.idx] += np.einsum("nij,nj->i", W, g.Y)
-    return A, b
-
-
-def _profiled_mean(groups, p, fixed, values, free):
-    """Mean with the fixed components at values and the free ones by GLS.
-
-    The free components solve their block of the mean system through
-    _sym_inverse, so the score in them vanishes. Returns (mu, Ainv,
-    logdet) with Ainv and logdet those of the free block of the
-    information. Raises DataError if that block is indefinite.
-    """
-    mu = np.empty(p)
-    mu[fixed] = values
-    if not free.size:
-        return mu, np.empty((0, 0)), 0.0
-    A, b = _scatter(groups, p)
-    Ainv, logdet, _ = _sym_inverse(A[np.ix_(free, free)])
-    mu[free] = Ainv @ (b[free] - A[np.ix_(free, fixed)] @ values)
-    return mu, Ainv, logdet
-
-
 def _neg_profiled_free(data, structure, fixed, values, restricted=False):
     """Objective closure: -loglik and its gradient in the free vector.
 
-    The mean components listed in fixed are held at values; the others
-    are profiled out by generalized least squares at every trial
-    heterogeneity. All components fixed is the joint null (and the ML
-    heterogeneity step at the current mean), one fixed the marginal
-    null. With restricted=True the objective adds -0.5 log|A| of the free
-    block of the information A = sum_i W_i, which with nothing fixed is
-    REML. The score in the profiled components vanishes at their GLS
-    update, so the profile adds no gradient term; the restricted term
-    adds 0.5 sum_i W_i A^{-1} W_i to dl/dSigma.
+    One likelihood pass of model.py per trial heterogeneity: weights,
+    GLS profile and log-likelihood terms. The mean components listed in
+    fixed are held at values; the others are profiled out. All
+    components fixed is the joint null (and the ML heterogeneity step
+    at the current mean), one fixed the marginal null. The score in the
+    profiled components vanishes at their GLS update, so the profile
+    adds no gradient term. restricted=True, with nothing fixed, is
+    REML: the objective adds -0.5 log|A| of the information
+    A = sum_i W_i, and dl/dSigma gains 0.5 sum_i W_i A^{-1} W_i.
     """
     p = data.p
-    fixed = np.asarray(fixed, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    free = np.setdiff1d(np.arange(p), fixed)
-    free_sel = np.ix_(free, free)
 
     def fun(x):
         tau_full, K, sigma = _unpack(x, structure, p)
-        try:
-            groups = _group_weights(data, sigma)
-            mu, Ainv, logdet_A = _profiled_mean(groups, p, fixed, values, free)
-        except DataError:
+        blocks, indefinite, _ = _weights(data, sigma)
+        if indefinite:
             return PENALTY, np.zeros_like(x)
-        if restricted:
-            M = np.zeros((p, p))
-            M[free_sel] = Ainv
-        ll = 0.0
-        G = np.zeros((p, p))
-        for g, W, logdet, _ in groups:
-            r = g.Y - mu[g.idx]
-            Wr = np.einsum("nij,nj->ni", W, r)
-            ll -= 0.5 * (logdet.sum() + np.einsum("ni,ni->", Wr, r) + g.Y.size * _LOG_2PI)
-            dG = np.einsum("ni,nj->ij", Wr, Wr) - W.sum(axis=0)
-            if restricted:
-                dG += np.einsum("nij,jk,nkl->il", W, M[g.sel], W)
-            G[g.sel] += 0.5 * dG
+        mu, Ainv, logdet_A, indefinite, _ = _gls_profile(blocks, p, fixed, values)
+        if indefinite:
+            return PENALTY, np.zeros_like(x)
+        ll, G, _ = _loglik_terms(blocks, p, mu, Ainv if restricted else None)
         if restricted:
             ll -= 0.5 * float(logdet_A)
-        g = _chain_grad(G, tau_full, K, structure, p)
-        return -ll, -g
+        return -float(ll), -_chain_grad(G, tau_full, K, structure, p)
 
     return fun
 
@@ -303,18 +263,15 @@ def _optimize_eta(fun, x0, bounds):
     return res.x, -float(res.fun), ok, int(res.nit)
 
 
-def _scatter_info_moment(data, sigma):
-    """_scatter at sigma, plus whether any weight took the pseudoinverse."""
-    groups = _group_weights(data, sigma)
-    A, b = _scatter(groups, data.p)
-    return A, b, any(used for *_, used in groups)
-
-
-def _gls_mean(A, b):
-    w = np.linalg.eigvalsh(A)
-    if w[-1] <= 0.0:
+def _gls_mean(data, sigma):
+    """GLS mean of every component at sigma; returns (mu, used_pinv)."""
+    blocks, indefinite, pinv = _weights(data, sigma)
+    mu, Ainv, _, indefinite_A, pinv_A = _gls_profile(blocks, data.p, (), ())
+    _require_definite(indefinite | indefinite_A)
+    if not Ainv.any():
+        # every eigenvalue of the information is at or below zero
         raise SingularInformationError("information matrix carries no mass")
-    return sym_solve(A, b)
+    return mu, bool(pinv | pinv_A)
 
 
 def _naive_mean(data):
@@ -354,10 +311,8 @@ def _alternating_fit(data, structure, method):
     iterations = 0
     stalled = 0
     for iterations in range(1, MAX_OUTER + 1):
-        _, _, sigma = _unpack(x, structure, p)
-        A, b, used = _scatter_info_moment(data, sigma)
-        mu_new, used_solve = _gls_mean(A, b)
-        pinv_used |= used or used_solve
+        mu_new, used = _gls_mean(data, _unpack(x, structure, p)[2])
+        pinv_used |= used
         objective = restricted if restricted is not None else _neg_profiled_free(
             data, structure, np.arange(p), mu_new
         )
@@ -426,8 +381,7 @@ def _finalize(data, x, structure, method, trace, iterations, pinv_used, converge
     p = data.p
     het = _het_from_free(x, structure, p)
     sigma = between_cov(het, structure)
-    A, b, used = _scatter_info_moment(data, sigma)
-    mu, used_solve = _gls_mean(A, b)
+    mu, used = _gls_mean(data, sigma)
     t = model_terms(data, mu, sigma)
     if method == "reml":
         loglik = -_neg_profiled_free(data, structure, (), (), restricted=True)(x)[0]
@@ -441,7 +395,7 @@ def _finalize(data, x, structure, method, trace, iterations, pinv_used, converge
         loglik=float(loglik),
         converged=converged,
         iterations=iterations,
-        pseudoinverse_used=bool(pinv_used or used or used_solve or t.used_pinv),
+        pseudoinverse_used=bool(pinv_used or used or t.used_pinv),
         method=method,
         loglik_trace=trace,
     )
@@ -472,8 +426,10 @@ def _fit_constrained(data, fixed, values, structure, init):
     if free.size:
         # the free components at the returned heterogeneity, so their
         # score vanishes exactly at the reported point
-        _, _, sigma = _unpack(x, structure, p)
-        mu_c = _profiled_mean(_group_weights(data, sigma), p, fixed, values, free)[0][free]
+        blocks, indefinite, _ = _weights(data, _unpack(x, structure, p)[2])
+        mu, _, _, indefinite_A, _ = _gls_profile(blocks, p, fixed, values)
+        _require_definite(indefinite | indefinite_A)
+        mu_c = mu[free]
     result = CmlResult(
         het=_het_from_free(x, structure, p),
         mu_c=mu_c,
@@ -566,12 +522,13 @@ def _derivative_patterns(structure, p):
 def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
     """Objective, gradient and both curvatures of every row at X.
 
-    f is the negative profiled log-likelihood of _neg_profiled_free
-    (unrestricted; the components not in fixed profiled by GLS), g its
-    gradient in the free vector, fisher the expected
-    information 1/2 sum_i tr(W_i E_a W_i E_b) with E_a = dSigma/dx_a on
-    study i's observed block, and obs the Hessian of f, including the
-    curvature of the mean profile. Rows whose marginal covariance or
+    One likelihood pass over all rows gives f, the negative profiled
+    log-likelihood of _neg_profiled_free (unrestricted; the components
+    not in fixed profiled by GLS), and g, its gradient in the free
+    vector. This adds fisher, the expected information
+    1/2 sum_i tr(W_i E_a W_i E_b) with E_a = dSigma/dx_a on study i's
+    observed block, and obs, the Hessian of f including the curvature
+    of the mean profile. Rows whose marginal covariance or
     mean system is indefinite or singular get f = inf.
 
     Returns (f, g, fisher, obs, mu_free).
@@ -588,39 +545,16 @@ def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
         E = np.concatenate([E, c[:, :, None, None] * Pk], axis=1)
     m = E.shape[1]
 
-    bad = np.zeros(R, dtype=bool)
-    A = np.zeros((R, p, p))
-    b = np.zeros((R, p))
-    weights = []
-    for g, Y in zip(data._groups, Ys):
-        rc = (slice(None),) + g.sel
-        W, logdet, indefinite, pinv = _sym_inverse_flags(g.S + sigma[rc][:, None])
-        bad |= (indefinite | pinv).any(axis=1)
-        A[rc] += W.sum(axis=1)
-        b[:, g.idx] += np.einsum("rnij,rnj->ri", W, Y)
-        weights.append((W, logdet))
+    blocks, indefinite, pinv = _weights(data, sigma, Ys)
+    mu, Ainv, _, indefinite_A, pinv_A = _gls_profile(blocks, p, fixed, values)
+    bad = indefinite | pinv | indefinite_A | pinv_A
+    ll, G, s_all = _loglik_terms(blocks, p, mu)
 
-    mu = np.empty((R, p))
-    mu[:, fixed] = values
-    Ainv = None
-    if free.size:
-        Ainv, _, indefinite, pinv = _sym_inverse_flags(A[:, free[:, None], free])
-        bad |= indefinite | pinv
-        rhs = b[:, free] - A[:, free[:, None], fixed] @ values
-        mu[:, free] = np.einsum("rij,rj->ri", Ainv, rhs)
-
-    f = np.zeros(R)
-    G = np.zeros((R, p, p))
     fisher = np.zeros((R, m, m))
     uWu = np.zeros((R, m, m))
     q = np.zeros((R, m, p))
-    for (g, Y), (W, logdet) in zip(zip(data._groups, Ys), weights):
-        rc = (slice(None),) + g.sel
-        r = Y - mu[:, None, g.idx]
-        s = np.einsum("rnij,rnj->rni", W, r)
-        f += 0.5 * (logdet.sum(axis=1) + np.einsum("rni,rni->r", s, r) + g.Y.size * _LOG_2PI)
-        G[rc] += 0.5 * (np.einsum("rni,rnj->rij", s, s) - W.sum(axis=1))
-        Eg = E[(slice(None), slice(None)) + g.sel]
+    for (g, _, W, _), s in zip(blocks, s_all):
+        Eg = E[g.sel]
         P = np.einsum("rnij,rajk->rnaik", W, Eg)
         fisher += 0.5 * np.einsum("rnaij,rncji->rac", P, P)
         u = np.einsum("rajk,rnk->rnaj", Eg, s)
@@ -642,6 +576,7 @@ def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
     if Ainv is not None:
         qf = q[:, :, free]
         obs -= np.einsum("rai,rij,rcj->rac", qf, Ainv, qf)
+    f = -ll
     f[bad] = np.inf
     return f, -dl, fisher, obs, mu[:, free]
 

@@ -291,9 +291,10 @@ def ingest_nma(path, reference):
     reference arm of nearly zero counts, which inflates the common
     variance term so that only the contrasts among its observed arms
     carry information. A study with any zero or full events cell has
-    0.5 added to the events and 1 to the total of every arm, keeping
-    the shared-arm terms consistent across its contrasts. Treatments
-    never compared, directly or indirectly, are an error.
+    CONTINUITY_CORRECTION (0.5) added to the events and twice that to
+    the total of every arm, keeping the shared-arm terms consistent
+    across its contrasts. Treatments never compared, directly or
+    indirectly, are an error.
     """
     fields, rows = _read_rows(path)
     lower = {f.lower(): f for f in fields}
@@ -339,7 +340,8 @@ def ingest_nma(path, reference):
         if reference not in arms:
             arms[reference] = (PSEUDO_ARM_EVENTS, 2.0 * PSEUDO_ARM_EVENTS)
         if any(e == 0.0 or e == n for e, n in arms.values()):
-            arms = {t: (e + 0.5, n + 1.0) for t, (e, n) in arms.items()}
+            c = CONTINUITY_CORRECTION
+            arms = {t: (e + c, n + 2.0 * c) for t, (e, n) in arms.items()}
         contrib = {
             t: (math.log(e / (n - e)), 1.0 / e + 1.0 / (n - e))
             for t, (e, n) in arms.items()

@@ -1,12 +1,18 @@
 """Core multivariate random-effects model.
 
-Data containers, between-study covariance structures, and model_terms,
-the one likelihood pass (log-likelihood, score, information and
-dl/dSigma), with missing-outcome reduction. Every study contributes
-only through its observed subvector and submatrices; unobserved
-components contribute exactly zero to the score and information.
+Data containers, between-study covariance structures, and the one
+likelihood pass over the mask groups: _weights (W_i = (S_i + Sigma)^{-1}),
+_scatter (information and weighted residual sums in p-space),
+_gls_profile (the GLS mean of the free components) and _loglik_terms
+(log-likelihood and dl/dSigma). Each step takes optional leading row
+dimensions, so one call evaluates many rows. No other module forms
+S_i + Sigma or scatters an observed block: model_terms runs the pass at
+one mean and Sigma, and the fitters and statistics call the steps they
+need. Every study contributes only through its observed subvector and
+submatrices; unobserved components contribute exactly zero.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,7 +57,7 @@ class _MaskGroup:
     """Studies sharing one observation mask, packed for batched linear algebra."""
 
     idx: np.ndarray      # observed component indices, shape (k,)
-    sel: tuple           # np.ix_(idx, idx), precomputed
+    sel: tuple           # index of the observed block of any (..., p, p) array
     members: np.ndarray  # positions of the member studies in the dataset
     Y: np.ndarray        # stacked observed outcomes, shape (n, k)
     S: np.ndarray        # stacked observed covariance blocks, shape (n, k, k)
@@ -200,7 +206,7 @@ class Dataset:
             groups.append(
                 _MaskGroup(
                     idx=idx,
-                    sel=np.ix_(idx, idx),
+                    sel=(Ellipsis, idx[:, None], idx),
                     members=members,
                     Y=_readonly(self.Y[np.ix_(members, idx)]),
                     S=_readonly(self.S[np.ix_(members, idx, idx)]),
@@ -358,43 +364,23 @@ def between_cov(het, structure):
     return sigma
 
 
-def _sym_inverse(V):
+def _require_definite(indefinite):
+    """Raise DataError if any flagged matrix is indefinite."""
+    if np.any(indefinite):
+        raise DataError(_INDEFINITE)
+
+
+def _sym_inverse_flags(V):
     """Invert a batch of symmetric matrices by eigendecomposition.
 
     Eigenvalues below RCOND times the largest are dropped, which
     realizes the Moore-Penrose pseudoinverse on the numerically singular
     subspace; the log-determinant then refers to the retained spectrum.
-
-    Parameters
-    ----------
-    V : ndarray, shape (..., k, k)
-
-    Returns
-    -------
-    W : ndarray, shape (..., k, k)
-        Inverse (or pseudoinverse) of each matrix.
-    logdet : ndarray, shape (...,)
-        Log (pseudo-)determinant of each matrix.
-    used_pinv : bool
-        True when any matrix took the pseudoinverse path.
-
-    Raises
-    ------
-    DataError
-        If any matrix has a meaningfully negative eigenvalue.
-    """
-    W, logdet, indefinite, pinv = _sym_inverse_flags(V)
-    if indefinite.any():
-        raise DataError(_INDEFINITE)
-    return W, logdet, bool(pinv.any())
-
-
-def _sym_inverse_flags(V):
-    """Batched _sym_inverse that flags failures per matrix instead of raising.
-
-    Returns (W, logdet, indefinite, pinv); the last two are boolean
-    arrays of shape V.shape[:-2]. W and logdet of an indefinite matrix
-    are finite but meaningless.
+    V has shape (..., k, k). Returns (W, logdet, indefinite, pinv): the
+    (pseudo)inverses, their log (pseudo)determinants, and boolean flags
+    of shape V.shape[:-2] for a meaningfully negative eigenvalue and for
+    the pseudoinverse path. W and logdet of an indefinite matrix are
+    finite but meaningless.
     """
     w, Q = np.linalg.eigh(V)
     scale = np.maximum(w[..., -1], 0.0)
@@ -404,16 +390,6 @@ def _sym_inverse_flags(V):
     logdet = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
     W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
     return W, logdet, indefinite, ~keep.all(axis=-1)
-
-
-def sym_solve(A, b):
-    """Solve the symmetric system A x = b with pseudoinverse fallback.
-
-    Returns (x, used_pinv).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    W, _, used = _sym_inverse(A)
-    return W @ b, used
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,42 +403,126 @@ class ModelTerms:
     used_pinv: bool
 
 
-def _group_weights(data, sigma):
-    """Per-group marginal weights (Sigma + S_i)^{-1} on observed blocks.
+# one mask group's studies in a likelihood pass: the _MaskGroup, outcomes
+# (..., n, k), W = (S_i + Sigma)^{-1} (..., n, k, k) and log |S_i + Sigma| (..., n)
+_Block = namedtuple("_Block", "g Y W logdet")
 
-    Yields (group, W, logdet) with W of shape (n, k, k).
+
+def _weights(data, sigma, Ys=None):
+    """Step 1 of the likelihood pass: W_i = (S_i + Sigma)^{-1} per mask group.
+
+    sigma has shape (..., p, p), one between-study covariance per row;
+    Ys, one array (..., n, k) per mask group, defaults to the data's
+    own outcomes. Returns (blocks, indefinite, pinv), the two boolean
+    flags of shape sigma.shape[:-2] marking rows where some S_i + Sigma
+    is indefinite or took the pseudoinverse. A pass without leading
+    dimensions stops at the first indefinite group: no caller uses the
+    blocks of an indefinite row.
     """
-    out = []
-    for g in data._groups:
-        V = g.S + sigma[g.sel]
-        W, logdet, used = _sym_inverse(V)
-        out.append((g, W, logdet, used))
+    indefinite = pinv = False
+    blocks = []
+    for i, g in enumerate(data._groups):
+        sigma_g = sigma.take(g.idx, -2).take(g.idx, -1)[..., None, :, :]
+        W, logdet, ind, pv = _sym_inverse_flags(g.S + sigma_g)
+        indefinite = indefinite | ind.any(axis=-1)
+        pinv = pinv | pv.any(axis=-1)
+        blocks.append(_Block(g, g.Y if Ys is None else Ys[i], W, logdet))
+        if not indefinite.shape and indefinite:
+            break
+    return blocks, indefinite, pinv
+
+
+def _scatter(blocks, p, mu=None):
+    """Step 2: the information sum_i W_i and sum_i W_i (y_i - mu) in p-space.
+
+    mu, shape (..., p), defaults to zero; at the model mean the second
+    sum is the score. Returns (A, b), shapes (..., p, p) and (..., p).
+    """
+    lead = blocks[0].W.shape[:-3]
+    A = np.zeros(lead + (p, p))
+    b = np.zeros(lead + (p,))
+    for g, Y, W, _ in blocks:
+        r = Y if mu is None else Y - mu.take(g.idx, -1)[..., None, :]
+        A[g.sel] += W.sum(axis=-3)
+        # through the transpose, as b[..., g.idx] takes numpy's slow path
+        b.T[g.idx] += np.einsum("...nij,...nj->...i", W, r).T
+    return A, b
+
+
+def _gls_profile(blocks, p, fixed, values):
+    """Step 3: the mean with fixed components at values, the rest by GLS.
+
+    The free components solve their block of the mean system
+    A_ff mu_f = b_f - A_fc values, so the score in them vanishes.
+    Returns (mu, Ainv, logdet, indefinite, pinv): the mean (..., p),
+    the inverse and log-determinant of the free block of the
+    information, and per-row flags of that block (False when nothing
+    is free).
+    """
+    lead = blocks[0].W.shape[:-3]
+    fixed = np.asarray(fixed, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    mu = np.empty(lead + (p,))
+    mu[..., fixed] = values
+    if fixed.size == p:
+        return mu, None, 0.0, False, False
+    free = np.delete(np.arange(p), fixed)
+    A, b = _scatter(blocks, p)
+    A_f = A.take(free, -2)
+    Ainv, logdet, indefinite, pinv = _sym_inverse_flags(A_f.take(free, -1))
+    rhs = b.take(free, -1) - A_f.take(fixed, -1) @ values
+    mu.T[free] = (Ainv @ rhs[..., None])[..., 0].T
+    return mu, Ainv, logdet, indefinite, pinv
+
+
+def _loglik_terms(blocks, p, mu, restricted=None):
+    """Step 4: log-likelihood and dl/dSigma at mean mu, shape (..., p).
+
+    With restricted, the inverse information A^{-1} (..., p, p), dl/dSigma
+    gains the REML term 0.5 sum_i W_i A^{-1} W_i. Returns (loglik, G, s):
+    loglik of shape (...), G (..., p, p), and s the weighted residuals
+    W_i (y_i - mu) of each block, shape (..., n, k).
+    """
+    ll = 0.0
+    G = np.zeros(blocks[0].W.shape[:-3] + (p, p))
+    s_all = []
+    for g, Y, W, logdet in blocks:
+        r = Y - mu.take(g.idx, -1)[..., None, :]
+        s = np.einsum("...nij,...nj->...ni", W, r)
+        quad = np.einsum("...ni,...ni->...", s, r)
+        ll -= 0.5 * (logdet.sum(axis=-1) + quad + g.Y.size * _LOG_2PI)
+        dG = np.einsum("...ni,...nj->...ij", s, s) - W.sum(axis=-3)
+        if restricted is not None:
+            dG += np.einsum("...nij,...jk,...nkl->...il", W, restricted[g.sel], W)
+        G[g.sel] += 0.5 * dG
+        s_all.append(s)
+    return ll, G, s_all
+
+
+def _study_rows(data, parts):
+    """Per-block arrays (..., n, k) at their studies' entries of zeros (..., N, p)."""
+    out = np.zeros(parts[0].shape[:-2] + (data.n_studies, data.p))
+    for g, part in zip(data._groups, parts):
+        out[(Ellipsis,) + np.ix_(g.members, g.idx)] = part
     return out
 
 
 def model_terms(data, mu, sigma):
     """Evaluate log-likelihood, score, information and dl/dSigma in one pass.
 
-    The score and information are scattered to full p-dimensional
-    coordinates; unobserved components contribute zero.
+    Steps 1, 2 and 4 of the pass at one mean and Sigma. The score and
+    information are scattered to full p-dimensional coordinates;
+    unobserved components contribute zero.
     """
     p = data.p
     mu = np.asarray(mu, dtype=float)
-    ll = 0.0
-    U = np.zeros(p)
-    info = np.zeros((p, p))
-    G = np.zeros((p, p))
-    used_any = False
-    for g, W, logdet, used in _group_weights(data, sigma):
-        used_any |= used
-        r = g.Y - mu[g.idx]
-        Wr = np.einsum("nij,nj->ni", W, r)
-        ll -= 0.5 * (logdet.sum() + np.einsum("ni,ni->", Wr, r) + g.Y.size * _LOG_2PI)
-        U[g.idx] += Wr.sum(axis=0)
-        Wsum = W.sum(axis=0)
-        info[g.sel] += Wsum
-        G[g.sel] += 0.5 * (np.einsum("ni,nj->ij", Wr, Wr) - Wsum)
-    return ModelTerms(loglik=float(ll), score=U, information=info, grad_sigma=G, used_pinv=used_any)
+    blocks, indefinite, pinv = _weights(data, sigma)
+    _require_definite(indefinite)
+    info, U = _scatter(blocks, p, mu)
+    ll, G, _ = _loglik_terms(blocks, p, mu)
+    return ModelTerms(
+        loglik=float(ll), score=U, information=info, grad_sigma=G, used_pinv=bool(pinv)
+    )
 
 
 def marginal_information(info, component=0):
@@ -477,8 +537,8 @@ def marginal_information(info, component=0):
     if p == 1:
         return float(info[0, 0]), False
     rest = [j for j in range(p) if j != component]
-    Icc = info[np.ix_(rest, rest)]
+    Icc_inv, _, indefinite, pinv = _sym_inverse_flags(info[np.ix_(rest, rest)])
+    _require_definite(indefinite)
     Ica = info[rest, component]
-    x, used = sym_solve(Icc, Ica)
-    J = float(info[component, component] - Ica @ x)
-    return max(J, 0.0), used
+    J = float(info[component, component] - Ica @ (Icc_inv @ Ica))
+    return max(J, 0.0), bool(pinv)

@@ -10,6 +10,12 @@ flips around a pseudo-null center that plugs constrained estimates in
 for the nuisance components (a local Monte Carlo test), refits the
 nuisance mean and heterogeneity on each permuted sample, and evaluates
 the signed score of the original data at the refitted pseudo-null.
+
+Every statistic evaluates the likelihood pass of model.py: its weights
+and scatter give the score and information of many rows at once
+(_score_rows), and the t2 null adds each study's weighted residuals.
+This module adds only the quadratic forms and Schur complements of the
+statistics.
 """
 
 import functools
@@ -25,16 +31,16 @@ from .estimators import (
     refit_rows,
     sigma_rows,
 )
-from .exceptions import (
-    DataError,
-    NonConvergenceError,
-    UninformativeComponentError,
-)
+from .exceptions import NonConvergenceError, UninformativeComponentError
 from .model import (
-    _INDEFINITE,
     _finite_mean,
+    _loglik_terms,
+    _require_definite,
     _require_structure,
+    _scatter,
+    _study_rows,
     _sym_inverse_flags,
+    _weights,
     between_cov,
     # not called here; perfbench's traced run counts likelihood passes
     # through this module's binding, so it stays importable
@@ -237,36 +243,18 @@ class TestResult:
         return self.distribution.size
 
 
-def _row_weights(g, sigmas):
-    """Weights (S_i + Sigma_r)^{-1} of one mask group's studies under each row's Sigma.
-
-    Returns W, shape (R, n, k, k), and the rows whose weights took the
-    pseudoinverse path. Raises DataError if any marginal covariance is
-    indefinite.
-    """
-    W, _, indefinite, pinv = _sym_inverse_flags(g.S + sigmas[(slice(None),) + g.sel][:, None])
-    if indefinite.any():
-        raise DataError(_INDEFINITE)
-    return W, pinv.any(axis=1)
-
-
 def _score_rows(data, Ys, mus, sigmas):
     """Score and information of each row at its own mean and Sigma.
 
     Row b has outcomes Ys[g][b] per mask group, mean mus[b] and
     between-study covariance sigmas[b]. Returns U (R, p), the scattered
     information (R, p, p) and the rows whose weights took the
-    pseudoinverse path.
+    pseudoinverse path. Raises DataError if any marginal covariance is
+    indefinite.
     """
-    R, p = mus.shape
-    U = np.zeros((R, p))
-    info = np.zeros((R, p, p))
-    pinv = np.zeros(R, dtype=bool)
-    for g, Y in zip(data._groups, Ys):
-        W, pinv_g = _row_weights(g, sigmas)
-        pinv |= pinv_g
-        U[:, g.idx] += np.einsum("rnij,rnj->ri", W, Y - mus[:, None, g.idx])
-        info[(slice(None),) + g.sel] += W.sum(axis=1)
+    blocks, indefinite, pinv = _weights(data, sigmas, Ys)
+    _require_definite(indefinite)
+    info, U = _scatter(blocks, mus.shape[1], mus)
     return U, info, pinv
 
 
@@ -491,30 +479,23 @@ def _moment_statistics(data, mu, sigma, signs):
     """Observed and permuted statistics of the moment plug-in (t2).
 
     The moment covariance is sign-invariant, so every assignment shares
-    one weight set: U_b = sum_i v_bi W_i r_i, T_b = U_b' I^{-1} U_b. The
-    weights are inverted once. The observed statistic is summed as
-    _stat_from_sigma sums it, so it equals that bit for bit. Raises
-    DataError if a marginal covariance or the information is
-    indefinite. Returns (t_obs, statistics, used_pinv).
+    one weight set: U_b = sum_i v_bi W_i r_i, T_b = U_b' I^{-1} U_b. One
+    likelihood pass at a single row inverts the weights once and gives
+    the information, the observed score and the per-study W_i r_i. The
+    observed statistic is summed as _stat_from_sigma sums it, so it
+    equals that bit for bit. Raises DataError if a marginal covariance
+    or the information is indefinite. Returns (t_obs, statistics,
+    used_pinv).
     """
-    p = data.p
-    Wr_full = np.zeros((data.n_studies, p))
-    U_obs = np.zeros((1, p))
-    info = np.zeros((1, p, p))
-    used_pinv = False
-    for g in data._groups:
-        W, pinv = _row_weights(g, sigma[None])
-        used_pinv |= bool(pinv[0])
-        r = g.Y - mu[g.idx]
-        Wr_full[np.ix_(g.members, g.idx)] = np.einsum("nij,nj->ni", W[0], r)
-        U_obs[:, g.idx] += np.einsum("rnij,rnj->ri", W, r[None])
-        info[(slice(None),) + g.sel] += W.sum(axis=1)
+    blocks, indefinite, pinv_w = _weights(data, sigma[None], _own_outcomes(data))
+    _require_definite(indefinite)
+    info, U_obs = _scatter(blocks, data.p, mu[None])
+    _, _, s = _loglik_terms(blocks, data.p, mu[None])
     Iinv, _, indefinite, pinv = _sym_inverse_flags(info)
-    if indefinite.any():
-        raise DataError(_INDEFINITE)
+    _require_definite(indefinite)
     t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
-    stats = np.maximum(_quad_forms(signs @ Wr_full, Iinv[0]), 0.0)
-    return t_obs, stats, used_pinv or bool(pinv[0])
+    stats = np.maximum(_quad_forms(signs @ _study_rows(data, s)[0], Iinv[0]), 0.0)
+    return t_obs, stats, bool(pinv_w[0] or pinv[0])
 
 
 def _permuted_statistics(data, center, component, signs, structure, warm):

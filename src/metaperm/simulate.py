@@ -19,6 +19,7 @@ from scipy.special import expit, logit
 from .estimators import fit_ml, fit_reml
 from .exceptions import DataError, NonConvergenceError, SingularInformationError
 from .inference import _check_alpha, wald_inference
+from .io import CONTINUITY_CORRECTION
 from .model import Dataset, _check_component
 from .permutation import (
     DEFAULT_SEED,
@@ -45,6 +46,10 @@ KINDS = ("diagnostic_binomial", "gaussian_bivariate", "gaussian_trivariate")
 CHI2_SCALE = 0.25
 VAR_RANGE = (0.009, 0.60)
 
+# inclusive range of a diagnostic scenario's per-study binomial sizes
+SIZE_LOW = 50
+SIZE_HIGH = 200
+
 METHODS = ("ml-wald", "reml-wald", "perm-t1", "perm-t2", "perm-t3")
 
 
@@ -70,8 +75,8 @@ class Scenario:
     kappa: float
     rho: float = 0.0
     missing_rates: tuple = ()
-    size_low: int = 50
-    size_high: int = 200
+    size_low: int = SIZE_LOW
+    size_high: int = SIZE_HIGH
     delta: tuple = field(default=None)
 
     def __post_init__(self):
@@ -129,8 +134,8 @@ class Scenario:
         tau,
         kappa,
         missing_rates=(),
-        size_low=50,
-        size_high=200,
+        size_low=SIZE_LOW,
+        size_high=SIZE_HIGH,
     ):
         """Binomial-pair scenario from success probabilities delta."""
         d = tuple(float(v) for v in delta)
@@ -232,8 +237,8 @@ def generate_diagnostic(scenario, seed):
     counts are drawn with sizes uniform on the scenario range. The
     outcomes are the empirical logits with variance 1/X + 1/(n - X) and
     zero within-study correlation. Counts at 0 or n get the standard
-    continuity correction (add 0.5 to the count, 1 to the size) before
-    the transform.
+    continuity correction before the transform: CONTINUITY_CORRECTION
+    (0.5) added to the count and twice to the size.
     """
     if scenario.kind != "diagnostic_binomial":
         raise ValueError(f"scenario {scenario.name} is not a binomial scenario")
@@ -244,8 +249,8 @@ def generate_diagnostic(scenario, seed):
     X = rng.binomial(n, expit(theta)).astype(float)
     n = n.astype(float)
     corner = (X == 0.0) | (X == n)
-    X[corner] += 0.5
-    n[corner] += 1.0
+    X[corner] += CONTINUITY_CORRECTION
+    n[corner] += 2.0 * CONTINUITY_CORRECTION
     Y = np.log(X / (n - X))
     s2 = 1.0 / X + 1.0 / (n - X)
     S = np.zeros((N, p, p))
@@ -488,8 +493,8 @@ def load_scenarios(path=None):
                 tau=(float(row["tau1"]), float(row["tau2"])),
                 kappa=kappa,
                 missing_rates=rates,
-                size_low=int(row.get("size_low") or 50),
-                size_high=int(row.get("size_high") or 200),
+                size_low=int(row.get("size_low") or SIZE_LOW),
+                size_high=int(row.get("size_high") or SIZE_HIGH),
             )
         else:
             scen = Scenario.gaussian(

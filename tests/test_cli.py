@@ -301,14 +301,16 @@ class TestSimulate:
         assert "unknown scenario" in err
 
     def test_component_out_of_range(self, capsys):
-        # an index past the scenario's outcomes is a usage error, not an internal one
-        code, _, err = run(
-            capsys,
-            ["simulate", "--scenario", "diag-n8-d1-h2", "--method", "perm-t3",
-             "--component", "3"],
-        )
-        assert code == 1
-        assert "out of range" in err
+        # a 1-based index outside the scenario's outcomes is a usage error,
+        # reported in the 1-based terms the option takes
+        for component in ("3", "0"):
+            code, _, err = run(
+                capsys,
+                ["simulate", "--scenario", "diag-n8-d1-h2", "--method", "perm-t3",
+                 "--component", component],
+            )
+            assert code == 1
+            assert f"component index {component} out of range 1..2" in err
 
 
 class TestIngestCheck:

@@ -413,31 +413,68 @@ class TestMomentOracle:
 
 
 @st.composite
-def _study_orders(draw):
-    """(dataset, null mean, study order): N from 3 to 8, one or two outcomes."""
-    n = draw(st.integers(3, 8))
+def _study_orders(draw, max_n):
+    """(dataset, structure, null mean, study order), N from 3 to max_n.
+
+    One outcome, or two under compound symmetry at kappa0 = 0.3, whose
+    constrained fits stay off the |kappa| -> 1 ridge and so refit every
+    sign row in one batched pass.
+    """
+    n = draw(st.integers(3, max_n))
     seed = draw(st.integers(0, 2 ** 16))
     if draw(st.booleans()):
-        data = make_univariate(seed, n)
+        data, structure = make_univariate(seed, n), None
     else:
-        data = make_mvn(seed, n)
+        data, structure = make_mvn(seed, n), CovStructure.cs(0.3)
     offset = draw(st.floats(-1.0, 1.0))
     order = draw(st.permutations(range(n)))
-    return data, data.Y.mean(axis=0) + offset, list(order)
+    return data, structure, data.Y.mean(axis=0) + offset, list(order)
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=_study_orders())
-def test_moment_null_invariant_to_study_order(case):
-    data, mu, order = case
-    plan = PermutationPlan.exhaustive()
-    base = joint_permutation_test(data, mu, plan=plan, stat="moment")
-    shuffled = Dataset(Y=data.Y[order], S=data.S[order], ids=[data.ids[i] for i in order])
-    other = joint_permutation_test(shuffled, mu, plan=plan, stat="moment")
+def _reordered(data, order):
+    return Dataset(Y=data.Y[order], S=data.S[order], ids=[data.ids[i] for i in order])
+
+
+def _assert_same_null(base, other, rtol):
     assert other.p_value == base.p_value
     a = np.sort(base.distribution.statistics)
     b = np.sort(other.distribution.statistics)
-    np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12 * a.max())
+    np.testing.assert_allclose(b, a, rtol=rtol, atol=rtol * a.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_study_orders(8))
+def test_moment_null_invariant_to_study_order(case):
+    data, _, mu, order = case
+    plan = PermutationPlan.exhaustive()
+    base = joint_permutation_test(data, mu, plan=plan, stat="moment")
+    other = joint_permutation_test(_reordered(data, order), mu, plan=plan, stat="moment")
+    _assert_same_null(base, other, 1e-12)
+
+
+# t1 and t3 refit every sign row, so their statistics agree across study
+# orders only to the refits' tolerance
+@settings(max_examples=25, deadline=None)
+@given(case=_study_orders(7))
+def test_cml_null_invariant_to_study_order(case):
+    data, structure, mu, order = case
+    plan = PermutationPlan.exhaustive()
+    base = joint_permutation_test(data, mu, plan=plan, structure=structure)
+    other = joint_permutation_test(_reordered(data, order), mu, plan=plan, structure=structure)
+    _assert_same_null(base, other, 1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_study_orders(7), component=st.integers(0, 1))
+def test_marginal_null_invariant_to_study_order(case, component):
+    data, structure, mu, order = case
+    component = min(component, data.p - 1)
+    plan = PermutationPlan.exhaustive()
+    base = marginal_permutation_test(data, mu[component], component, plan, structure)
+    other = marginal_permutation_test(
+        _reordered(data, order), mu[component], component, plan, structure
+    )
+    _assert_same_null(base, other, 1e-6)
 
 
 class TestMarginal:
