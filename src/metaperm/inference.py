@@ -12,7 +12,7 @@ value and the reported boundaries are well defined.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, gammaincinv, ndtri
 
 from .estimators import fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
@@ -50,6 +50,19 @@ REGION_INFLATE = 1.5
 def _check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+
+
+# chi-square quantile and upper tail through the scipy.special ufuncs that
+# scipy.stats.chi2 calls, so the values are the same without importing
+# scipy.stats, which costs every process about half a second; ndtri is
+# norm.ppf the same way
+def _chi2_ppf(q, df):
+    return 2.0 * gammaincinv(df / 2.0, q)
+
+
+def _chi2_sf(x, df):
+    """chi2.sf(x, df) as a float: 1 at x <= 0, where chdtrc gives nan below 0."""
+    return 1.0 if x <= 0.0 else float(chdtrc(df, x))
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,7 @@ def wald_inference(fit, alpha=0.05, mu_null=None):
     info = fit.information
     cov = _checked_information_inverse(info)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     mu0 = _finite_mean(np.zeros(p) if mu_null is None else mu_null, p, "mu_null")
     d = fit.mu - mu0
     stat = float(d @ info @ d)
@@ -207,8 +220,8 @@ def wald_inference(fit, alpha=0.05, mu_null=None):
         alpha=float(alpha),
         mu_null=mu0,
         chi2_statistic=stat,
-        chi2_threshold=float(chi2.ppf(1.0 - alpha, df=p)),
-        p_value=float(chi2.sf(stat, df=p)),
+        chi2_threshold=float(_chi2_ppf(1.0 - alpha, p)),
+        p_value=_chi2_sf(stat, p),
         _info=info.copy(),
     )
 
@@ -362,7 +375,7 @@ def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, 
 def _default_region_bounds(fit, components):
     """Bounding box of the Wald ellipse at REGION_ELLIPSE_LEVEL, inflated."""
     cov = _checked_information_inverse(fit.information)
-    radius2 = chi2.ppf(REGION_ELLIPSE_LEVEL, df=fit.mu.size)
+    radius2 = _chi2_ppf(REGION_ELLIPSE_LEVEL, fit.mu.size)
     out = []
     for j in components:
         half = REGION_INFLATE * np.sqrt(radius2 * max(cov[j, j], 0.0))

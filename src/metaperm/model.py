@@ -4,7 +4,8 @@ Data containers, between-study covariance structures, and the one
 likelihood pass over the mask groups: _weights (W_i = (S_i + Sigma)^{-1}),
 _scatter (information and weighted residual sums in p-space),
 _gls_profile (the GLS mean of the free components) and _loglik_terms
-(log-likelihood and dl/dSigma). Each step takes optional leading row
+(log-likelihood and dl/dSigma), with _weighted_residuals giving
+each study's W_i (y_i - mu). Each step takes optional leading row
 dimensions, so one call evaluates many rows. No other module forms
 S_i + Sigma or scatters an observed block: model_terms runs the pass at
 one mean and Sigma, and the fitters and statistics call the steps they
@@ -475,6 +476,12 @@ def _gls_profile(blocks, p, fixed, values):
     return mu, Ainv, logdet, indefinite, pinv
 
 
+def _weighted_residuals(block, mu):
+    """Residuals r_i = y_i - mu of one block and W_i r_i, both (..., n, k)."""
+    r = block.Y - mu.take(block.g.idx, -1)[..., None, :]
+    return r, np.einsum("...nij,...nj->...ni", block.W, r)
+
+
 def _loglik_terms(blocks, p, mu, restricted=None):
     """Step 4: log-likelihood and dl/dSigma at mean mu, shape (..., p).
 
@@ -486,9 +493,9 @@ def _loglik_terms(blocks, p, mu, restricted=None):
     ll = 0.0
     G = np.zeros(blocks[0].W.shape[:-3] + (p, p))
     s_all = []
-    for g, Y, W, logdet in blocks:
-        r = Y - mu.take(g.idx, -1)[..., None, :]
-        s = np.einsum("...nij,...nj->...ni", W, r)
+    for block in blocks:
+        g, _, W, logdet = block
+        r, s = _weighted_residuals(block, mu)
         quad = np.einsum("...ni,...ni->...", s, r)
         ll -= 0.5 * (logdet.sum(axis=-1) + quad + g.Y.size * _LOG_2PI)
         dG = np.einsum("...ni,...nj->...ij", s, s) - W.sum(axis=-3)

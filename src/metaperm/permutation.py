@@ -34,12 +34,12 @@ from .estimators import (
 from .exceptions import NonConvergenceError, UninformativeComponentError
 from .model import (
     _finite_mean,
-    _loglik_terms,
     _require_definite,
     _require_structure,
     _scatter,
     _study_rows,
     _sym_inverse_flags,
+    _weighted_residuals,
     _weights,
     between_cov,
     # not called here; perfbench's traced run counts likelihood passes
@@ -126,13 +126,19 @@ def generate_signs(plan, n_studies):
 
     Exhaustive mode enumerates assignments in binary order: row b flips
     study i exactly when bit i of b is set, so row 0 is the identity.
-    Random mode draws iid uniform signs from the plan's seed; repeated
-    calls return the same matrix.
+    It fills one column at a time from one int64 row index, so the build
+    peaks at the int8 matrix (N bytes per row) plus three B-length int64
+    vectors: 1 + 1.5 MiB at N = 16, 20 + 24 MiB at N = 20. Random
+    mode draws iid uniform signs from the plan's seed; repeated calls
+    return the same matrix.
     """
     size = plan.size_for(n_studies)
     if plan.mode == "exhaustive":
-        bits = (np.arange(size, dtype=np.int64)[:, None] >> np.arange(n_studies)) & 1
-        return (1 - 2 * bits).astype(np.int8)
+        rows = np.arange(size, dtype=np.int64)
+        signs = np.empty((size, n_studies), dtype=np.int8)
+        for i in range(n_studies):
+            signs[:, i] = 1 - 2 * ((rows >> i) & 1)
+        return signs
     rng = np.random.default_rng(plan.seed)
     return (2 * rng.integers(0, 2, size=(size, n_studies)) - 1).astype(np.int8)
 
@@ -145,10 +151,11 @@ def _sign_plan(plan, n_studies):
     replicates) shares a plan, so the last plan built is kept and reused.
     The signs are kept as float64, the dtype every test multiplies them
     in, so no test converts them again. That holds 8 bytes per study per
-    sign row between tests: 8 MB at N = 16, and 168 MB at the 2^20 cap
-    (N = 20) where int8 signs would hold 21 MB. generate_signs is
-    looked up in this module at call time, so perfbench's traced run
-    sees each build.
+    sign row between tests: 8.5 MiB at N = 16 with the row sums, and
+    168 MiB at the 2^20 cap (N = 20) where int8 signs would hold 20 MiB.
+    The build peaks at the float plan plus the int8 matrix: 9.5 MiB at
+    N = 16, 188 MiB at N = 20. generate_signs is looked up in this module
+    at call time, so perfbench's traced run sees each build.
     """
     signs = generate_signs(plan, n_studies)
     row_sums = signs.sum(axis=1, dtype=np.int64)
@@ -490,7 +497,7 @@ def _moment_statistics(data, mu, sigma, signs):
     blocks, indefinite, pinv_w = _weights(data, sigma[None], _own_outcomes(data))
     _require_definite(indefinite)
     info, U_obs = _scatter(blocks, data.p, mu[None])
-    _, _, s = _loglik_terms(blocks, data.p, mu[None])
+    s = [_weighted_residuals(block, mu[None])[1] for block in blocks]
     Iinv, _, indefinite, pinv = _sym_inverse_flags(info)
     _require_definite(indefinite)
     t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])

@@ -299,10 +299,15 @@ def generate(scenario, seed):
     """Dataset from a scenario, applying its masking rates if any.
 
     The seed is split so the generation and masking streams are
-    independent; (scenario, seed) fully determines the result.
+    independent; (scenario, seed) fully determines the result. The two
+    streams are the children that ss.spawn(2) gives a fresh sequence,
+    derived without spawning, so a SeedSequence seed is not advanced.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    gen_seed, miss_seed = ss.spawn(2)
+    gen_seed, miss_seed = (
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
+        for k in range(2)
+    )
     if scenario.kind == "diagnostic_binomial":
         data = generate_diagnostic(scenario, gen_seed)
     else:

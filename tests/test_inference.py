@@ -1,6 +1,9 @@
 """Tests for Wald summaries, interval/region inversion, and point estimates."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from metaperm import (
     overall_null_test,
     wald_inference,
 )
-from metaperm.inference import XTOL
+from metaperm.inference import XTOL, _chi2_ppf, _chi2_sf, ndtri
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,47 @@ class TestWaldInference:
         rank1 = dataclasses.replace(fit, information=np.ones((2, 2)))
         with pytest.raises(SingularInformationError):
             wald_inference(rank1)
+
+
+class TestWithoutScipyStats:
+    def test_import_loads_no_scipy_stats(self):
+        # a fresh interpreter, so modules imported by the tests do not count
+        src = os.path.dirname(os.path.dirname(metaperm.inference.__file__))
+        code = (
+            "import sys, metaperm, metaperm.cli; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_quantiles_equal_scipy_stats(self):
+        # alphas near 0 make 1 - alpha round to 1 (an infinite quantile),
+        # alphas near 1 put the chi-square quantile near 0
+        alphas = [
+            *np.linspace(0.0005, 0.9995, 1000),
+            5e-324, 1e-300, 1e-17, 2.0 ** -53, 1e-16, 0.05, 0.5, 1 - 1e-16,
+            float(np.nextafter(1.0, 0.0)),
+        ]
+        for alpha in alphas:
+            assert ndtri(1.0 - alpha / 2.0) == norm.ppf(1.0 - alpha / 2.0)
+            for df in range(1, 6):
+                assert _chi2_ppf(1.0 - alpha, df) == chi2.ppf(1.0 - alpha, df=df)
+
+    def test_upper_tail_equals_scipy_stats(self):
+        xs = [
+            0.0, -0.0, -1e-300, -5e-324, -1.0, np.inf, np.nan,
+            5e-324, 1e-300, 1e-10, 0.5, 3.841458820694124, 20.0, 1e3, 1e5,
+            *np.linspace(0.01, 30.0, 300),
+        ]
+        for x in xs:
+            for df in range(1, 6):
+                got, want = _chi2_sf(x, df), float(chi2.sf(x, df=df))
+                assert type(got) is float
+                assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestOverallNullTest:

@@ -205,6 +205,29 @@ class TestGenerate:
         )
         assert datasets_equal(generate(scn, 5), generate(scn, np.random.SeedSequence(5)))
 
+    def test_sequence_seed_not_advanced(self):
+        scn = load_scenarios()["gauss3m-s2"]
+        ss = np.random.SeedSequence(20240101).spawn(1)[0]
+        first = generate(scn, ss)
+        assert datasets_equal(first, generate(scn, ss))
+        assert ss.n_children_spawned == 0
+
+    @pytest.mark.parametrize("fresh", [
+        lambda: 7,
+        lambda: np.random.SeedSequence(7),
+        lambda: np.random.SeedSequence(20240101).spawn(3)[2],
+    ])
+    def test_streams_are_the_spawned_children(self, fresh):
+        # the datasets of earlier releases, which spawned two children
+        scn = load_scenarios()["gauss3m-s2"]
+        seed = fresh()
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        gen_seed, miss_seed = ss.spawn(2)
+        expected = apply_missingness(
+            generate_gaussian(scn, gen_seed), scn.missing_rates, miss_seed
+        )
+        assert datasets_equal(generate(scn, fresh()), expected)
+
     def test_binomial_dispatch(self):
         scn = Scenario.diagnostic("d", n_studies=8, delta=(0.8, 0.25), tau=(0.3, 0.4), kappa=0.2)
         assert generate(scn, 2).labels == ("sens", "fpr")
