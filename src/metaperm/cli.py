@@ -26,7 +26,6 @@ from .estimators import fit_ml, fit_reml
 from .inference import (
     confidence_interval,
     confidence_region,
-    median_unbiased_estimate,
     wald_inference,
 )
 from .io import (
@@ -408,9 +407,8 @@ def _cmd_ci(args):
     structure = _parse_structure(args)
     plan = _parse_plan(args)
     component = _resolve_component(data, args.component)
-    center = median_unbiased_estimate(data, component, plan, structure)
     interval = confidence_interval(
-        data, component, alpha=args.alpha, plan=plan, structure=structure, center=center
+        data, component, alpha=args.alpha, plan=plan, structure=structure
     )
     extra = {
         "label": data.labels[component],

@@ -35,6 +35,7 @@ from .exceptions import (
 from .model import (
     EPS_PSD,
     HetParams,
+    _assemble_cov,
     _check_component,
     _finite_mean,
     _gls_profile,
@@ -122,12 +123,13 @@ class FitResult:
 class CmlResult:
     """Outcome of a constrained fit with mean components held fixed.
 
-    mu_c holds the estimated free mean components (empty when the whole
-    mean vector was fixed).
+    mu is the whole mean: the fixed components at their values, the free
+    ones profiled by GLS at the fit. sigma is between_cov(het).
     """
 
     het: HetParams
-    mu_c: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
     loglik: float
     converged: bool
     iterations: int
@@ -405,8 +407,8 @@ def _fit_constrained(data, fixed, values, structure, init):
     """Constrained ML of the heterogeneity with the fixed mean components at values.
 
     One L-BFGS-B run of _neg_profiled_free from init, or from the
-    moment-based start. Returns a CmlResult whose mu_c holds the free
-    mean components profiled at the fit; raises NonConvergenceError
+    moment-based start. Returns a CmlResult whose mu is the whole mean,
+    its free components profiled at the fit; raises NonConvergenceError
     carrying it when the optimizer does not converge.
     """
     p = data.p
@@ -422,17 +424,18 @@ def _fit_constrained(data, fixed, values, structure, init):
         x0 = _default_init(data, mu0, structure)
     fun = _neg_profiled_free(data, structure, fixed, values)
     x, ll, ok, nit = _optimize_eta(fun, x0, _bounds(structure, p))
-    mu_c = np.empty(0)
+    mu = values.copy()
     if free.size:
         # the free components at the returned heterogeneity, so their
         # score vanishes exactly at the reported point
         blocks, indefinite, _ = _weights(data, _unpack(x, structure, p)[2])
         mu, _, _, indefinite_A, _ = _gls_profile(blocks, p, fixed, values)
         _require_definite(indefinite | indefinite_A)
-        mu_c = mu[free]
+    het = _het_from_free(x, structure, p)
     result = CmlResult(
-        het=_het_from_free(x, structure, p),
-        mu_c=mu_c,
+        het=het,
+        mu=mu,
+        sigma=between_cov(het, structure),
         loglik=ll,
         converged=ok,
         iterations=nit,
@@ -464,7 +467,7 @@ def fit_marginal_null(data, value, component, structure=None, *, init=None):
 
     The heterogeneity maximizes the likelihood with the other mean
     components profiled out by generalized least squares at every trial
-    point; mu_c reports them at the fit. Any component may be the fixed
+    point; mu reports them at the fit. Any component may be the fixed
     one; for p=1 this is fit_eta_given_mu. iterations counts L-BFGS-B
     iterations.
 
@@ -483,18 +486,11 @@ def fit_marginal_null(data, value, component, structure=None, *, init=None):
 def sigma_rows(X, structure, p):
     """between_cov(_het_from_free(x)) for every row of X, shape (R, p, p).
 
-    Snaps tau at or below TAU_SNAP to zero and eigenvalue-clips any
-    indefinite assembly at zero, as the scalar path does.
+    Snaps tau at or below TAU_SNAP to zero, as the scalar path does, and
+    assembles through the same _assemble_cov.
     """
     tau, K, _ = _unpack_rows(X, structure, p)
-    tau = np.where(tau <= TAU_SNAP, 0.0, tau)
-    sigma = K * (tau[:, :, None] * tau[:, None, :])
-    neg = np.linalg.eigvalsh(sigma)[:, 0] < 0.0
-    if neg.any():
-        w, Q = np.linalg.eigh(sigma[neg])
-        clipped = (Q * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(Q, -1, -2)
-        sigma[neg] = 0.5 * (clipped + np.swapaxes(clipped, -1, -2))
-    return sigma
+    return _assemble_cov(np.where(tau <= TAU_SNAP, 0.0, tau), K)
 
 
 def _derivative_patterns(structure, p):
@@ -531,7 +527,7 @@ def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
     of the mean profile. Rows whose marginal covariance or
     mean system is indefinite or singular get f = inf.
 
-    Returns (f, g, fisher, obs, mu_free).
+    Returns (f, g, fisher, obs, mu), mu the whole profiled mean (R, p).
     """
     p = data.p
     R = X.shape[0]
@@ -578,7 +574,7 @@ def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
         obs -= np.einsum("rai,rij,rcj->rac", qf, Ainv, qf)
     f = -ll
     f[bad] = np.inf
-    return f, -dl, fisher, obs, mu[:, free]
+    return f, -dl, fisher, obs, mu
 
 
 def _step(H, g, held):
@@ -619,10 +615,11 @@ def refit_rows(data, Ys, fixed, values, structure, init):
     bound whose gradient points outward is held. A row stops once its
     projected gradient is at most ROW_PGTOL.
 
-    Returns (X, mu_free, converged): free vectors (R, m), the free mean
-    components profiled at X (R, p - len(fixed)), and the rows that
-    converged. Rows that did not (iteration budget, failed line search,
-    singular or indefinite covariance) carry their last iterate; callers
+    Returns (X, mu, converged): free vectors (R, m), the whole mean at
+    X (R, p) with the fixed components at values and the others profiled,
+    and the rows that converged. Rows that did not (iteration budget,
+    failed line search, singular or indefinite covariance) carry their
+    last iterate, and their mean only the fixed components; callers
     refit those with the scalar fitters.
     """
     p = data.p
@@ -635,7 +632,8 @@ def refit_rows(data, Ys, fixed, values, structure, init):
     Mt, Pk = _derivative_patterns(structure, p)
     R = Ys[0].shape[0]
     X = np.tile(_pack(init, structure), (R, 1))
-    mu_free = np.zeros((R, p - fixed.size))
+    mu = np.zeros((R, p))
+    mu[:, fixed] = values
     converged = np.zeros(R, dtype=bool)
 
     def evaluate(rows, Xr):
@@ -646,19 +644,19 @@ def refit_rows(data, Ys, fixed, values, structure, init):
         # a start on the |kappa| -> 1 ridge, where kappa has almost no
         # curvature: which boundary maximum the scalar fitter's local
         # search settles in depends on its path, so it decides every row
-        return X, mu_free, converged
+        return X, mu, converged
     rows = np.arange(R)
     state = evaluate(rows, X)
     if not np.isfinite(state[0]).all():
         # the start's marginal covariances do not depend on the outcomes
-        return X, mu_free, converged
+        return X, mu, converged
     for _ in range(ROW_MAX_ITER):
         f, g, fisher, obs, mu_r = state
         Xr = X[rows]
         pg = np.abs(np.clip(Xr - g, lo, hi) - Xr).max(axis=1)
         done = pg <= ROW_PGTOL
         converged[rows[done]] = True
-        mu_free[rows[done]] = mu_r[done]
+        mu[rows[done]] = mu_r[done]
         rows, Xr, f, g, fisher, obs = (a[~done] for a in (rows, Xr, f, g, fisher, obs))
         if rows.size == 0:
             break
@@ -691,7 +689,7 @@ def refit_rows(data, Ys, fixed, values, structure, init):
         rows = rows[accepted]
         X[rows] = new_X[accepted]
         state = [a[accepted] for a in new_state]
-    return X, mu_free, converged
+    return X, mu, converged
 
 
 def moment_between_cov(data, mu):

@@ -327,11 +327,15 @@ def _check_component(component, p):
 
 
 def _finite_mean(mu, p, name):
-    """mu as a float vector of length p; ValueError unless it is one and finite."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    """A fresh read-only float copy of mu, which must be a finite length-p vector.
+
+    The copy keeps a result that stores it from changing when the caller
+    later writes to the array it passed. Raises ValueError otherwise.
+    """
+    mu = np.atleast_1d(np.array(mu, dtype=float))
     if mu.shape != (p,) or not np.all(np.isfinite(mu)):
         raise ValueError(f"{name} must be a finite vector of length {p}")
-    return mu
+    return _readonly(mu)
 
 
 def _correlation_matrix(het, structure, p):
@@ -346,23 +350,29 @@ def _correlation_matrix(het, structure, p):
     return K
 
 
+def _assemble_cov(tau, K):
+    """Sigma = K * tau tau' for SDs (..., p) and correlations (..., p, p).
+
+    Sigma[j, j] = tau_j**2 and Sigma[j, k] = K_jk tau_j tau_k. An
+    indefinite assembly (possible because pairwise correlations need not
+    form a PSD matrix) is eigenvalue-clipped at zero, row by row.
+    """
+    sigma = K * (tau[..., :, None] * tau[..., None, :])
+    neg = np.linalg.eigvalsh(sigma)[..., 0] < 0.0
+    if neg.any():
+        w, Q = np.linalg.eigh(sigma[neg])
+        clipped = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        sigma[neg] = 0.5 * (clipped + np.swapaxes(clipped, -1, -2))
+    return sigma
+
+
 def between_cov(het, structure):
     """Assemble the between-study covariance from heterogeneity parameters.
 
-    Sigma[j, j] = tau_j**2 and Sigma[j, k] = kappa_jk tau_j tau_k. An
-    indefinite assembly (possible because pairwise correlations need not
-    form a PSD matrix) is eigenvalue-clipped at zero.
+    See _assemble_cov; an indefinite assembly is eigenvalue-clipped at zero.
     """
     het = het if isinstance(het, HetParams) else HetParams(tau=het)
-    p = het.p
-    K = _correlation_matrix(het, structure, p)
-    sigma = K * np.outer(het.tau, het.tau)
-    w = np.linalg.eigvalsh(sigma)
-    if w[0] < 0.0:
-        w, Q = np.linalg.eigh(sigma)
-        sigma = (Q * np.maximum(w, 0.0)) @ Q.T
-        sigma = 0.5 * (sigma + sigma.T)
-    return sigma
+    return _assemble_cov(het.tau, _correlation_matrix(het, structure, het.p))
 
 
 def _require_definite(indefinite):
@@ -532,20 +542,60 @@ def model_terms(data, mu, sigma):
     )
 
 
+def _quad_forms(U, Iinv):
+    """Quadratic forms U_r' Iinv U_r of the rows of U, shape (R,).
+
+    Iinv is one (p, p) matrix shared by every row or one per row,
+    (R, p, p). Each term is (U_i Iinv_ij) U_j, summed from zero with i
+    outer and j inner. That is the order of np.einsum("ri,rij,rj->r")
+    and np.einsum("bi,ij,bj->b"), so the result equals theirs bit for
+    bit at a fraction of their cost; region thresholds compare these
+    statistics exactly. At p = 2 with one row, or two rows sharing one
+    inverse, einsum sums each i's two terms before adding them to the
+    total, and so does this.
+    """
+    R, p = U.shape
+    paired = p == 2 and R <= (2 if Iinv.ndim == 2 else 1)
+    columns = U.T.copy()
+    out = np.zeros(R)
+    term = np.empty_like(out)
+    for i in range(p):
+        acc = np.zeros(R) if paired else out
+        for j in range(p):
+            np.multiply(columns[i], Iinv[..., i, j], out=term)
+            term *= columns[j]
+            acc += term
+        if paired:
+            out += acc
+    return out
+
+
+def _schur_information(info, component):
+    """Schur complement J = I_aa - I_ac I_cc^{-1} I_ca of each row.
+
+    info has shape (R, p, p) and a is the component. J is clamped at
+    zero; at p = 1 it is I_aa as it stands. Returns (J, indefinite, pinv) with the flags of each row's
+    I_cc inverse.
+    """
+    R, p = info.shape[:2]
+    J = info[:, component, component]
+    if p == 1:
+        return J, np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
+    rest = np.delete(np.arange(p), component)
+    Icc_inv, _, indefinite, pinv = _sym_inverse_flags(info[:, rest[:, None], rest])
+    J = np.maximum(J - _quad_forms(info[:, rest, component], Icc_inv), 0.0)
+    return J, indefinite, pinv
+
+
 def marginal_information(info, component=0):
     """Schur complement of the information on one component.
 
     Eliminates the remaining components: J = I_aa - I_ac I_cc^{-1} I_ca.
-    Equals 1/(I^{-1})_aa when I is invertible. Returns (J, used_pinv).
+    Equals 1/(I^{-1})_aa when I is invertible. Returns (J, used_pinv);
+    raises DataError when I_cc is indefinite.
     """
     info = np.asarray(info, dtype=float)
-    p = info.shape[0]
-    _check_component(component, p)
-    if p == 1:
-        return float(info[0, 0]), False
-    rest = [j for j in range(p) if j != component]
-    Icc_inv, _, indefinite, pinv = _sym_inverse_flags(info[np.ix_(rest, rest)])
+    _check_component(component, info.shape[0])
+    J, indefinite, pinv = _schur_information(info[None], component)
     _require_definite(indefinite)
-    Ica = info[rest, component]
-    J = float(info[component, component] - Ica @ (Icc_inv @ Ica))
-    return max(J, 0.0), bool(pinv)
+    return float(J[0]), bool(pinv[0])

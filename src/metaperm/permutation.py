@@ -5,17 +5,21 @@ generation, and the permutation tests themselves. Flipping reflects
 each study's observed outcomes around a center: z_i = v_i (y_i - c) + c
 with v_i = +1 or -1 per study; within-study covariances are unchanged.
 
-The joint test flips around the tested mean itself. The marginal test
-flips around a pseudo-null center that plugs constrained estimates in
-for the nuisance components (a local Monte Carlo test), refits the
-nuisance mean and heterogeneity on each permuted sample, and evaluates
-the signed score of the original data at the refitted pseudo-null.
+t1 (the joint cml test) and t3 (the marginal test) take one refit path,
+_refit_distribution, and differ only in which mean components the null
+fixes: all of them for t1, one for t3. The observed data are fit under
+the null (_null_fit) and scored there (_statistics); the fitted mean is
+the flip center, which for t3 plugs constrained estimates in for the
+nuisance components (a local Monte Carlo test). Every sign row's
+reflected sample is refit the same way, in batches with scalar
+fallbacks, and scored at its own refit (_permuted_statistics). t2 (the
+joint moment test) needs no refit: its covariance is sign-invariant, so
+one pass gives the whole null.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
-(_score_rows), and the t2 null adds each study's weighted residuals.
-This module adds only the quadratic forms and Schur complements of the
-statistics.
+(_score_rows), its quadratic forms and Schur complements give the
+statistics, and the t2 null adds each study's weighted residuals.
 """
 
 import functools
@@ -24,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
-    CmlResult,
     fit_eta_given_mu,
     fit_marginal_null,
     moment_between_cov,
@@ -34,14 +37,15 @@ from .estimators import (
 from .exceptions import NonConvergenceError, UninformativeComponentError
 from .model import (
     _finite_mean,
+    _quad_forms,
     _require_definite,
     _require_structure,
     _scatter,
+    _schur_information,
     _study_rows,
     _sym_inverse_flags,
     _weighted_residuals,
     _weights,
-    between_cov,
     # not called here; perfbench's traced run counts likelihood passes
     # through this module's binding, so it stays importable
     model_terms,  # noqa: F401
@@ -54,8 +58,6 @@ __all__ = [
     "NullDistribution",
     "TestResult",
     "generate_signs",
-    "score_statistic_cml",
-    "marginal_score_statistic",
     "joint_permutation_test",
     "marginal_permutation_test",
 ]
@@ -265,64 +267,24 @@ def _score_rows(data, Ys, mus, sigmas):
     return U, info, pinv
 
 
-def _quad_forms(U, Iinv):
-    """Quadratic forms U_r' Iinv U_r of the rows of U, shape (R,).
+def _statistics(data, Ys, mus, sigmas, component):
+    """t1 or t3 statistic of many rows, each at its own mean and Sigma.
 
-    Iinv is one (p, p) matrix shared by every row or one per row,
-    (R, p, p). Each term is (U_i Iinv_ij) U_j, summed from zero with i
-    outer and j inner. That is the order of np.einsum("ri,rij,rj->r")
-    and np.einsum("bi,ij,bj->b"), so the result equals theirs bit for
-    bit at a fraction of their cost; region thresholds compare these
-    statistics exactly. At p = 2 with one row, or two rows sharing one
-    inverse, einsum sums each i's two terms before adding them to the
-    total, and so does this.
+    With component None it is the joint score statistic U' I^{-1} U,
+    clamped at zero (t1); J is +inf and pinv flags a pseudoinverse in
+    the weights or the information. Otherwise it is the signed marginal
+    root U_c / sqrt(J) of that component (t3), J its Schur information;
+    at a row's own constrained fit the nuisance components of U vanish,
+    so U_c is the efficient score. Roots are nan where J <
+    MIN_MARGINAL_INFO, and pinv flags a pseudoinverse in the Schur
+    complement. Returns (statistics, J, pinv).
     """
-    R, p = U.shape
-    paired = p == 2 and R <= (2 if Iinv.ndim == 2 else 1)
-    columns = U.T.copy()
-    out = np.zeros(R)
-    term = np.empty_like(out)
-    for i in range(p):
-        acc = np.zeros(R) if paired else out
-        for j in range(p):
-            np.multiply(columns[i], Iinv[..., i, j], out=term)
-            term *= columns[j]
-            acc += term
-        if paired:
-            out += acc
-    return out
-
-
-def _joint_statistics(data, Ys, mus, sigmas):
-    """Score statistics U' I^{-1} U of many rows, clamped at zero.
-
-    Returns (statistics, pinv) with pinv flagging the rows whose weights
-    or information took the pseudoinverse path.
-    """
-    U, info, pinv = _score_rows(data, Ys, mus, sigmas)
-    Iinv, _, _, pinv_i = _sym_inverse_flags(info)
-    stats = np.maximum(_quad_forms(U, Iinv), 0.0)
-    return stats, pinv | pinv_i
-
-
-def _marginal_roots(data, Ys, mus, sigmas, component):
-    """Signed marginal score roots U_c / sqrt(J) of many rows.
-
-    U is the scattered score at each row's mean and J the Schur
-    information of the tested component. At a row's own constrained fit
-    the nuisance components of U vanish, so U_c is the efficient score.
-    Returns (roots, J, pinv); pinv flags a pseudoinverse in the Schur
-    complement, and roots are nan where J < MIN_MARGINAL_INFO.
-    """
-    U, info, _ = _score_rows(data, Ys, mus, sigmas)
-    p = mus.shape[1]
-    pinv = np.zeros(mus.shape[0], dtype=bool)
-    J = info[:, component, component]
-    if p > 1:
-        rest = np.array([j for j in range(p) if j != component])
-        Icc_inv, _, _, pinv = _sym_inverse_flags(info[:, rest[:, None], rest])
-        Ica = info[:, rest, component]
-        J = np.maximum(J - _quad_forms(Ica, Icc_inv), 0.0)
+    U, info, pinv_w = _score_rows(data, Ys, mus, sigmas)
+    if component is None:
+        Iinv, _, _, pinv = _sym_inverse_flags(info)
+        stats = np.maximum(_quad_forms(U, Iinv), 0.0)
+        return stats, np.full(stats.shape, np.inf), pinv_w | pinv
+    J, _, pinv = _schur_information(info, component)
     informative = J >= MIN_MARGINAL_INFO
     roots = np.full(J.shape, np.nan)
     roots[informative] = U[informative, component] / np.sqrt(J[informative])
@@ -331,12 +293,6 @@ def _marginal_roots(data, Ys, mus, sigmas, component):
 
 def _own_outcomes(data):
     return [g.Y[None] for g in data._groups]
-
-
-def _stat_from_sigma(data, mu, sigma):
-    """Quadratic-form score statistic U' I^{-1} U at a given Sigma."""
-    stats, pinv = _joint_statistics(data, _own_outcomes(data), mu[None], sigma[None])
-    return float(stats[0]), bool(pinv[0])
 
 
 def _flipped_outcomes(data, center, signs):
@@ -358,33 +314,6 @@ def _flip_dataset(data, center, v):
     return replace(data, Y=center + v[:, None] * (data.Y - center))
 
 
-def score_statistic_cml(data, mu_null, structure=None, *, init=None):
-    """Efficient score statistic at a joint null.
-
-    The heterogeneity is set to its constrained MLE under the null, then
-    the statistic is the quadratic form of the score in the inverse
-    information. Returns (value, CmlResult).
-    """
-    structure = _require_structure(structure)
-    mu = _finite_mean(mu_null, data.p, "null mean")
-    cml = fit_eta_given_mu(data, mu, structure, init=init)
-    sigma = between_cov(cml.het, structure)
-    value, _ = _stat_from_sigma(data, mu, sigma)
-    return value, cml
-
-
-def _marginal_root(data, mu_full, sigma, component):
-    """Signed marginal score root of a dataset at a constrained fit.
-
-    Returns (root, used_pinv); see _marginal_roots.
-    """
-    roots, J, pinv = _marginal_roots(
-        data, _own_outcomes(data), mu_full[None], sigma[None], component
-    )
-    _require_information(J, component)
-    return float(roots[0]), bool(pinv[0])
-
-
 def _require_information(J, component):
     if np.any(J < MIN_MARGINAL_INFO):
         raise UninformativeComponentError(
@@ -392,28 +321,32 @@ def _require_information(J, component):
         )
 
 
-def _assemble_mu(p, component, value, mu_c):
-    mu = np.empty(p)
-    mu[component] = value
-    rest = [j for j in range(p) if j != component]
-    mu[rest] = mu_c
-    return mu
+def _null_fit(data, value, component, structure, init=None):
+    """Constrained fit at the null: the whole mean at value when component
+    is None (t1), else that one component at value (t3).
 
-
-def marginal_score_statistic(data, value, component, structure=None, *, init=None):
-    """Marginal score statistic for one mean component.
-
-    Nuisance mean components and heterogeneity are set to their
-    constrained MLEs under the component null; the statistic is the
-    squared component score over its Schur information.
-    Returns (value, CmlResult).
+    Calls the fitters through this module's bindings, so perfbench's
+    traced run sees every refit.
     """
-    structure = _require_structure(structure)
-    cml = fit_marginal_null(data, value, component, structure, init=init)
-    sigma = between_cov(cml.het, structure)
-    mu_full = _assemble_mu(data.p, component, float(value), cml.mu_c)
-    root, _ = _marginal_root(data, mu_full, sigma, component)
-    return root * root, cml
+    if component is None:
+        return fit_eta_given_mu(data, value, structure, init=init)
+    return fit_marginal_null(data, value, component, structure, init=init)
+
+
+def _observed_statistic(data, value, component, structure):
+    """Fit the null on the data and evaluate the statistic at that fit.
+
+    Returns (statistic, used_pinv, cml): the joint score statistic for
+    component None, else the signed marginal root (see _statistics),
+    and the constrained fit. Raises UninformativeComponentError when the
+    tested component carries no information at the fit.
+    """
+    cml = _null_fit(data, value, component, structure)
+    stats, J, pinv = _statistics(
+        data, _own_outcomes(data), cml.mu[None], cml.sigma[None], component
+    )
+    _require_information(J, component)
+    return float(stats[0]), bool(pinv[0]), cml
 
 
 def _includes_identity(plan, row_sums, n_studies):
@@ -421,12 +354,12 @@ def _includes_identity(plan, row_sums, n_studies):
     return plan.mode == "exhaustive" or bool((row_sums == n_studies).any())
 
 
-def _check_failures(n_failed, n_attempted):
-    if n_attempted and n_failed > MAX_FAILURE_FRACTION * n_attempted:
-        raise NonConvergenceError(
-            f"{n_failed} of {n_attempted} permutation refits failed; "
-            "result would not be trustworthy"
-        )
+def _test_result(plan, t_obs, stats, includes_identity, **fields):
+    """TestResult of an observed statistic against its permutation values."""
+    dist = NullDistribution(statistics=stats, mode=plan.mode, includes_identity=includes_identity)
+    return TestResult(
+        statistic=float(t_obs), p_value=dist.p_value(t_obs), distribution=dist, **fields
+    )
 
 
 def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None):
@@ -447,38 +380,20 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     structure = _require_structure(structure)
     plan = _default_plan(plan)
     mu = _finite_mean(mu_null, data.p, "null mean")
-    signs, row_sums = _sign_plan(plan, data.n_studies)
-    B = signs.shape[0]
-    all_equal = np.abs(row_sums) == data.n_studies
-    n_failed = 0
-    used_pinv = False
-
     if stat == "moment":
+        signs, row_sums = _sign_plan(plan, data.n_studies)
         sigma, _ = moment_between_cov(data, mu)
         t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, signs)
-        stats[all_equal] = t_obs
+        stats[np.abs(row_sums) == data.n_studies] = t_obs
+        n_failed = 0
+        includes_identity = _includes_identity(plan, row_sums, data.n_studies)
     else:
-        t_obs, cml_obs = score_statistic_cml(data, mu, structure)
-        stats = np.full(B, t_obs)
-        refit = ~all_equal
-        stats[refit], n_failed, used_pinv = _permuted_statistics(
-            data, mu, None, signs[refit], structure, cml_obs.het
+        t_obs, stats, n_failed, used_pinv, includes_identity = _refit_distribution(
+            data, mu, None, structure, plan
         )
-        _check_failures(n_failed, int(refit.sum()))
-
-    dist = NullDistribution(
-        statistics=stats,
-        mode=plan.mode,
-        includes_identity=_includes_identity(plan, row_sums, data.n_studies),
-    )
-    return TestResult(
-        statistic=float(t_obs),
-        p_value=dist.p_value(t_obs),
-        distribution=dist,
-        n_failed=n_failed,
-        stat=stat,
-        mu_null=mu,
-        used_pinv=used_pinv,
+    return _test_result(
+        plan, t_obs, stats, includes_identity,
+        n_failed=n_failed, stat=stat, mu_null=mu, used_pinv=used_pinv,
     )
 
 
@@ -489,8 +404,8 @@ def _moment_statistics(data, mu, sigma, signs):
     one weight set: U_b = sum_i v_bi W_i r_i, T_b = U_b' I^{-1} U_b. One
     likelihood pass at a single row inverts the weights once and gives
     the information, the observed score and the per-study W_i r_i. The
-    observed statistic is summed as _stat_from_sigma sums it, so it
-    equals that bit for bit. Raises DataError if a marginal covariance
+    observed statistic is summed as _statistics sums the t1 statistic,
+    so at the same Sigma the two agree bit for bit. Raises DataError if a marginal covariance
     or the information is indefinite. Returns (t_obs, statistics,
     used_pinv).
     """
@@ -518,47 +433,29 @@ def _permuted_statistics(data, center, component, signs, structure, warm):
     failure there counts in n_failed.
     Returns (statistics, n_failed, used_pinv).
     """
-    p = data.p
-    fixed = np.arange(p) if component is None else np.array([component])
-    free = np.array([j for j in range(p) if j not in fixed], dtype=np.intp)
+    fixed = np.arange(data.p) if component is None else np.array([component])
+    value = center if component is None else center[component]
     out = np.empty(signs.shape[0])
     n_failed = 0
     used_pinv = False
-
-    def statistics(Ys, mus, sigmas):
-        if component is None:
-            stats, pinv = _joint_statistics(data, Ys, mus, sigmas)
-            return stats, np.full(stats.shape, np.inf), pinv
-        return _marginal_roots(data, Ys, mus, sigmas, component)
-
     for start in range(0, signs.shape[0], REFIT_CHUNK):
         chunk = signs[start:start + REFIT_CHUNK]
         Ys = _flipped_outcomes(data, center, chunk)
-        X, mu_free, ok = refit_rows(data, Ys, fixed, center[fixed], structure, warm)
-        sigmas = sigma_rows(X, structure, p)
-        mus = np.tile(center, (chunk.shape[0], 1))
-        mus[:, free] = mu_free
-        stats, J, pinv = statistics(Ys, mus, sigmas)
+        X, mus, ok = refit_rows(data, Ys, fixed, center[fixed], structure, warm)
+        sigmas = sigma_rows(X, structure, data.p)
+        stats, J, pinv = _statistics(data, Ys, mus, sigmas, component)
         redo = np.flatnonzero(~ok | (J < MIN_MARGINAL_INFO))
         for b in redo:
             flipped = _flip_dataset(data, center, chunk[b])
             try:
-                if component is None:
-                    cml_b = fit_eta_given_mu(
-                        data=flipped, mu_null=center, structure=structure, init=warm
-                    )
-                else:
-                    cml_b = fit_marginal_null(
-                        flipped, center[component], component, structure, init=warm
-                    )
+                cml_b = _null_fit(flipped, value, component, structure, init=warm)
             except NonConvergenceError as exc:
                 cml_b = exc.last_result
                 n_failed += 1
-            sigmas[b] = between_cov(cml_b.het, structure)
-            mus[b, free] = cml_b.mu_c
+            mus[b], sigmas[b] = cml_b.mu, cml_b.sigma
         if redo.size:
-            stats[redo], J[redo], pinv[redo] = statistics(
-                [Y[redo] for Y in Ys], mus[redo], sigmas[redo]
+            stats[redo], J[redo], pinv[redo] = _statistics(
+                data, [Y[redo] for Y in Ys], mus[redo], sigmas[redo], component
             )
             _require_information(J[redo], component)
         out[start:start + chunk.shape[0]] = stats
@@ -566,32 +463,36 @@ def _permuted_statistics(data, center, component, signs, structure, warm):
     return out, n_failed, used_pinv
 
 
-def _marginal_signed_distribution(data, value, component, structure, plan):
-    """Observed and permuted signed marginal score roots.
+def _refit_distribution(data, value, component, structure, plan):
+    """Observed and permuted statistics of a refit test, t1 or t3.
 
-    Each permuted root is the observed functional applied to the
-    reflected sample: refit the nuisance mean and heterogeneity on the
-    permuted data, then take its component score root at that refit.
-    Returns (s_obs, roots, n_failed, used_pinv, includes_identity).
-    Sign assignments that flip nothing reproduce the observed root
-    exactly; assignments that flip everything reproduce its negation
-    (the refit center is invariant under global reflection).
+    component None tests the whole mean at value (t1); otherwise one
+    component at value (t3), whose statistics are the signed marginal
+    roots. The observed data are fit under the null and scored at that
+    fit, whose mean is the flip center. Every other sign row's reflected
+    sample is refit and scored the same way (_permuted_statistics).
+    The assignment that flips nothing reproduces the observed statistic
+    exactly, and the one that flips everything reproduces it for t1 and
+    its negation for t3 (the refit center is invariant under global
+    reflection), so both are assigned directly. More than
+    MAX_FAILURE_FRACTION failed refits raise NonConvergenceError.
+    Returns (s_obs, statistics, n_failed, used_pinv, includes_identity).
     """
-    p = data.p
-    cml_obs = fit_marginal_null(data, value, component, structure)
-    sigma_obs = between_cov(cml_obs.het, structure)
-    center = _assemble_mu(p, component, value, cml_obs.mu_c)
-    s_obs, used_pinv = _marginal_root(data, center, sigma_obs, component)
-
     signs, row_sums = _sign_plan(plan, data.n_studies)
-    roots = np.where(row_sums > 0, s_obs, -s_obs)
+    s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)
+    stats = np.where(row_sums > 0, s_obs, s_obs if component is None else -s_obs)
     refit = np.abs(row_sums) != data.n_studies
-    roots[refit], n_failed, used = _permuted_statistics(
-        data, center, component, signs[refit], structure, cml_obs.het
+    n_refit = int(refit.sum())
+    stats[refit], n_failed, used = _permuted_statistics(
+        data, cml.mu, component, signs[refit], structure, cml.het
     )
-    used_pinv |= used
-    _check_failures(n_failed, int(refit.sum()))
-    return s_obs, roots, n_failed, used_pinv, _includes_identity(plan, row_sums, data.n_studies)
+    if n_refit and n_failed > MAX_FAILURE_FRACTION * n_refit:
+        raise NonConvergenceError(
+            f"{n_failed} of {n_refit} permutation refits failed; "
+            "result would not be trustworthy"
+        )
+    includes_identity = _includes_identity(plan, row_sums, data.n_studies)
+    return s_obs, stats, n_failed, used_pinv or used, includes_identity
 
 
 def marginal_permutation_test(data, value, component, plan=None, structure=None):
@@ -605,27 +506,15 @@ def marginal_permutation_test(data, value, component, plan=None, structure=None)
     """
     structure = _require_structure(structure)
     plan = _default_plan(plan)
-    p = data.p
     value = float(value)
-    # fit_marginal_null, the first step, rejects a component out of range
-    s_obs, roots, n_failed, used_pinv, includes_identity = _marginal_signed_distribution(
+    # fit_marginal_null, the first fit, rejects a component out of range
+    s_obs, roots, n_failed, used_pinv, includes_identity = _refit_distribution(
         data, value, component, structure, plan
     )
-    t_obs = s_obs * s_obs
-    dist = NullDistribution(
-        statistics=roots * roots,
-        mode=plan.mode,
-        includes_identity=includes_identity,
-    )
-    mu_null = np.full(p, np.nan)
+    mu_null = np.full(data.p, np.nan)
     mu_null[component] = value
-    return TestResult(
-        statistic=float(t_obs),
-        p_value=dist.p_value(t_obs),
-        distribution=dist,
-        n_failed=n_failed,
-        stat="marginal",
-        mu_null=mu_null,
-        component=component,
-        used_pinv=used_pinv,
+    return _test_result(
+        plan, s_obs * s_obs, roots * roots, includes_identity,
+        n_failed=n_failed, stat="marginal", mu_null=mu_null,
+        component=component, used_pinv=used_pinv,
     )

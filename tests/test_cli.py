@@ -6,11 +6,14 @@ import json
 import pytest
 
 import metaperm.cli
+import metaperm.inference
 from metaperm import (
     NonConvergenceError,
     PermutationPlan,
+    confidence_interval,
     confidence_region,
     ingest_wide,
+    median_unbiased_estimate,
     write_region_csv,
     write_wide,
 )
@@ -182,6 +185,38 @@ class TestCi:
         assert doc["seed"] == 3
         for side in ("lower", "upper"):
             assert doc["boundary"][side]["monotone_crossing"] is True
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_fit_and_the_library_interval(self, capsys, monkeypatch, uni_csv, tmp_path, fmt):
+        # ci fits ML once, and prints what confidence_interval started at
+        # median_unbiased_estimate gives
+        argv = ["ci", uni_csv, "--component", "1", "--perm", "150", "--seed", "3",
+                "--format", fmt]
+        real_fit = metaperm.inference.fit_ml
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        shipped = tmp_path / "shipped.out"
+        with monkeypatch.context() as m:
+            m.setattr(metaperm.inference, "fit_ml", counting_fit)
+            assert main(argv + ["--output", str(shipped)]) == 0
+        assert len(fits) == 1
+
+        def from_estimate(data, component, *, plan, structure, **kwargs):
+            center = median_unbiased_estimate(data, component, plan, structure)
+            return confidence_interval(
+                data, component, plan=plan, structure=structure, center=center, **kwargs
+            )
+
+        library = tmp_path / "library.out"
+        monkeypatch.setattr(metaperm.cli, "confidence_interval", from_estimate)
+        assert main(argv + ["--output", str(library)]) == 0
+        capsys.readouterr()
+        assert shipped.read_bytes() == library.read_bytes()
 
 
 class TestRegion:

@@ -191,7 +191,8 @@ class TestMarginalNull:
     def test_constraint_inactive_at_ml_optimum(self, bivariate6):
         fit = fit_ml(bivariate6)
         cml = fit_marginal_null(bivariate6, fit.mu[0], 0)
-        assert np.isclose(cml.mu_c[0], fit.mu[1], atol=1e-6)
+        assert cml.mu[0] == fit.mu[0]
+        assert np.isclose(cml.mu[1], fit.mu[1], atol=1e-6)
         assert np.allclose(cml.het.tau, fit.het.tau, atol=1e-4)
 
     def test_diagonal_weights_decouple_components(self):
@@ -200,10 +201,10 @@ class TestMarginalNull:
         Y, S = data.Y, data.S
         fits = [fit_marginal_null(data, v, 0, structure) for v in (-1.0, 2.0)]
         # with diagonal weights the free component ignores the fixed one
-        assert np.isclose(fits[0].mu_c[0], fits[1].mu_c[0], atol=1e-6)
+        assert np.isclose(fits[0].mu[1], fits[1].mu[1], atol=1e-6)
         tau2 = fits[0].het.tau[1]
         w = 1.0 / (tau2**2 + S[:, 1, 1])
-        assert np.isclose(fits[0].mu_c[0], np.sum(w * Y[:, 1]) / np.sum(w), atol=1e-6)
+        assert np.isclose(fits[0].mu[1], np.sum(w * Y[:, 1]) / np.sum(w), atol=1e-6)
 
     def test_two_study_toy_matches_grid_search(self):
         Y = np.array([[0.6, 0.1], [0.2, -0.3]])
@@ -238,7 +239,7 @@ class TestMarginalNull:
         )
         mu2_oracle, tau_oracle = res.x[0], abs(res.x[1])
         cml = fit_marginal_null(data, value, 0, structure)
-        assert abs(cml.mu_c[0] - mu2_oracle) < 1e-3
+        assert abs(cml.mu[1] - mu2_oracle) < 1e-3
         assert abs(cml.het.tau[0] - tau_oracle) < 1e-3
 
     def test_univariate_reduces_to_joint_constraint(self, univariate10):
@@ -248,7 +249,8 @@ class TestMarginalNull:
             b = fit_eta_given_mu(univariate10, [v])
             assert a.het.tau.tobytes() == b.het.tau.tobytes()
             assert a.loglik == b.loglik and a.iterations == b.iterations
-            assert a.converged and b.converged and a.mu_c.size == b.mu_c.size == 0
+            assert a.converged and b.converged and a.mu.tolist() == b.mu.tolist() == [v]
+            assert a.sigma.tobytes() == b.sigma.tobytes()
 
     @pytest.mark.parametrize("name, component", [("bivariate6", 0), ("trivariate_missing", 1)])
     def test_one_optimizer_call(self, request, monkeypatch, name, component):
@@ -315,7 +317,7 @@ class TestRefitRows:
         scales = np.array([1.0, 0.6, 1.5])
         Ys = [mu0[g.idx] + scales[:, None, None] * (g.Y - mu0[g.idx]) for g in data._groups]
         start = HetParams(tau=[0.3, 0.35, 0.4], kappa=np.full((3, 3), 0.3) + 0.7 * np.eye(3))
-        X, mu_free, converged = refit_rows(data, Ys, fixed, mu0[fixed], structure, start)
+        X, mus, converged = refit_rows(data, Ys, fixed, mu0[fixed], structure, start)
         assert converged.all()
         sigmas = sigma_rows(X, structure, 3)
         Y, S = data.Y, data.S
@@ -325,8 +327,10 @@ class TestRefitRows:
                 cml = fit_eta_given_mu(row, mu0, structure, init=start)
             else:
                 cml = fit_marginal_null(row, mu0[component], component, structure, init=start)
-                np.testing.assert_allclose(mu_free[b], cml.mu_c, atol=1e-6)
-            np.testing.assert_allclose(sigmas[b], between_cov(cml.het, structure), atol=1e-6)
+            assert np.array_equal(mus[b, fixed], mu0[fixed])
+            np.testing.assert_allclose(mus[b], cml.mu, atol=1e-6)
+            assert np.array_equal(cml.sigma, between_cov(cml.het, structure))
+            np.testing.assert_allclose(sigmas[b], cml.sigma, atol=1e-6)
 
 
 class TestMomentBetweenCov:

@@ -54,6 +54,14 @@ class TestWaldInference:
         assert w.p_value == pytest.approx(chi2.sf(6.25, df=1), rel=1e-10)
         assert w.reject
 
+    def test_mu_null_is_a_copy(self, bivariate5):
+        # a summary must not change when the caller later reuses its array
+        mu = np.array([0.1, -0.2])
+        w = wald_inference(fit_ml(bivariate5), mu_null=mu)
+        mu[:] = 9.0
+        assert w.mu_null.tolist() == [0.1, -0.2]
+        assert not w.mu_null.flags.writeable
+
     def test_covers_and_ellipsoid(self, equal_var_fit):
         w = wald_inference(equal_var_fit, alpha=0.05)
         assert w.covers([0.25]).all()
@@ -163,6 +171,16 @@ class TestMedianUnbiasedEstimate:
         assert lo < est < hi
         assert abs(est - diag["anchor"]) < diag["anchor_se"]
         assert len(diag["trace"]) >= 3
+
+    def test_trace_records_each_probe_p_value(self, univariate10, u10_plan):
+        # a random-plan p-value is (1 + c) / (B + 1) for a count c of
+        # permutation values at or above the observed one
+        _, diag = median_unbiased_estimate(univariate10, 0, plan=u10_plan, full_output=True)
+        B = u10_plan.n_draws
+        for _, p in diag["trace"]:
+            c = round(p * (B + 1)) - 1
+            assert 0 <= c <= B
+            assert p == (1 + c) / (B + 1)
 
     def test_deterministic(self, univariate10, u10_plan):
         a = median_unbiased_estimate(univariate10, 0, plan=u10_plan)

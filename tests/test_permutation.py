@@ -28,19 +28,25 @@ from metaperm.estimators import (
     fit_marginal_null,
     moment_between_cov,
 )
-from metaperm.model import between_cov
+from metaperm.model import _quad_forms, between_cov
 from metaperm.permutation import (
     _flip_dataset,
-    _marginal_root,
-    _quad_forms,
+    _observed_statistic,
+    _own_outcomes,
     _sign_plan,
-    _stat_from_sigma,
+    _statistics,
     generate_signs,
-    marginal_score_statistic,
-    score_statistic_cml,
 )
 
 from conftest import make_mvn, make_univariate
+
+
+def _stat_at(data, mu, sigma, component=None):
+    """The t1 statistic (component None) or signed t3 root of the data at mu and Sigma."""
+    stats, _, _ = _statistics(
+        data, _own_outcomes(data), np.asarray(mu, dtype=float)[None], sigma[None], component
+    )
+    return float(stats[0])
 
 
 class TestPermutationPlan:
@@ -299,19 +305,19 @@ class TestJointCml:
 
     def test_statistic_zero_at_ml(self, bivariate5):
         fit = fit_ml(bivariate5)
-        value, _ = score_statistic_cml(bivariate5, fit.mu)
+        value, _, _ = _observed_statistic(bivariate5, fit.mu, None, None)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_statistic_nonnegative(self, bivariate5):
         for mu in ([0.0, 0.0], [1.0, -1.0], [0.4, -0.2]):
-            value, _ = score_statistic_cml(bivariate5, mu)
+            value, _, _ = _observed_statistic(bivariate5, mu, None, None)
             assert value >= 0.0
 
     def test_scalar_case_rederived(self, univariate10):
         # for one outcome the statistic collapses to U^2 / I with
         # weights at the constrained heterogeneity fit
         mu0 = 0.1
-        value, cml = score_statistic_cml(univariate10, [mu0])
+        value, _, cml = _observed_statistic(univariate10, [mu0], None, None)
         y = univariate10.Y[:, 0]
         s2 = univariate10.S[:, 0, 0]
         w = 1.0 / (s2 + cml.het.tau[0] ** 2)
@@ -324,6 +330,16 @@ class TestJointCml:
         r2 = joint_permutation_test(bivariate5, [0.1, 0.1], plan=plan)
         assert r1.p_value == r2.p_value
         assert np.array_equal(r1.distribution.statistics, r2.distribution.statistics)
+
+    @pytest.mark.parametrize("stat", ["cml", "moment"])
+    def test_mu_null_is_a_copy(self, bivariate5, stat):
+        # a result must not change when the caller later reuses its array
+        mu = np.array([0.1, -0.2])
+        plan = PermutationPlan.random(n_draws=100, seed=1)
+        res = joint_permutation_test(bivariate5, mu, plan=plan, stat=stat)
+        mu[:] = 9.0
+        assert res.mu_null.tolist() == [0.1, -0.2]
+        assert not res.mu_null.flags.writeable
 
     def test_bad_inputs_rejected(self, bivariate5):
         with pytest.raises(ValueError, match="length"):
@@ -444,10 +460,10 @@ class TestMomentOracle:
         for offset in (0.0, 0.1, -0.25, 0.5, 1.0):
             mu = ml + offset
             res = joint_permutation_test(data, mu, plan=plan, stat="moment")
-            # the observed statistic is bit for bit the one _stat_from_sigma
-            # computes at the moment Sigma
+            # the observed statistic is bit for bit the t1 statistic at the
+            # moment Sigma
             sigma, _ = moment_between_cov(data, mu)
-            assert res.statistic == _stat_from_sigma(data, mu, sigma)[0]
+            assert res.statistic == _stat_at(data, mu, sigma)
             stats = _enumerated_moment_null(data, mu)
             np.testing.assert_allclose(
                 res.distribution.statistics, stats, rtol=1e-12, atol=1e-12 * stats.max()
@@ -493,16 +509,12 @@ def _enumerated_marginal_null(data, value, c, structure):
     information of component c at that refit."""
     observed = fit_marginal_null(data, value, c, structure)
     rest = [j for j in range(data.p) if j != c]
-    center = np.empty(data.p)
-    center[c] = value
-    center[rest] = observed.mu_c
+    center = observed.mu
     stats = []
     for v in _binary_flips(data.n_studies):
         flipped = Dataset(Y=center + v[:, None] * (data.Y - center), S=data.S)
         fit = fit_marginal_null(flipped, value, c, structure, init=observed.het)
-        mu = center.copy()
-        mu[rest] = fit.mu_c
-        U, info = _score_and_information(flipped, mu, between_cov(fit.het, structure))
+        U, info = _score_and_information(flipped, fit.mu, between_cov(fit.het, structure))
         J = info[c, c] - info[c, rest] @ np.linalg.solve(info[np.ix_(rest, rest)], info[rest, c])
         stats.append(U[c] ** 2 / J)
     return np.array(stats)
@@ -632,7 +644,8 @@ class TestMarginal:
     def test_statistic_zero_at_joint_ml(self, bivariate5):
         fit = fit_ml(bivariate5)
         for j in range(2):
-            value, _ = marginal_score_statistic(bivariate5, fit.mu[j], j)
+            root, _, _ = _observed_statistic(bivariate5, fit.mu[j], j, None)
+            value = root * root
             assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_scalar_case_matches_joint_test(self, univariate10):
@@ -650,11 +663,11 @@ class TestMarginal:
     def test_statistic_rederived_from_constrained_fit(self, trivariate_missing):
         # rebuild the component score and its Schur information directly
         # from observed blocks, scattering each study's weight in place
-        value, cml = marginal_score_statistic(trivariate_missing, 0.05, 1)
+        root, _, cml = _observed_statistic(trivariate_missing, 0.05, 1, None)
+        value = root * root
         sigma = between_cov(cml.het, CovStructure.unstructured())
-        mu_full = np.empty(3)
-        mu_full[1] = 0.05
-        mu_full[[0, 2]] = cml.mu_c
+        mu_full = cml.mu
+        assert mu_full[1] == 0.05
         U = np.zeros(3)
         info = np.zeros((3, 3))
         data = trivariate_missing
@@ -695,8 +708,8 @@ def _no_row_converges(refit_rows):
     sends each one to the scalar fitter."""
 
     def unconverged(*args, **kwargs):
-        X, mu_free, converged = refit_rows(*args, **kwargs)
-        return X, mu_free, np.zeros_like(converged)
+        X, mus, converged = refit_rows(*args, **kwargs)
+        return X, mus, np.zeros_like(converged)
 
     return unconverged
 
@@ -761,7 +774,7 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
 
     Returns a record of both results, the permuted rows' statistics of
     each run, the batched run's flip center, sign rows and warm start,
-    and the (free vectors, free means, converged masks) its kernel returned.
+    and the (free vectors, means, converged masks) its kernel returned.
     """
     structure = CovStructure.parse(structure)
     plan = (
@@ -802,7 +815,7 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
     )
 
 
-def _assert_kernel_row_no_worse(run, i, x_kernel, mu_free, statistic):
+def _assert_kernel_row_no_worse(run, i, x_kernel, mu_kernel, statistic):
     """Permuted row i's statistic is the one at the kernel's refit, and that
     refit's scalar objective is no worse than the scalar fitter's refit.
     Each refit is taken as the snapped heterogeneity its statistic was
@@ -810,13 +823,7 @@ def _assert_kernel_row_no_worse(run, i, x_kernel, mu_free, statistic):
     data, structure, component = run.data, run.structure, run.component
     flipped = _flip_dataset(data, run.center, run.signs[i])
     kernel_het = _het_from_free(x_kernel, structure, data.p)
-    sigma = between_cov(kernel_het, structure)
-    if component is None:
-        at_kernel, _ = _stat_from_sigma(flipped, run.center, sigma)
-    else:
-        mu = run.center.copy()
-        mu[[j for j in range(data.p) if j != component]] = mu_free
-        at_kernel, _ = _marginal_root(flipped, mu, sigma, component)
+    at_kernel = _stat_at(flipped, mu_kernel, between_cov(kernel_het, structure), component)
     assert at_kernel == pytest.approx(statistic, rel=1e-9, abs=1e-12)
 
     fixed = list(range(data.p)) if component is None else [component]
@@ -844,10 +851,10 @@ def _assert_close_to_scalar(run):
     # 1e-9, so where the likelihood is flat the scalar refit can stop short
     b, s = run.batched_rows, run.scalar_rows
     atol = 1e-9 * np.abs(s).max()
-    X, mu_free, ok = (np.concatenate(a) for a in zip(*run.kernel))
+    X, mus, ok = (np.concatenate(a) for a in zip(*run.kernel))
     for i in np.flatnonzero(np.abs(b - s) > 1e-6 * np.abs(s) + atol):
         assert ok[i], f"row {i}: scalar fallback {b[i]!r} differs from the oracle {s[i]!r}"
-        _assert_kernel_row_no_worse(run, i, X[i], mu_free[i], b[i])
+        _assert_kernel_row_no_worse(run, i, X[i], mus[i], b[i])
 
 
 class TestBatchedRefits:
