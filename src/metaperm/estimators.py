@@ -594,7 +594,7 @@ def _step(H, g, held):
     return d, pd
 
 
-def refit_rows(data, Ys, fixed, values, structure, init):
+def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     """Constrained ML of the heterogeneity for many outcome sets at once.
 
     Every row shares data's studies, observation masks and within-study
@@ -606,8 +606,18 @@ def refit_rows(data, Ys, fixed, values, structure, init):
     of fit_marginal_null. The free vector, bounds and objective are the
     scalar fitters'.
 
-    All rows start from init and move in lock step by projected Newton
-    steps inside the box (Bertsekas 1982, SIAM J. Control Optim.):
+    Each row starts from init, or from its own free vector in starts
+    (R, m) where that row of starts is finite and no tau, in it or in
+    init, reads as zero (TAU_SNAP): a test inside an inversion passes
+    each row's solution at an earlier null value, which lies near its
+    solution at this one. A row whose start gives a non-finite
+    objective starts from init instead. Only init decides the two rules
+    that send every row to the scalar fitter: init on the |kappa| -> 1
+    ridge, and a non-finite objective at init. So a row started from
+    init takes the same steps with or without starts.
+
+    The rows move in lock step by projected Newton steps inside the box
+    (Bertsekas 1982, SIAM J. Control Optim.):
     Fisher scoring with the expected information 1/2 tr(W dSigma_a W
     dSigma_b) (Jennrich & Schluchter 1986, Biometrics) while the observed
     information is not positive definite on the free coordinates, Newton
@@ -631,7 +641,8 @@ def refit_rows(data, Ys, fixed, values, structure, init):
     nt = structure.n_tau(p)
     Mt, Pk = _derivative_patterns(structure, p)
     R = Ys[0].shape[0]
-    X = np.tile(_pack(init, structure), (R, 1))
+    x0 = _pack(init, structure)
+    X = np.tile(x0, (R, 1))
     mu = np.zeros((R, p))
     mu[:, fixed] = values
     converged = np.zeros(R, dtype=bool)
@@ -639,16 +650,29 @@ def refit_rows(data, Ys, fixed, values, structure, init):
     def evaluate(rows, Xr):
         return _row_terms(data, [Y[rows] for Y in Ys], Xr, fixed, values, structure, Mt, Pk)
 
-    x0 = X[0]
     if np.any(np.abs(x0[nt:]) >= ZETA_MAX):
         # a start on the |kappa| -> 1 ridge, where kappa has almost no
         # curvature: which boundary maximum the scalar fitter's local
         # search settles in depends on its path, so it decides every row
         return X, mu, converged
     rows = np.arange(R)
+    warm = np.zeros(R, dtype=bool)
+    # a tau that reads as zero sits where the objective is flat in log tau
+    # whatever the outcomes, so a row started there stays there: a row
+    # starts warm only when neither init nor its start has such a tau
+    if starts is not None and (x0[:nt] > np.log(TAU_SNAP)).all():
+        warm = np.isfinite(starts).all(axis=1)
+        warm &= (starts[:, :nt] > np.log(TAU_SNAP)).all(axis=1)
+        X[warm] = starts[warm]
     state = evaluate(rows, X)
+    lost = np.flatnonzero(warm & ~np.isfinite(state[0]))
+    if lost.size:
+        X[lost] = x0
+        for a, v in zip(state, evaluate(lost, X[lost])):
+            a[lost] = v
     if not np.isfinite(state[0]).all():
-        # the start's marginal covariances do not depend on the outcomes
+        # every row left here starts at init, whose marginal covariances
+        # do not depend on the outcomes
         return X, mu, converged
     for _ in range(ROW_MAX_ITER):
         f, g, fisher, obs, mu_r = state

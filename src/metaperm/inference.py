@@ -8,7 +8,10 @@ information matrix. The point estimate and each side of the interval
 share one bisection, _bisect, and an interval fits ML once for both its
 step size and its point estimate. Every permutation test invoked here
 reuses one fixed sign plan, so acceptance is a deterministic function
-of the null value and the reported boundaries are well defined.
+of the null value and the reported boundaries are well defined. Within
+one inversion each test's sign-row refits start from the rows' own
+solutions at the nearest earlier null value (_Probes), and cold
+re-tests confirm every reported boundary (_cold_checked).
 """
 
 from dataclasses import dataclass, field
@@ -23,10 +26,12 @@ from .permutation import (
     NullDistribution,
     _default_plan,
     # a module binding that perfbench's traced run wraps as the test span
-    # of every median-unbiased probe
+    # of every probe of an inversion
     _refit_distribution as _marginal_signed_distribution,
     joint_permutation_test,
-    marginal_permutation_test,
+    # not called here; perfbench's traced run wraps this module's binding,
+    # so it stays importable
+    marginal_permutation_test,  # noqa: F401
 )
 
 __all__ = [
@@ -114,9 +119,12 @@ class Interval:
     boundary_diagnostics maps "lower"/"upper" to per-side records with
     keys monotone_crossing (the outward scan was accepted up to the
     first rejection), open_ended (no rejection within the scan range,
-    the reported bound is the last scanned point), and scan (the probe
-    trace as (value, p_value, accepted) triples); the "center" entry
-    records the point estimate the scan started from.
+    the reported bound is the last scanned point), scan (the probe
+    trace as (value, p_value, accepted) triples), verified (the cold
+    re-tests of the side's final values agreed with its warm tests;
+    false when the side was redone cold) and warm_probes (the side's
+    warm tests); the "center" entry records the point estimate the
+    scan started from.
     """
 
     lower: float
@@ -248,7 +256,9 @@ def _bisect(accepts, inner, outer):
     """Halve the bracket until |outer - inner| <= XTOL; returns (inner, outer).
 
     accepts(inner) holds and accepts(outer) does not; each midpoint
-    replaces the end whose verdict it shares.
+    replaces the end whose verdict it shares. Inside an inversion the
+    midpoints are warm tests (see _Probes), and _cold_checked confirms
+    the returned pair with cold tests.
     """
     while abs(outer - inner) > XTOL:
         mid = 0.5 * (inner + outer)
@@ -259,28 +269,116 @@ def _bisect(accepts, inner, outer):
     return inner, outer
 
 
-def _median_unbiased(data, component, plan, structure, anchor, anchor_se):
+class _Probes:
+    """The t3 tests of one inversion, which pass solutions from test to test.
+
+    Every test runs under the same data, component, plan and structure.
+    starts, kept only as long as this object, maps each tested null
+    value to the free vectors the plan's distinct sign rows converged to
+    there (see permutation._refit_distribution). A warm test starts each
+    row's refit from its own vector at the nearest value tested before:
+    consecutive probes lie close together, so the rows start near their
+    solutions. A cold test starts every row at the test's observed fit,
+    exactly as a standalone marginal_permutation_test does. The observed
+    fit, its statistic and the flip center are the same either way.
+    With one outcome every test is cold: the only mean component is
+    fixed, reflection about it leaves each row's likelihood unchanged,
+    and so the observed fit is already every row's solution.
+    starts holds one float per free parameter, per distinct sign row,
+    per tested value: about 150 kB for 60 tests of 100 rows at p = 2.
+    cold holds the values whose latest test was cold; n_warm counts the
+    warm tests.
+    """
+
+    def __init__(self, data, component, plan, structure):
+        self.data, self.component, self.plan, self.structure = data, component, plan, structure
+        self.starts = {}
+        self.cold = set()
+        self.n_warm = 0
+
+    def _signed(self, m, warm):
+        warm = warm and self.data.p > 1 and bool(self.starts)
+        s_obs, roots, _, _, _ = _marginal_signed_distribution(
+            self.data, m, self.component, self.structure, self.plan,
+            starts=self.starts, warm=warm,
+        )
+        if warm:
+            self.n_warm += 1
+            self.cold.discard(m)
+        else:
+            self.cold.add(m)
+        return s_obs, roots
+
+    def signed_p(self, m, warm=True):
+        """One-sided p-value of the signed marginal score at m."""
+        s_obs, roots = self._signed(m, warm)
+        return NullDistribution(statistics=roots, mode=self.plan.mode).p_value(s_obs)
+
+    def p_value(self, m, warm=True):
+        """p-value of the marginal test at m, as marginal_permutation_test gives it."""
+        s_obs, roots = self._signed(m, warm)
+        null = NullDistribution(statistics=roots * roots, mode=self.plan.mode)
+        return null.p_value(s_obs * s_obs)
+
+
+def _cold_checked(search, holds, probes):
+    """Run one search of an inversion warm and confirm its final bracket cold.
+
+    search(warm) runs a scan or bisection with warm or cold tests and
+    returns (inner, outer, log): its final value on the side where
+    holds, its final value on the other side (None when the scan found
+    none) and the probes it recorded. Each final value whose latest test
+    was warm is tested again cold, holds(m) giving the cold verdict;
+    these tests are not logged. If a cold verdict differs, the search
+    runs again with cold tests only. Either way both returned values
+    carry cold verdicts, and when every verdict agrees they equal what
+    a search with cold tests alone returns, bit for bit.
+    Returns (inner, outer, log, {"verified": ..., "warm_probes": ...}):
+    verified is false when the search was redone; warm_probes counts
+    the warm tests of the first run.
+    """
+    n_warm = probes.n_warm
+    inner, outer, log = search(True)
+    warm_probes = probes.n_warm - n_warm
+    verified = all(
+        holds(m) == side
+        for m, side in ((inner, True), (outer, False))
+        if m is not None and m not in probes.cold
+    )
+    if not verified:
+        inner, outer, log = search(False)
+    return inner, outer, log, {"verified": verified, "warm_probes": warm_probes}
+
+
+def _median_unbiased(probes, anchor, anchor_se):
     """The median-unbiased estimate bracketed around a Wald anchor.
 
-    Returns (value, diagnostics); see median_unbiased_estimate.
+    Both bracket ends are tested cold, the bisection warm and its final
+    pair confirmed cold (_cold_checked). Returns (value, diagnostics);
+    see median_unbiased_estimate.
     """
     lo, hi = anchor - 4.0 * anchor_se, anchor + 4.0 * anchor_se
-    trace = []
+    p_lo, p_hi = probes.signed_p(lo, warm=False), probes.signed_p(hi, warm=False)
+    ends = [(float(lo), p_lo), (float(hi), p_hi)]
 
-    def signed_p(m):
-        s_obs, roots, _, _, _ = _marginal_signed_distribution(
-            data, float(m), component, structure, plan
-        )
-        p = NullDistribution(statistics=roots, mode=plan.mode).p_value(s_obs)
-        trace.append((float(m), p))
-        return p
+    def search(warm):
+        trace = list(ends)
 
-    p_lo, p_hi = signed_p(lo), signed_p(hi)
-    crossed = p_lo <= 0.5 <= p_hi
-    value = anchor
-    if crossed:
+        def below(m):
+            p = probes.signed_p(m, warm)
+            trace.append((float(m), p))
+            return p <= 0.5
+
         # p is a step function; keep p(inner) <= 1/2 < p(outer) up to ties
-        inner, outer = _bisect(lambda m: signed_p(m) <= 0.5, lo, hi)
+        inner, outer = _bisect(below, lo, hi)
+        return inner, outer, trace
+
+    crossed = p_lo <= 0.5 <= p_hi
+    value, trace, check = anchor, ends, {"verified": True, "warm_probes": 0}
+    if crossed:
+        inner, outer, trace, check = _cold_checked(
+            search, lambda m: probes.signed_p(m, warm=False) <= 0.5, probes
+        )
         value = 0.5 * (inner + outer)
     return float(value), {
         "crossed": bool(crossed),
@@ -288,6 +386,7 @@ def _median_unbiased(data, component, plan, structure, anchor, anchor_se):
         "anchor": anchor,
         "anchor_se": anchor_se,
         "trace": trace,
+        **check,
     }
 
 
@@ -301,15 +400,29 @@ def median_unbiased_estimate(data, component, plan=None, structure=None, *, full
     so the solution balances the permutation distribution around the
     observed signed score.
 
+    The bracket ends are tested cold: every sign row's refit starts at
+    the test's observed fit, as in a standalone test. Each bisection
+    test starts every row from its own solution at the nearest null
+    value tested before, which saves refit iterations (with one
+    outcome every test is cold; see _Probes). The final bisection pair
+    is then tested again cold; if either verdict differs, the bisection
+    is redone cold from the bracket. So the estimate always lies
+    between two values with cold verdicts, and it is the estimate of an
+    all-cold bisection whenever the verdicts agree. The solutions are
+    kept only for the duration of the call.
+
     Falls back to the ML component estimate when no crossing exists in
     the bracket; with full_output=True returns (value, diagnostics)
-    where diagnostics reports crossed, the bracket, and the probe trace
-    of (null value, one-sided p-value) pairs.
+    where diagnostics reports crossed, the bracket, the probe trace of
+    (null value, one-sided p-value) pairs (without the cold re-tests),
+    verified (false when the bisection was redone cold) and warm_probes
+    (the warm tests of the first bisection).
     """
     structure = _require_structure(structure)
     plan = _default_plan(plan)
     anchor, anchor_se = _wald_anchor(data, component, structure)
-    value, diagnostics = _median_unbiased(data, component, plan, structure, anchor, anchor_se)
+    probes = _Probes(data, component, plan, structure)
+    value, diagnostics = _median_unbiased(probes, anchor, anchor_se)
     return (value, diagnostics) if full_output else value
 
 
@@ -327,6 +440,18 @@ def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, 
     endpoints are well defined. One ML fit gives both the Wald standard
     error and the anchor of the median-unbiased estimate.
 
+    The center is tested cold, as a standalone test: every sign row's
+    refit starts at the test's observed fit. Every later scan and
+    bisection test starts each row from its own solution at the nearest
+    null value tested before in this call, the median-unbiased
+    estimate's probes included. When a side's scan and bisection end,
+    its final accepted and rejected values are tested again cold; if
+    either verdict differs, that side is redone with cold tests only.
+    So each endpoint is accepted and its outer neighbour rejected by
+    cold tests, the endpoints are those of an all-cold inversion
+    whenever the verdicts agree, and the re-tests appear in no scan.
+    The solutions are kept only for the duration of the call.
+
     A side with no rejection within the scan range reports the last
     scanned value with open_ended=True in its diagnostics. If the
     center itself is rejected the degenerate interval [center, center]
@@ -337,43 +462,48 @@ def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, 
     plan = _default_plan(plan)
     _check_alpha(alpha)
     anchor, anchor_se = _wald_anchor(data, component, structure)
+    probes = _Probes(data, component, plan, structure)
     if center is None:
-        center, _ = _median_unbiased(data, component, plan, structure, anchor, anchor_se)
+        center, _ = _median_unbiased(probes, anchor, anchor_se)
     center = float(center)
     step = STEP_FRACTION * anchor_se
 
-    def probe(m):
-        res = marginal_permutation_test(data, m, component, plan=plan, structure=structure)
-        return res.p_value, res.p_value > alpha
-
-    p_center, center_ok = probe(center)
+    p_center = probes.p_value(center, warm=False)
+    center_ok = p_center > alpha
     diagnostics = {"center": {"value": center, "p_value": p_center, "accepted": center_ok}}
     bounds = {}
     for side, direction in (("lower", -1.0), ("upper", 1.0)):
-        scan = [(center, p_center, center_ok)]
 
-        def accepts(m, scan=scan):
-            p, ok = probe(m)
-            scan.append((m, p, ok))
-            return ok
+        def search(warm, direction=direction):
+            scan = [(center, p_center, center_ok)]
 
-        inner = center
-        outer = None
-        # a rejected center scans no further: the interval is [center, center]
-        for k in range(1, MAX_STEPS + 1 if center_ok else 1):
-            m = center + direction * k * step
-            if not accepts(m):
-                outer = m
-                break
-            inner = m
-        if outer is not None:
-            # bisect the accepted/rejected bracket; report the accepted end
-            inner, _ = _bisect(accepts, inner, outer)
+            def accepts(m):
+                p = probes.p_value(m, warm)
+                scan.append((m, p, p > alpha))
+                return p > alpha
+
+            inner, outer = center, None
+            # a rejected center scans no further: the interval is [center, center]
+            for k in range(1, MAX_STEPS + 1 if center_ok else 1):
+                m = center + direction * k * step
+                if not accepts(m):
+                    outer = m
+                    break
+                inner = m
+            if outer is not None:
+                # bisect the accepted/rejected bracket; report the accepted end
+                inner, outer = _bisect(accepts, inner, outer)
+            return inner, outer, scan
+
+        inner, outer, scan, check = _cold_checked(
+            search, lambda m: probes.p_value(m, warm=False) > alpha, probes
+        )
         bounds[side] = inner
         diagnostics[side] = {
             "monotone_crossing": outer is not None,
             "open_ended": center_ok and outer is None,
             "scan": scan,
+            **check,
         }
     return Interval(
         lower=float(min(bounds["lower"], center)),

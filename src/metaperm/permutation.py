@@ -420,62 +420,96 @@ def _moment_statistics(data, mu, sigma, signs):
     return t_obs, stats, bool(pinv_w[0] or pinv[0])
 
 
-def _permuted_statistics(data, center, component, signs, structure, warm):
+def _permuted_statistics(data, center, component, signs, structure, init, starts=None):
     """Statistic of each sign row's reflected sample at its own refit.
 
     With component None the whole mean is fixed at the center and the
     statistic is the joint score statistic (t1); otherwise that one
     component is fixed, the rest are profiled, and the statistic is the
     signed marginal root (t3). The refits of each chunk of REFIT_CHUNK
-    rows run in one refit_rows call warm-started at warm. Rows it leaves
-    unconverged, and marginal rows without information, are refit one
-    at a time with the scalar fitter on the reflected dataset; only a
-    failure there counts in n_failed.
-    Returns (statistics, n_failed, used_pinv).
+    rows run in one refit_rows call, started at init, the observed
+    constrained fit, or at the rows' free vectors in starts (see
+    refit_rows). Rows it leaves unconverged, and marginal rows without
+    information, are refit one at a time with the scalar fitter on the
+    reflected dataset, started at init; only a failure there counts.
+    Returns (statistics, failed, used_pinv, solutions): failed marks
+    the rows whose scalar refit failed, and solutions holds each row's
+    converged free vector from refit_rows, nan where the scalar fitter
+    took over.
     """
     fixed = np.arange(data.p) if component is None else np.array([component])
     value = center if component is None else center[component]
     out = np.empty(signs.shape[0])
-    n_failed = 0
+    failed = np.zeros(signs.shape[0], dtype=bool)
+    solutions = np.empty((signs.shape[0], structure.n_free(data.p)))
     used_pinv = False
     for start in range(0, signs.shape[0], REFIT_CHUNK):
-        chunk = signs[start:start + REFIT_CHUNK]
+        rows = slice(start, start + REFIT_CHUNK)
+        chunk = signs[rows]
         Ys = _flipped_outcomes(data, center, chunk)
-        X, mus, ok = refit_rows(data, Ys, fixed, center[fixed], structure, warm)
+        X, mus, ok = refit_rows(
+            data, Ys, fixed, center[fixed], structure, init,
+            None if starts is None else starts[rows],
+        )
         sigmas = sigma_rows(X, structure, data.p)
         stats, J, pinv = _statistics(data, Ys, mus, sigmas, component)
         redo = np.flatnonzero(~ok | (J < MIN_MARGINAL_INFO))
+        X[redo] = np.nan
         for b in redo:
             flipped = _flip_dataset(data, center, chunk[b])
             try:
-                cml_b = _null_fit(flipped, value, component, structure, init=warm)
+                cml_b = _null_fit(flipped, value, component, structure, init=init)
             except NonConvergenceError as exc:
                 cml_b = exc.last_result
-                n_failed += 1
+                failed[start + b] = True
             mus[b], sigmas[b] = cml_b.mu, cml_b.sigma
         if redo.size:
             stats[redo], J[redo], pinv[redo] = _statistics(
                 data, [Y[redo] for Y in Ys], mus[redo], sigmas[redo], component
             )
             _require_information(J[redo], component)
-        out[start:start + chunk.shape[0]] = stats
+        out[rows] = stats
+        solutions[rows] = X
         used_pinv |= bool(pinv.any())
-    return out, n_failed, used_pinv
+    return out, failed, used_pinv, solutions
 
 
-def _refit_distribution(data, value, component, structure, plan):
+def _distinct_rows(signs):
+    """The distinct rows of a sign matrix and each row's index among them."""
+    distinct, inverse = np.unique(signs, axis=0, return_inverse=True)
+    return distinct, inverse.reshape(-1)
+
+
+def _nearest_solutions(starts, value):
+    """Row solutions stored at the probed null value nearest to value, or None."""
+    if not starts:
+        return None
+    return starts[min(starts, key=lambda v: abs(v - value))]
+
+
+def _refit_distribution(data, value, component, structure, plan, starts=None, warm=False):
     """Observed and permuted statistics of a refit test, t1 or t3.
 
     component None tests the whole mean at value (t1); otherwise one
     component at value (t3), whose statistics are the signed marginal
     roots. The observed data are fit under the null and scored at that
     fit, whose mean is the flip center. Every other sign row's reflected
-    sample is refit and scored the same way (_permuted_statistics).
+    sample is refit and scored the same way (_permuted_statistics),
+    once per distinct row: a random plan that draws the same
+    assignment twice refits it once and gives both the same statistic.
     The assignment that flips nothing reproduces the observed statistic
     exactly, and the one that flips everything reproduces it for t1 and
     its negation for t3 (the refit center is invariant under global
     reflection), so both are assigned directly. More than
     MAX_FAILURE_FRACTION failed refits raise NonConvergenceError.
+
+    starts, private to one inversion (see inference), maps each null
+    value tested so far under this plan to the free vectors its distinct
+    rows converged to (nan where the scalar fitter took over); this
+    test's are added. With warm true each row's refit starts from its
+    own vector at the nearest stored value; otherwise, and for rows
+    without one, from the observed fit. The observed fit, its statistic
+    and the flip center never depend on starts.
     Returns (s_obs, statistics, n_failed, used_pinv, includes_identity).
     """
     signs, row_sums = _sign_plan(plan, data.n_studies)
@@ -483,9 +517,15 @@ def _refit_distribution(data, value, component, structure, plan):
     stats = np.where(row_sums > 0, s_obs, s_obs if component is None else -s_obs)
     refit = np.abs(row_sums) != data.n_studies
     n_refit = int(refit.sum())
-    stats[refit], n_failed, used = _permuted_statistics(
-        data, cml.mu, component, signs[refit], structure, cml.het
+    distinct, inverse = _distinct_rows(signs[refit])
+    stats_d, failed, used, solutions = _permuted_statistics(
+        data, cml.mu, component, distinct, structure, cml.het,
+        _nearest_solutions(starts, value) if warm else None,
     )
+    if starts is not None:
+        starts[value] = solutions
+    stats[refit] = stats_d[inverse]
+    n_failed = int(np.count_nonzero(failed[inverse]))
     if n_refit and n_failed > MAX_FAILURE_FRACTION * n_refit:
         raise NonConvergenceError(
             f"{n_failed} of {n_refit} permutation refits failed; "

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
+import metaperm.estimators
 import metaperm.inference
+import metaperm.permutation
 from metaperm import (
     Dataset,
     NonConvergenceError,
@@ -17,6 +19,7 @@ from metaperm import (
     SingularInformationError,
     confidence_interval,
     confidence_region,
+    fit_marginal_null,
     fit_ml,
     joint_permutation_test,
     marginal_permutation_test,
@@ -238,6 +241,112 @@ class TestConfidenceInterval:
     def test_rejects_bad_alpha(self, univariate10, u10_plan):
         with pytest.raises(ValueError, match="alpha"):
             confidence_interval(univariate10, 0, alpha=1.0, plan=u10_plan)
+
+
+def _all_cold(monkeypatch):
+    """Start every refit of an inversion at its test's observed fit."""
+    monkeypatch.setattr(metaperm.permutation, "_nearest_solutions", lambda starts, value: None)
+
+
+def _inversion(data, plan):
+    mue, diag = median_unbiased_estimate(data, 0, plan=plan, full_output=True)
+    return mue, diag, confidence_interval(data, 0, plan=plan)
+
+
+class TestWarmStarts:
+    @pytest.mark.parametrize(
+        "name, plan",
+        [
+            ("bivariate12", PermutationPlan.random(100, seed=20240101)),
+            ("univariate10", PermutationPlan.exhaustive()),
+        ],
+    )
+    def test_equal_to_cold_only_inversion(self, request, name, plan, monkeypatch):
+        # warm starts save refit work and change no reported number: the
+        # estimate, the endpoints and every probe's p-value are those of
+        # an inversion whose every test starts at its observed fit. With
+        # one outcome the observed fit is every row's solution, so no
+        # test starts warm
+        data = request.getfixturevalue(name)
+        evaluated = []
+        real_terms = metaperm.estimators._row_terms
+
+        def counted(*args):
+            evaluated[-1] += args[2].shape[0]
+            return real_terms(*args)
+
+        monkeypatch.setattr(metaperm.estimators, "_row_terms", counted)
+        evaluated.append(0)
+        warm = _inversion(data, plan)
+        evaluated.append(0)
+        with monkeypatch.context() as m:
+            _all_cold(m)
+            cold = _inversion(data, plan)
+        multi = data.p > 1
+        assert evaluated[0] < evaluated[1] if multi else evaluated[0] == evaluated[1]
+        (mue, diag, iv), (cold_mue, cold_diag, cold_iv) = warm, cold
+        assert mue == cold_mue == iv.center
+        assert diag["trace"] == cold_diag["trace"]
+        assert diag["verified"] and diag["warm_probes"] == multi * (len(diag["trace"]) - 2)
+        assert (iv.lower, iv.center, iv.upper) == (cold_iv.lower, cold_iv.center, cold_iv.upper)
+        for side in ("lower", "upper"):
+            d, cold_d = iv.boundary_diagnostics[side], cold_iv.boundary_diagnostics[side]
+            assert d["scan"] == cold_d["scan"]
+            assert d["verified"] and d["warm_probes"] == multi * (len(d["scan"]) - 1)
+
+    def test_disagreeing_warm_verdict_redoes_the_side_cold(self, bivariate12, monkeypatch):
+        # a warm test that rejects the cold-only lower endpoint moves the
+        # bisection's final rejected value onto it; its cold re-test
+        # accepts, so the lower side is redone cold
+        plan = PermutationPlan.random(100, seed=20240101)
+        center = 0.45
+        with monkeypatch.context() as m:
+            _all_cold(m)
+            cold = confidence_interval(bivariate12, 0, plan=plan, center=center)
+        real = metaperm.inference._marginal_signed_distribution
+        perturbed = []
+
+        def rejecting(data, m, *args, warm=False, **kwargs):
+            s_obs, roots, *rest = real(data, m, *args, warm=warm, **kwargs)
+            if warm and m == cold.lower:
+                # every permuted root below the observed one: p = 1/(B + 1)
+                perturbed.append(m)
+                roots = np.zeros_like(roots)
+            return (s_obs, roots, *rest)
+
+        monkeypatch.setattr(metaperm.inference, "_marginal_signed_distribution", rejecting)
+        iv = confidence_interval(bivariate12, 0, plan=plan, center=center)
+        assert perturbed == [cold.lower]
+        assert (iv.lower, iv.upper) == (cold.lower, cold.upper)
+        lower, upper = iv.boundary_diagnostics["lower"], iv.boundary_diagnostics["upper"]
+        assert not lower["verified"] and upper["verified"]
+        assert lower["scan"] == cold.boundary_diagnostics["lower"]["scan"]
+
+    def test_no_state_outlives_a_call(self, bivariate12):
+        # standalone tests at values an interval probed, before and after
+        # it, are bit for bit the same: the solutions die with the call.
+        # The joint test is at the whole constrained mean of each probe
+        plan = PermutationPlan.random(100, seed=20240101)
+        _, se = metaperm.inference._wald_anchor(bivariate12, 0, None)
+        center = 0.45
+        values = (center, center - metaperm.inference.STEP_FRACTION * se)
+        means = [fit_marginal_null(bivariate12, m, 0).mu for m in values]
+
+        def standalone():
+            out = []
+            for m, mu in zip(values, means):
+                out.append(marginal_permutation_test(bivariate12, m, 0, plan=plan))
+                out.append(joint_permutation_test(bivariate12, mu, plan=plan, stat="cml"))
+            return out
+
+        fresh = standalone()
+        iv = confidence_interval(bivariate12, 0, plan=plan, center=center)
+        assert [m for m, _, _ in iv.boundary_diagnostics["lower"]["scan"][:2]] == list(values)
+        for a, b in zip(fresh, standalone()):
+            np.testing.assert_array_equal(a.distribution.statistics, b.distribution.statistics)
+            assert (a.statistic, a.p_value, a.n_failed, a.used_pinv) == (
+                b.statistic, b.p_value, b.n_failed, b.used_pinv
+            )
 
 
 class TestConfidenceRegion:

@@ -629,6 +629,74 @@ def test_marginal_null_invariant_to_study_order(case, component):
     _assert_same_null(base, other, 1e-6)
 
 
+# (make_mvn seed, N) and offsets from the ML mean under cs:0.3; every
+# reflection of each dataset is tested exhaustively
+ORBIT_CASES = [(11, 5), (7, 6), (3, 7)]
+
+
+@pytest.mark.parametrize("offset", [0.15, -0.3])
+@pytest.mark.parametrize("seed, n", ORBIT_CASES)
+def test_t1_exact_size_over_whole_orbits(seed, n, offset):
+    # the finite-sample guarantee itself: reflecting y about mu0 by each
+    # of the 2^N sign vectors gives datasets that are equally likely
+    # under the null, so at most a share a of their exhaustive p-values
+    # may be at or below any attained a. Refits reach each statistic
+    # only to optimizer tolerance, so only p-values are compared
+    data, structure = make_mvn(seed, n), CovStructure.cs(0.3)
+    mu0 = fit_ml(data, structure).mu + offset
+    plan = PermutationPlan.exhaustive()
+    p = np.array([
+        joint_permutation_test(
+            _flip_dataset(data, mu0, g), mu0, plan=plan, structure=structure
+        ).p_value
+        for g in generate_signs(plan, n).astype(float)
+    ])
+    for a in np.unique(p):
+        assert np.count_nonzero(p <= a) <= a * 2 ** n, f"size above {a} at p <= {a}"
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("stat", ["t1", "t3"])
+    def test_each_distinct_row_refit_once(self, stat, monkeypatch):
+        # 2,400 draws at N = 8 repeat most of the 254 refit rows; each
+        # distinct row is refit once and its statistic copied to its
+        # repeats, bit for bit what refitting every draw gives
+        data = make_mvn(5, 8)
+        plan = PermutationPlan.random(2400, seed=7)
+        mu = fit_ml(data).mu + 0.1
+
+        def run():
+            if stat == "t1":
+                return joint_permutation_test(data, mu, plan=plan)
+            return marginal_permutation_test(data, mu[0], 0, plan=plan)
+
+        real = metaperm.permutation.refit_rows
+        rows = []
+
+        def counted(data, Ys, *args, **kwargs):
+            rows.append(Ys[0].shape[0])
+            return real(data, Ys, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(metaperm.permutation, "refit_rows", counted)
+            distinct = run()
+        signs = generate_signs(plan, data.n_studies)
+        refit = signs[np.abs(signs.sum(axis=1)) != data.n_studies]
+        assert sum(rows) == len(np.unique(refit, axis=0)) < len(refit)
+        with monkeypatch.context() as m:
+            m.setattr(
+                metaperm.permutation, "_distinct_rows", lambda s: (s, np.arange(s.shape[0]))
+            )
+            every = run()
+        np.testing.assert_array_equal(
+            distinct.distribution.statistics, every.distribution.statistics
+        )
+        assert distinct.statistic == every.statistic
+        assert distinct.p_value == every.p_value
+        assert distinct.n_failed == every.n_failed
+        assert distinct.used_pinv == every.used_pinv
+
+
 class TestMarginal:
     def test_identity_and_reflection_rows_exact(self, bivariate5):
         res = marginal_permutation_test(
@@ -799,7 +867,7 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
         m.setattr(metaperm.permutation, "refit_rows", _no_row_converges(real_rows))
         _spy(m, "_permuted_statistics", scalar_permuted)
         scalar = run()
-    (_, center, _, signs, _, warm), (batched_rows, _, _) = permuted[0]
+    (_, center, _, signs, _, warm, _), (batched_rows, _, _, _) = permuted[0]
     return SimpleNamespace(
         data=data,
         structure=structure,
