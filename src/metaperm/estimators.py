@@ -87,9 +87,12 @@ PENALTY = 1e13
 # still moving after ROW_MAX_ITER steps are left to the scalar fitter
 ROW_PGTOL = 1e-9
 ROW_MAX_ITER = 100
-# Armijo sufficient-decrease constant and step halvings per iteration
+# Armijo sufficient-decrease constant and step halvings per iteration;
+# after the full step, the pending rows try up to LADDER halvings in one
+# evaluation
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
+LADDER = 8
 # eigenvalue floor of a step's curvature, relative to its largest
 CURVATURE_FLOOR = 1e-12
 
@@ -515,24 +518,28 @@ def _derivative_patterns(structure, p):
     return Mt, Pk
 
 
-def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
+def _row_terms(data, Ys, X, fixed, values, free, structure, Mt, Pk):
     """Objective, gradient and both curvatures of every row at X.
 
     One likelihood pass over all rows gives f, the negative profiled
     log-likelihood of _neg_profiled_free (unrestricted; the components
-    not in fixed profiled by GLS), and g, its gradient in the free
-    vector. This adds fisher, the expected information
-    1/2 sum_i tr(W_i E_a W_i E_b) with E_a = dSigma/dx_a on study i's
-    observed block, and obs, the Hessian of f including the curvature
-    of the mean profile. Rows whose marginal covariance or
-    mean system is indefinite or singular get f = inf.
+    in free profiled by GLS, those in fixed held at values), and g, its
+    gradient in the free vector. This adds fisher, the expected
+    information 1/2 sum_i tr(W_i E_a W_i E_b) with E_a = dSigma/dx_a on
+    study i's observed block, and obs, the Hessian of f including the
+    curvature of the mean profile. Both come from three moments of each
+    row's studies, sums over i of vec(W_i) vec(W_i)', vec(W_i)
+    vec(s_i s_i)' and vec(W_i) s_i' with s_i = W_i (y_i - mu), taken in
+    one product per mask group and scattered to p-space; two more
+    products contract them with the vec(E_a). Rows whose marginal
+    covariance or mean system is indefinite or singular get f = inf.
 
     Returns (f, g, fisher, obs, mu), mu the whole profiled mean (R, p).
     """
     p = data.p
+    pp = p * p
     R = X.shape[0]
     nt = Mt.shape[0]
-    free = np.setdiff1d(np.arange(p), fixed)
     tau, K, sigma = _unpack_rows(X, structure, p)
     E = sigma[:, None] * Mt
     if Pk.shape[0]:
@@ -546,17 +553,31 @@ def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
     bad = indefinite | pinv | indefinite_A | pinv_A
     ll, G, s_all = _loglik_terms(blocks, p, mu)
 
-    fisher = np.zeros((R, m, m))
-    uWu = np.zeros((R, m, m))
-    q = np.zeros((R, m, p))
+    moments = np.zeros((R, pp, 2 * pp + p))
     for (g, _, W, _), s in zip(blocks, s_all):
-        Eg = E[g.sel]
-        P = np.einsum("rnij,rajk->rnaik", W, Eg)
-        fisher += 0.5 * np.einsum("rnaij,rncji->rac", P, P)
-        u = np.einsum("rajk,rnk->rnaj", Eg, s)
-        Wu = np.einsum("rnij,rnaj->rnai", W, u)
-        uWu += np.einsum("rnai,rnci->rac", u, Wu)
-        q[:, :, g.idx] += Wu.sum(axis=1)
+        n = s.shape[-2]
+        w = W.reshape(R, n, -1)
+        ss = (s[..., :, None] * s[..., None, :]).reshape(R, n, -1)
+        vec = (g.idx[:, None] * p + g.idx).ravel()
+        cols = np.concatenate([vec, pp + vec, 2 * pp + g.idx])
+        moments[:, vec[:, None], cols] += np.swapaxes(w, 1, 2) @ np.concatenate([w, ss, s], -1)
+    T = moments[:, :, :pp].reshape(R, p, p, p, p)
+    U = moments[:, :, pp:2 * pp].reshape(R, p, p, p, p)
+    V = moments[:, :, 2 * pp:].reshape(R, p, p, p)
+    # tr(W E_a W E_b) = sum E_a[j, k] E_b[l, i] W_ij W_kl, s' E_a W E_b s =
+    # sum E_a[i, j] E_b[k, l] s_i s_l W_jk and (W E_a s)_i = sum E_a[j, l] W_ij s_l
+    Ev = E.reshape(R, m, pp)
+    EM = Ev @ np.concatenate(
+        [
+            T.transpose(0, 2, 3, 4, 1).reshape(R, pp, pp),
+            U.transpose(0, 3, 1, 2, 4).reshape(R, pp, pp),
+            V.transpose(0, 2, 3, 1).reshape(R, pp, p),
+        ],
+        axis=-1,
+    )
+    pair = np.concatenate([EM[:, :, :pp], EM[:, :, pp:2 * pp]], axis=1) @ Ev.swapaxes(1, 2)
+    fisher = 0.5 * pair[:, :m]
+    q = EM[:, :, 2 * pp:]
 
     GE = G[:, None] * E
     dl = GE.sum(axis=(2, 3))
@@ -568,10 +589,10 @@ def _row_terms(data, Ys, X, fixed, values, structure, Mt, Pk):
     if m > nt:
         kk = np.arange(nt, m)
         C[:, kk, kk] = -2.0 * K[:, j, k] * dl[:, nt:]
-    obs = uWu - fisher - C
+    obs = pair[:, m:] - fisher - C
     if Ainv is not None:
         qf = q[:, :, free]
-        obs -= np.einsum("rai,rij,rcj->rac", qf, Ainv, qf)
+        obs -= qf @ Ainv @ qf.swapaxes(1, 2)
     f = -ll
     f[bad] = np.inf
     return f, -dl, fisher, obs, mu
@@ -607,14 +628,14 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     scalar fitters'.
 
     Each row starts from init, or from its own free vector in starts
-    (R, m) where that row of starts is finite and no tau, in it or in
-    init, reads as zero (TAU_SNAP): a test inside an inversion passes
-    each row's solution at an earlier null value, which lies near its
-    solution at this one. A row whose start gives a non-finite
-    objective starts from init instead. Only init decides the two rules
-    that send every row to the scalar fitter: init on the |kappa| -> 1
-    ridge, and a non-finite objective at init. So a row started from
-    init takes the same steps with or without starts.
+    (R, m), clipped into the box, where that row of starts is finite and
+    no tau, in it or in init, reads as zero (TAU_SNAP): a test inside an
+    inversion passes each row's solution extrapolated from earlier null
+    values, which lies near its solution at this one. A row whose start
+    gives a non-finite objective starts from init instead. Only init
+    decides the two rules that send every row to the scalar fitter: init
+    on the |kappa| -> 1 ridge, and a non-finite objective at init. So a
+    row started from init takes the same steps with or without starts.
 
     The rows move in lock step by projected Newton steps inside the box
     (Bertsekas 1982, SIAM J. Control Optim.):
@@ -624,6 +645,14 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     steps once it is, with Armijo backtracking per row. A coordinate at a
     bound whose gradient points outward is held. A row stops once its
     projected gradient is at most ROW_PGTOL.
+
+    Every row tries the full step in one evaluation. The rows it does
+    not satisfy then try their next halvings t/2, t/4, ... together, up
+    to LADDER of them per row in one evaluation, never more trial points
+    than the full step had rows and never past MAX_HALVINGS; each row
+    takes the first that passes. The steps are powers of two and a
+    row's evaluation does not depend on the rows beside it, so the
+    result is bit for bit that of halving one step per evaluation.
 
     Returns (X, mu, converged): free vectors (R, m), the whole mean at
     X (R, p) with the fixed components at values and the others profiled,
@@ -646,9 +675,10 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     mu = np.zeros((R, p))
     mu[:, fixed] = values
     converged = np.zeros(R, dtype=bool)
+    free = np.setdiff1d(np.arange(p), fixed)
 
     def evaluate(rows, Xr):
-        return _row_terms(data, [Y[rows] for Y in Ys], Xr, fixed, values, structure, Mt, Pk)
+        return _row_terms(data, [Y[rows] for Y in Ys], Xr, fixed, values, free, structure, Mt, Pk)
 
     if np.any(np.abs(x0[nt:]) >= ZETA_MAX):
         # a start on the |kappa| -> 1 ridge, where kappa has almost no
@@ -661,6 +691,7 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     # whatever the outcomes, so a row started there stays there: a row
     # starts warm only when neither init nor its start has such a tau
     if starts is not None and (x0[:nt] > np.log(TAU_SNAP)).all():
+        starts = np.clip(starts, lo, hi)
         warm = np.isfinite(starts).all(axis=1)
         warm &= (starts[:, :nt] > np.log(TAU_SNAP)).all(axis=1)
         X[warm] = starts[warm]
@@ -688,28 +719,38 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
         d, newton = _step(obs, g, held)
         if not newton.all():
             d[~newton], _ = _step(fisher[~newton], g[~newton], held[~newton])
-        # Armijo backtracking along the projected path, row by row
+        # Armijo backtracking along the projected path, row by row: the
+        # full step first, then the rows still pending try their next
+        # halvings together, each row taking the first step that passes
         slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(f))
         new_X = Xr.copy()
         new_state = None
         accepted = np.zeros(rows.size, dtype=bool)
         pending = np.arange(rows.size)
-        t = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            Xt = np.clip(Xr[pending] + t * d[pending], lo, hi)
-            trial = evaluate(rows[pending], Xt)
-            decrease = np.einsum("ri,ri->r", g[pending], Xt - Xr[pending])
-            ok = trial[0] <= f[pending] + ARMIJO_C * decrease + slack[pending]
+        tried = 0
+        while pending.size and tried <= MAX_HALVINGS:
+            n_steps = 1 if tried == 0 else min(
+                LADDER, MAX_HALVINGS + 1 - tried, rows.size // pending.size
+            )
+            # exact powers of two, so each trial point has the bits of
+            # the one sequential halving reaches
+            t = np.ldexp(1.0, -np.arange(tried, tried + n_steps))
+            at = np.repeat(pending, n_steps)
+            Xt = np.clip(Xr[at] + np.tile(t, pending.size)[:, None] * d[at], lo, hi)
+            trial = evaluate(rows[at], Xt)
+            decrease = np.einsum("ri,ri->r", g[at], Xt - Xr[at])
+            ok = (trial[0] <= f[at] + ARMIJO_C * decrease + slack[at]).reshape(-1, n_steps)
+            passed = ok.any(axis=1)
+            first = np.arange(pending.size) * n_steps + ok.argmax(axis=1)
+            take, landed = first[passed], pending[passed]
             if new_state is None:
                 new_state = [np.empty((rows.size,) + a.shape[1:]) for a in trial]
             for a, v in zip(new_state, trial):
-                a[pending[ok]] = v[ok]
-            new_X[pending[ok]] = Xt[ok]
-            accepted[pending[ok]] = True
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            t *= 0.5
+                a[landed] = v[take]
+            new_X[landed] = Xt[take]
+            accepted[landed] = True
+            pending = pending[~passed]
+            tried += n_steps
         rows = rows[accepted]
         X[rows] = new_X[accepted]
         state = [a[accepted] for a in new_state]

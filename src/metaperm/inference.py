@@ -10,7 +10,7 @@ step size and its point estimate. Every permutation test invoked here
 reuses one fixed sign plan, so acceptance is a deterministic function
 of the null value and the reported boundaries are well defined. Within
 one inversion each test's sign-row refits start from the rows' own
-solutions at the nearest earlier null value (_Probes), and cold
+solutions extrapolated from earlier null values (_Probes), and cold
 re-tests confirm every reported boundary (_cold_checked).
 """
 
@@ -276,11 +276,12 @@ class _Probes:
     starts, kept only as long as this object, maps each tested null
     value to the free vectors the plan's distinct sign rows converged to
     there (see permutation._refit_distribution). A warm test starts each
-    row's refit from its own vector at the nearest value tested before:
-    consecutive probes lie close together, so the rows start near their
-    solutions. A cold test starts every row at the test's observed fit,
-    exactly as a standalone marginal_permutation_test does. The observed
-    fit, its statistic and the flip center are the same either way.
+    row's refit from the line through its own vectors at the two nearest
+    values tested before: consecutive probes lie close together, so the
+    rows start near their solutions. A cold test starts every row at the
+    test's observed fit, exactly as a standalone
+    marginal_permutation_test does. The observed fit, its statistic and
+    the flip center are the same either way.
     With one outcome every test is cold: the only mean component is
     fixed, reflection about it leaves each row's likelihood unchanged,
     and so the observed fit is already every row's solution.
@@ -402,8 +403,8 @@ def median_unbiased_estimate(data, component, plan=None, structure=None, *, full
 
     The bracket ends are tested cold: every sign row's refit starts at
     the test's observed fit, as in a standalone test. Each bisection
-    test starts every row from its own solution at the nearest null
-    value tested before, which saves refit iterations (with one
+    test starts every row from its own solutions at the null values
+    tested before, which saves refit iterations (with one
     outcome every test is cold; see _Probes). The final bisection pair
     is then tested again cold; if either verdict differs, the bisection
     is redone cold from the bracket. So the estimate always lies
@@ -442,8 +443,8 @@ def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, 
 
     The center is tested cold, as a standalone test: every sign row's
     refit starts at the test's observed fit. Every later scan and
-    bisection test starts each row from its own solution at the nearest
-    null value tested before in this call, the median-unbiased
+    bisection test starts each row from its own solutions at the null
+    values tested before in this call, the median-unbiased
     estimate's probes included. When a side's scan and bisection end,
     its final accepted and rejected values are tested again cold; if
     either verdict differs, that side is redone with cold tests only.

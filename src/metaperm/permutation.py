@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
+    TAU_SNAP,
     fit_eta_given_mu,
     fit_marginal_null,
     moment_between_cov,
@@ -73,7 +74,8 @@ MAX_FAILURE_FRACTION = 0.2
 MIN_MARGINAL_INFO = 1e-12
 
 # sign rows refit together in one refit_rows call; bounds its largest
-# array, (rows, studies, free parameters, k, k), under exhaustive plans
+# arrays, the (rows, studies, k, k) weights of the likelihood pass,
+# under exhaustive plans (an Armijo ladder evaluates no more rows)
 REFIT_CHUNK = 256
 
 
@@ -435,7 +437,9 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
     Returns (statistics, failed, used_pinv, solutions): failed marks
     the rows whose scalar refit failed, and solutions holds each row's
     converged free vector from refit_rows, nan where the scalar fitter
-    took over.
+    took over or where a tau reads as zero (TAU_SNAP): the objective is
+    flat in log tau there, so that vector says nothing about where the
+    row's solution moves with the null value.
     """
     fixed = np.arange(data.p) if component is None else np.array([component])
     value = center if component is None else center[component]
@@ -471,6 +475,8 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
         out[rows] = stats
         solutions[rows] = X
         used_pinv |= bool(pinv.any())
+    zero_tau = (solutions[:, :structure.n_tau(data.p)] <= np.log(TAU_SNAP)).any(axis=1)
+    solutions[zero_tau] = np.nan
     return out, failed, used_pinv, solutions
 
 
@@ -481,10 +487,22 @@ def _distinct_rows(signs):
 
 
 def _nearest_solutions(starts, value):
-    """Row solutions stored at the probed null value nearest to value, or None."""
+    """Row solutions extrapolated to value from the stored ones, or None.
+
+    Each row gets the line through its solutions at the two probed null
+    values nearest to value, evaluated at value; a row that is nan at
+    either of them gets its solution at the nearest one, and so does
+    every row when only one value is stored.
+    """
     if not starts:
         return None
-    return starts[min(starts, key=lambda v: abs(v - value))]
+    near = sorted(starts, key=lambda v: abs(v - value))[:2]
+    nearest = starts[near[0]]
+    if len(near) == 1:
+        return nearest
+    slope = (starts[near[1]] - nearest) / (near[1] - near[0])
+    line = nearest + (value - near[0]) * slope
+    return np.where(np.isnan(line).any(axis=1, keepdims=True), nearest, line)
 
 
 def _refit_distribution(data, value, component, structure, plan, starts=None, warm=False):
@@ -505,9 +523,10 @@ def _refit_distribution(data, value, component, structure, plan, starts=None, wa
 
     starts, private to one inversion (see inference), maps each null
     value tested so far under this plan to the free vectors its distinct
-    rows converged to (nan where the scalar fitter took over); this
-    test's are added. With warm true each row's refit starts from its
-    own vector at the nearest stored value; otherwise, and for rows
+    rows converged to (nan where the scalar fitter took over or a tau
+    reads as zero; see _permuted_statistics); this test's are added.
+    With warm true each row's refit starts from its own vectors
+    extrapolated to value (_nearest_solutions); otherwise, and for rows
     without one, from the observed fit. The observed fit, its statistic
     and the flip center never depend on starts.
     Returns (s_obs, statistics, n_failed, used_pinv, includes_identity).

@@ -11,6 +11,7 @@ from metaperm import (
     HetParams,
     IncompleteDataError,
     NonConvergenceError,
+    PermutationPlan,
     between_cov,
     fit_eta_given_mu,
     fit_marginal_null,
@@ -21,7 +22,18 @@ from metaperm import (
     moment_between_cov,
 )
 import metaperm.estimators
-from metaperm.estimators import _neg_profiled_free, _pack, refit_rows, sigma_rows
+from metaperm.estimators import (
+    _bounds,
+    _derivative_patterns,
+    _neg_profiled_free,
+    _pack,
+    _row_terms,
+    _unpack_rows,
+    refit_rows,
+    sigma_rows,
+)
+from metaperm.model import _gls_profile, _loglik_terms, _weights
+from metaperm.permutation import _flipped_outcomes, generate_signs
 
 from conftest import make_mvn
 
@@ -304,24 +316,145 @@ class TestProfiledObjective:
         assert f == -model_terms(trivariate_missing, mu0, sigma).loglik
 
 
+def _rescaled_rows(data, mu0, scales):
+    """Outcome rows: the data's deviations from mu0 times each scale, per mask group."""
+    return [mu0[g.idx] + scales[:, None, None] * (g.Y - mu0[g.idx]) for g in data._groups]
+
+
+def _per_study_curvatures(data, Ys, X, fixed, values, structure):
+    """fisher and obs of _row_terms, one study at a time.
+
+    fisher = 1/2 sum_i tr(W_i E_a W_i E_b) and obs = sum_i s_i' E_a W_i
+    E_b s_i - fisher - <G, d2Sigma/dx_a dx_b> - q_a' A^{-1} q_b with
+    q_a = sum_i W_i E_a s_i over the free components: the per-study
+    einsums that _row_terms replaced by moment products.
+    """
+    p = data.p
+    free = np.setdiff1d(np.arange(p), fixed)
+    Mt, Pk = _derivative_patterns(structure, p)
+    nt = Mt.shape[0]
+    R = X.shape[0]
+    tau, K, sigma = _unpack_rows(X, structure, p)
+    E = sigma[:, None] * Mt
+    j, k = np.triu_indices(p, 1)
+    if Pk.shape[0]:
+        c = (1.0 - K[:, j, k] ** 2) * tau[:, j] * tau[:, k]
+        E = np.concatenate([E, c[:, :, None, None] * Pk], axis=1)
+    m = E.shape[1]
+    blocks, _, _ = _weights(data, sigma, Ys)
+    mu, Ainv, _, _, _ = _gls_profile(blocks, p, fixed, values)
+    _, G, s_all = _loglik_terms(blocks, p, mu)
+    fisher = np.zeros((R, m, m))
+    uWu = np.zeros((R, m, m))
+    q = np.zeros((R, m, p))
+    for (g, _, W, _), s in zip(blocks, s_all):
+        Eg = E[g.sel]
+        P = np.einsum("rnij,rajk->rnaik", W, Eg)
+        fisher += 0.5 * np.einsum("rnaij,rncji->rac", P, P)
+        u = np.einsum("rajk,rnk->rnaj", Eg, s)
+        Wu = np.einsum("rnij,rnaj->rnai", W, u)
+        uWu += np.einsum("rnai,rnci->rac", u, Wu)
+        q[:, :, g.idx] += Wu.sum(axis=1)
+    GE = G[:, None] * E
+    C = np.zeros((R, m, m))
+    C[:, :nt] = np.einsum("rbij,aij->rab", GE, Mt)
+    C[:, nt:, :nt] = np.swapaxes(C[:, :nt, nt:], 1, 2)
+    for a in range(nt, m):
+        C[:, a, a] = -2.0 * K[:, j[a - nt], k[a - nt]] * GE[:, a].sum(axis=(1, 2))
+    obs = uWu - fisher - C
+    if Ainv is not None:
+        qf = q[:, :, free]
+        obs -= np.einsum("rai,rij,rcj->rac", qf, Ainv, qf)
+    return fisher, obs
+
+
+class TestRowTerms:
+    @pytest.fixture(
+        params=[
+            (name, structure, mode)
+            for name in ("univariate10", "bivariate12", "trivariate_missing")
+            for structure in ("unstructured", "cs:0.3", "cs1:0.3")
+            for mode in ("fixed-all", "fixed-one")
+        ],
+        ids=lambda c: "-".join(c),
+    )
+    def case(self, request):
+        # four outcome rows, each at its own heterogeneity near a valid one
+        name, structure, mode = request.param
+        data = request.getfixturevalue(name)
+        structure = CovStructure.parse(structure)
+        p = data.p
+        mu0 = np.linspace(0.2, -0.1, p)
+        fixed = np.arange(p) if mode == "fixed-all" else np.array([p - 1])
+        Ys = _rescaled_rows(data, mu0, np.array([1.0, 0.6, 1.5, -0.8]))
+        kappa = np.full((p, p), 0.3) + 0.7 * np.eye(p)
+        x = _pack(HetParams(tau=np.linspace(0.25, 0.4, p), kappa=kappa), structure)
+        X = x + 0.3 * np.random.default_rng(0).standard_normal((4, x.size))
+        return data, Ys, X, fixed, mu0[fixed], structure
+
+    @staticmethod
+    def _terms(data, Ys, X, fixed, values, structure):
+        free = np.setdiff1d(np.arange(data.p), fixed)
+        Mt, Pk = _derivative_patterns(structure, data.p)
+        return _row_terms(data, Ys, X, fixed, values, free, structure, Mt, Pk)
+
+    def test_curvatures_match_per_study_sums(self, case):
+        _, _, fisher, obs, _ = self._terms(*case)
+        want_fisher, want_obs = _per_study_curvatures(*case)
+        for got, want in ((fisher, want_fisher), (obs, want_obs)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_observed_information_is_the_gradient_jacobian(self, case):
+        data, Ys, X, fixed, values, structure = case
+        _, _, _, obs, _ = self._terms(*case)
+        step = 1e-5
+        for a in range(X.shape[1]):
+            e = np.zeros_like(X)
+            e[:, a] = step
+            g_hi = self._terms(data, Ys, X + e, fixed, values, structure)[1]
+            g_lo = self._terms(data, Ys, X - e, fixed, values, structure)[1]
+            fd = (g_hi - g_lo) / (2 * step)
+            scale = max(1.0, np.abs(fd).max())
+            np.testing.assert_allclose(obs[:, :, a], fd, rtol=0, atol=1e-6 * scale)
+
+
+def _trivariate_rows(data, structure, component, tau):
+    """TestRefitRows' rows of trivariate_missing, started at tau and kappa 0.3."""
+    mu0 = np.array([0.2, 0.0, -0.3])
+    fixed = [0, 1, 2] if component is None else [component]
+    Ys = _rescaled_rows(data, mu0, np.array([1.0, 0.6, 1.5]))
+    start = HetParams(tau=tau, kappa=np.full((3, 3), 0.3) + 0.7 * np.eye(3))
+    return data, Ys, fixed, mu0[fixed], CovStructure.parse(structure), start
+
+
+def _counted_row_terms(monkeypatch):
+    """Record a copy of the free vectors X of every _row_terms call."""
+    calls = []
+    real = metaperm.estimators._row_terms
+
+    def counted(*args):
+        calls.append(args[2].copy())
+        return real(*args)
+
+    monkeypatch.setattr(metaperm.estimators, "_row_terms", counted)
+    return calls
+
+
 class TestRefitRows:
     @pytest.mark.parametrize("structure", ["unstructured", "cs:0.3", "cs1:0.3"])
     @pytest.mark.parametrize("component", [None, 1])
     def test_rows_match_scalar_fits(self, trivariate_missing, structure, component):
         # rows: the data and two rescalings of its deviations from mu0,
         # refit together from one start and one at a time
-        structure = CovStructure.parse(structure)
-        data = trivariate_missing
+        data, Ys, fixed, values, structure, start = _trivariate_rows(
+            trivariate_missing, structure, component, [0.3, 0.35, 0.4]
+        )
         mu0 = np.array([0.2, 0.0, -0.3])
-        fixed = [0, 1, 2] if component is None else [component]
-        scales = np.array([1.0, 0.6, 1.5])
-        Ys = [mu0[g.idx] + scales[:, None, None] * (g.Y - mu0[g.idx]) for g in data._groups]
-        start = HetParams(tau=[0.3, 0.35, 0.4], kappa=np.full((3, 3), 0.3) + 0.7 * np.eye(3))
-        X, mus, converged = refit_rows(data, Ys, fixed, mu0[fixed], structure, start)
+        X, mus, converged = refit_rows(data, Ys, fixed, values, structure, start)
         assert converged.all()
         sigmas = sigma_rows(X, structure, 3)
         Y, S = data.Y, data.S
-        for b, scale in enumerate(scales):
+        for b, scale in enumerate([1.0, 0.6, 1.5]):
             row = Dataset.from_arrays(mu0 + scale * (Y - mu0), S, observed=data.observed)
             if component is None:
                 cml = fit_eta_given_mu(row, mu0, structure, init=start)
@@ -331,6 +464,57 @@ class TestRefitRows:
             np.testing.assert_allclose(mus[b], cml.mu, atol=1e-6)
             assert np.array_equal(cml.sigma, between_cov(cml.het, structure))
             np.testing.assert_allclose(sigmas[b], cml.sigma, atol=1e-6)
+
+    @pytest.mark.parametrize("case", ["bivariate5-exhaustive", "unstructured-far", "cs-far"])
+    def test_ladder_is_sequential_halving_bit_for_bit(self, request, monkeypatch, case):
+        # rows whose line searches halve several times: the ladder tries
+        # the halvings of many rows in one evaluation, yet every accepted
+        # step, iterate, mean and convergence flag is the one that
+        # halving a single step per evaluation (LADDER = 1) gives
+        if case == "bivariate5-exhaustive":
+            data, structure = request.getfixturevalue("bivariate5"), CovStructure.cs(0.3)
+            value = fit_ml(data, structure).mu[0]
+            cml = fit_marginal_null(data, value, 0, structure)
+            signs = generate_signs(PermutationPlan.exhaustive(), data.n_studies).astype(float)
+            args = (data, _flipped_outcomes(data, cml.mu, signs), [0], [value], structure, cml.het)
+        else:
+            structure, tau = {
+                "unstructured-far": ("unstructured", [0.01] * 3),
+                "cs-far": ("cs:0.3", [3.0] * 3),
+            }[case]
+            data = request.getfixturevalue("trivariate_missing")
+            args = _trivariate_rows(data, structure, None, tau)
+        calls = _counted_row_terms(monkeypatch)
+        ladder = refit_rows(*args)
+        n_ladder = len(calls)
+        monkeypatch.setattr(metaperm.estimators, "LADDER", 1)
+        sequential = refit_rows(*args)
+        assert n_ladder < len(calls) - n_ladder
+        for got, want in zip(ladder, sequential):
+            assert got.tobytes() == want.tobytes()
+
+    def test_start_outside_the_box_is_clipped(self, trivariate_missing, monkeypatch):
+        # a start beyond the bounds is clipped into the box and used; it
+        # does not send its row back to init
+        data, Ys, fixed, values, structure, start = _trivariate_rows(
+            trivariate_missing, "unstructured", 1, [0.3, 0.35, 0.4]
+        )
+        lo, hi = np.array(_bounds(structure, 3)).T
+        x0 = _pack(start, structure)
+        starts = np.tile(x0, (3, 1))
+        starts[0, 3] = hi[3] + 1.0
+        starts[1, 0] = hi[0] + 2.0
+        starts[1, 1] = 0.5
+        starts[2] = np.nan
+        clipped = np.clip(starts, lo, hi)
+        calls = _counted_row_terms(monkeypatch)
+        X, mus, converged = refit_rows(data, Ys, fixed, values, structure, start, starts)
+        first = calls[0]
+        np.testing.assert_array_equal(first[:2], clipped[:2])
+        np.testing.assert_array_equal(first[2], x0)
+        again = refit_rows(data, Ys, fixed, values, structure, start, clipped)
+        for got, want in zip((X, mus, converged), again):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMomentBetweenCov:

@@ -13,6 +13,7 @@ import metaperm.estimators
 import metaperm.inference
 import metaperm.permutation
 from metaperm import (
+    CovStructure,
     Dataset,
     NonConvergenceError,
     PermutationPlan,
@@ -347,6 +348,24 @@ class TestWarmStarts:
             assert (a.statistic, a.p_value, a.n_failed, a.used_pinv) == (
                 b.statistic, b.p_value, b.n_failed, b.used_pinv
             )
+
+
+def test_no_start_extrapolated_through_a_zero_tau(bivariate5):
+    # under cs:0.3 some of bivariate5's sign rows settle at tau = 0, where
+    # the objective is flat in log tau. A line through such a solution
+    # starts its row far outside the box (log tau up to 26 before
+    # clipping), and the row reaches another maximum: warm scan p-values
+    # of 0.485 where cold tests give 0.178. Those rows are not
+    # extrapolated, so a warm scan up from the ML estimate reads the
+    # p-values of cold tests
+    plan, structure = PermutationPlan.random(100, seed=20240101), CovStructure.cs(0.3)
+    anchor, se = metaperm.inference._wald_anchor(bivariate5, 0, structure)
+    values = anchor + metaperm.inference.STEP_FRACTION * se * np.arange(16)
+    warm = metaperm.inference._Probes(bivariate5, 0, plan, structure)
+    cold = metaperm.inference._Probes(bivariate5, 0, plan, structure)
+    scan = [warm.p_value(m, warm=k > 0) for k, m in enumerate(values)]
+    assert warm.n_warm == len(values) - 1
+    assert scan == [cold.p_value(m, warm=False) for m in values]
 
 
 class TestConfidenceRegion:

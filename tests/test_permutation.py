@@ -31,6 +31,7 @@ from metaperm.estimators import (
 from metaperm.model import _quad_forms, between_cov
 from metaperm.permutation import (
     _flip_dataset,
+    _nearest_solutions,
     _observed_statistic,
     _own_outcomes,
     _sign_plan,
@@ -634,7 +635,7 @@ def test_marginal_null_invariant_to_study_order(case, component):
 ORBIT_CASES = [(11, 5), (7, 6), (3, 7)]
 
 
-@pytest.mark.parametrize("offset", [0.15, -0.3])
+@pytest.mark.parametrize("offset", [0.15, -0.3, 0.6])
 @pytest.mark.parametrize("seed, n", ORBIT_CASES)
 def test_t1_exact_size_over_whole_orbits(seed, n, offset):
     # the finite-sample guarantee itself: reflecting y about mu0 by each
@@ -653,6 +654,41 @@ def test_t1_exact_size_over_whole_orbits(seed, n, offset):
     ])
     for a in np.unique(p):
         assert np.count_nonzero(p <= a) <= a * 2 ** n, f"size above {a} at p <= {a}"
+
+
+class TestNearestSolutions:
+    def test_nothing_stored(self):
+        assert _nearest_solutions({}, 0.3) is None
+
+    def test_one_stored_value_is_every_row_start(self):
+        solutions = np.array([[0.1, 0.2], [np.nan, np.nan]])
+        np.testing.assert_array_equal(_nearest_solutions({0.5: solutions}, 0.3), solutions)
+
+    def test_line_through_the_two_nearest_values(self):
+        starts = {
+            0.0: np.array([[1.0, 2.0]]),
+            1.0: np.array([[3.0, 6.0]]),
+            5.0: np.array([[100.0, -100.0]]),
+        }
+        # beyond, between and before the two nearest; 5.0 is never one
+        # of them until the value comes closer to it than to 0.0
+        for value, want in ((2.0, [[5.0, 10.0]]), (0.25, [[1.5, 3.0]]), (-1.0, [[-1.0, -2.0]])):
+            np.testing.assert_allclose(_nearest_solutions(starts, value), want, rtol=1e-15)
+        np.testing.assert_allclose(
+            _nearest_solutions(starts, 3.5), [[3.0 + 2.5 * 97.0 / 4.0, 6.0 - 2.5 * 106.0 / 4.0]]
+        )
+        # a stored value itself returns its own solutions
+        np.testing.assert_array_equal(_nearest_solutions(starts, 1.0), starts[1.0])
+
+    def test_rows_nan_at_either_value_take_the_nearest(self):
+        starts = {
+            0.0: np.array([[1.0, 2.0], [np.nan, np.nan], [1.0, 1.0]]),
+            1.0: np.array([[3.0, 6.0], [4.0, 4.0], [np.nan, np.nan]]),
+        }
+        out = _nearest_solutions(starts, 1.5)
+        np.testing.assert_allclose(out[0], [4.0, 8.0])
+        np.testing.assert_array_equal(out[1], [4.0, 4.0])
+        assert np.isnan(out[2]).all()
 
 
 class TestDistinctRows:
