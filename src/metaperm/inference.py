@@ -8,10 +8,13 @@ information matrix. The point estimate and each side of the interval
 share one bisection, _bisect, and an interval fits ML once for both its
 step size and its point estimate. Every permutation test invoked here
 reuses one fixed sign plan, so acceptance is a deterministic function
-of the null value and the reported boundaries are well defined. Within
-one inversion each test's sign-row refits start from the rows' own
-solutions extrapolated from earlier null values (_Probes), and cold
-re-tests confirm every reported boundary (_cold_checked).
+of the null value and the reported boundaries are well defined. Warm
+starts are decided here and nowhere else: within one inversion a
+_Probes object keeps each test's sign-row solutions, starts the next
+warm test's refits from them extrapolated to its null value, and
+confirms every reported boundary with cold re-tests
+(_Probes.cold_checked). The permutation layer only takes the starts
+it is given.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, gammaincinv, ndtri
 
-from .estimators import fit_ml
+from .estimators import TAU_SNAP, fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
 from .model import RCOND, _check_component, _finite_mean, _require_structure
 from .permutation import (
@@ -257,8 +260,8 @@ def _bisect(accepts, inner, outer):
 
     accepts(inner) holds and accepts(outer) does not; each midpoint
     replaces the end whose verdict it shares. Inside an inversion the
-    midpoints are warm tests (see _Probes), and _cold_checked confirms
-    the returned pair with cold tests.
+    midpoints are warm tests (see _Probes), and _Probes.cold_checked
+    confirms the returned pair with cold tests.
     """
     while abs(outer - inner) > XTOL:
         mid = 0.5 * (inner + outer)
@@ -270,22 +273,26 @@ def _bisect(accepts, inner, outer):
 
 
 class _Probes:
-    """The t3 tests of one inversion, which pass solutions from test to test.
+    """The t3 tests of one inversion, and the warm starts they pass on.
 
-    Every test runs under the same data, component, plan and structure.
-    starts, kept only as long as this object, maps each tested null
-    value to the free vectors the plan's distinct sign rows converged to
-    there (see permutation._refit_distribution). A warm test starts each
-    row's refit from the line through its own vectors at the two nearest
-    values tested before: consecutive probes lie close together, so the
-    rows start near their solutions. A cold test starts every row at the
-    test's observed fit, exactly as a standalone
+    Every test runs under the same data, component, plan and structure,
+    so every test refits the same distinct sign rows, in the same order.
+    solutions, kept only as long as this object, maps each tested null
+    value to the free vectors those rows converged to there (see
+    permutation._refit_distribution). A warm test starts each row's
+    refit from the line through its own vectors at the two nearest
+    values tested before (nearest): consecutive probes lie close
+    together, so the rows start near their solutions. A cold test
+    starts every row at the test's observed fit, exactly as a standalone
     marginal_permutation_test does. The observed fit, its statistic and
     the flip center are the same either way.
-    With one outcome every test is cold: the only mean component is
-    fixed, reflection about it leaves each row's likelihood unchanged,
-    and so the observed fit is already every row's solution.
-    starts holds one float per free parameter, per distinct sign row,
+    A solution with a tau that reads as zero (TAU_SNAP) is stored as
+    nan: the objective is flat in log tau there, so it says nothing
+    about where the row's solution moves with the null value. With one
+    outcome every test is cold: the only mean component is fixed,
+    reflection about it leaves each row's likelihood unchanged, and so
+    the observed fit is already every row's solution.
+    solutions holds one float per free parameter, per distinct sign row,
     per tested value: about 150 kB for 60 tests of 100 rows at p = 2.
     cold holds the values whose latest test was cold; n_warm counts the
     warm tests.
@@ -293,21 +300,41 @@ class _Probes:
 
     def __init__(self, data, component, plan, structure):
         self.data, self.component, self.plan, self.structure = data, component, plan, structure
-        self.starts = {}
+        self.solutions = {}
         self.cold = set()
         self.n_warm = 0
 
+    def nearest(self, value):
+        """Row solutions extrapolated to value from the stored ones, or None.
+
+        Each row gets the line through its solutions at the two tested
+        values nearest to value, evaluated at value; a row that is nan
+        at either of them gets its solution at the nearest one, and so
+        does every row when only one value is stored.
+        """
+        if not self.solutions:
+            return None
+        near = sorted(self.solutions, key=lambda v: abs(v - value))[:2]
+        nearest = self.solutions[near[0]]
+        if len(near) == 1:
+            return nearest
+        slope = (self.solutions[near[1]] - nearest) / (near[1] - near[0])
+        line = nearest + (value - near[0]) * slope
+        return np.where(np.isnan(line).any(axis=1, keepdims=True), nearest, line)
+
     def _signed(self, m, warm):
-        warm = warm and self.data.p > 1 and bool(self.starts)
-        s_obs, roots, _, _, _ = _marginal_signed_distribution(
-            self.data, m, self.component, self.structure, self.plan,
-            starts=self.starts, warm=warm,
+        starts = self.nearest(m) if warm and self.data.p > 1 else None
+        s_obs, roots, _, _, _, solutions = _marginal_signed_distribution(
+            self.data, m, self.component, self.structure, self.plan, starts
         )
-        if warm:
+        n_tau = self.structure.n_tau(self.data.p)
+        solutions[(solutions[:, :n_tau] <= np.log(TAU_SNAP)).any(axis=1)] = np.nan
+        self.solutions[m] = solutions
+        if starts is None:
+            self.cold.add(m)
+        else:
             self.n_warm += 1
             self.cold.discard(m)
-        else:
-            self.cold.add(m)
         return s_obs, roots
 
     def signed_p(self, m, warm=True):
@@ -321,41 +348,41 @@ class _Probes:
         null = NullDistribution(statistics=roots * roots, mode=self.plan.mode)
         return null.p_value(s_obs * s_obs)
 
+    def cold_checked(self, search, holds):
+        """Run one search of this inversion warm and confirm its final bracket cold.
 
-def _cold_checked(search, holds, probes):
-    """Run one search of an inversion warm and confirm its final bracket cold.
-
-    search(warm) runs a scan or bisection with warm or cold tests and
-    returns (inner, outer, log): its final value on the side where
-    holds, its final value on the other side (None when the scan found
-    none) and the probes it recorded. Each final value whose latest test
-    was warm is tested again cold, holds(m) giving the cold verdict;
-    these tests are not logged. If a cold verdict differs, the search
-    runs again with cold tests only. Either way both returned values
-    carry cold verdicts, and when every verdict agrees they equal what
-    a search with cold tests alone returns, bit for bit.
-    Returns (inner, outer, log, {"verified": ..., "warm_probes": ...}):
-    verified is false when the search was redone; warm_probes counts
-    the warm tests of the first run.
-    """
-    n_warm = probes.n_warm
-    inner, outer, log = search(True)
-    warm_probes = probes.n_warm - n_warm
-    verified = all(
-        holds(m) == side
-        for m, side in ((inner, True), (outer, False))
-        if m is not None and m not in probes.cold
-    )
-    if not verified:
-        inner, outer, log = search(False)
-    return inner, outer, log, {"verified": verified, "warm_probes": warm_probes}
+        search(warm) runs a scan or bisection with warm or cold tests
+        and returns (inner, outer, log): its final value on the side
+        where holds, its final value on the other side (None when the
+        scan found none) and the probes it recorded. Each final value
+        whose latest test was warm is tested again cold, holds(m) giving
+        the cold verdict; these tests are not logged. If a cold verdict
+        differs, the search runs again with cold tests only. Either way
+        both returned values carry cold verdicts, and when every verdict
+        agrees they equal what a search with cold tests alone returns,
+        bit for bit.
+        Returns (inner, outer, log, {"verified": ..., "warm_probes": ...}):
+        verified is false when the search was redone; warm_probes counts
+        the warm tests of the first run.
+        """
+        n_warm = self.n_warm
+        inner, outer, log = search(True)
+        warm_probes = self.n_warm - n_warm
+        verified = all(
+            holds(m) == side
+            for m, side in ((inner, True), (outer, False))
+            if m is not None and m not in self.cold
+        )
+        if not verified:
+            inner, outer, log = search(False)
+        return inner, outer, log, {"verified": verified, "warm_probes": warm_probes}
 
 
 def _median_unbiased(probes, anchor, anchor_se):
     """The median-unbiased estimate bracketed around a Wald anchor.
 
     Both bracket ends are tested cold, the bisection warm and its final
-    pair confirmed cold (_cold_checked). Returns (value, diagnostics);
+    pair confirmed cold (_Probes.cold_checked). Returns (value, diagnostics);
     see median_unbiased_estimate.
     """
     lo, hi = anchor - 4.0 * anchor_se, anchor + 4.0 * anchor_se
@@ -377,8 +404,8 @@ def _median_unbiased(probes, anchor, anchor_se):
     crossed = p_lo <= 0.5 <= p_hi
     value, trace, check = anchor, ends, {"verified": True, "warm_probes": 0}
     if crossed:
-        inner, outer, trace, check = _cold_checked(
-            search, lambda m: probes.signed_p(m, warm=False) <= 0.5, probes
+        inner, outer, trace, check = probes.cold_checked(
+            search, lambda m: probes.signed_p(m, warm=False) <= 0.5
         )
         value = 0.5 * (inner + outer)
     return float(value), {
@@ -496,8 +523,8 @@ def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, 
                 inner, outer = _bisect(accepts, inner, outer)
             return inner, outer, scan
 
-        inner, outer, scan, check = _cold_checked(
-            search, lambda m: probes.p_value(m, warm=False) > alpha, probes
+        inner, outer, scan, check = probes.cold_checked(
+            search, lambda m: probes.p_value(m, warm=False) > alpha
         )
         bounds[side] = inner
         diagnostics[side] = {

@@ -24,6 +24,7 @@ import json
 import math
 import warnings
 from collections import defaultdict
+from dataclasses import asdict
 
 import numpy as np
 
@@ -504,18 +505,7 @@ def _wald_payload(w):
 
 
 def _coverage_payload(rep):
-    return {
-        "kind": "coverage",
-        "scenario": rep.scenario,
-        "method": rep.method,
-        "target": rep.target,
-        "component": rep.component,
-        "replications": rep.replications,
-        "coverage": rep.coverage,
-        "monte_carlo_se": rep.monte_carlo_se,
-        "non_convergence": rep.non_convergence,
-        "alpha": rep.alpha,
-    }
+    return {"kind": "coverage", **asdict(rep)}
 
 
 def _region_payload(grid):

@@ -12,9 +12,12 @@ the null (_null_fit) and scored there (_statistics); the fitted mean is
 the flip center, which for t3 plugs constrained estimates in for the
 nuisance components (a local Monte Carlo test). Every sign row's
 reflected sample is refit the same way, in batches with scalar
-fallbacks, and scored at its own refit (_permuted_statistics). t2 (the
-joint moment test) needs no refit: its covariance is sign-invariant, so
-one pass gives the whole null.
+fallbacks, and scored at its own refit (_permuted_statistics). Each
+row's refit starts at the observed fit or where the caller says: inside
+one interval or estimate, inference.py decides those starts from the
+inversion's earlier tests, and this module keeps nothing between tests
+and writes to no argument. t2 (the joint moment test) needs no refit:
+its covariance is sign-invariant, so one pass gives the whole null.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
@@ -28,7 +31,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
-    TAU_SNAP,
     fit_eta_given_mu,
     fit_marginal_null,
     moment_between_cov,
@@ -151,7 +153,7 @@ def generate_signs(plan, n_studies):
 def _sign_plan(plan, n_studies):
     """Read-only float64 sign matrix of a plan and its int64 row sums.
 
-    Every test of one inversion (lattice points, interval probes,
+    Every test of one inversion (lattice points, interval tests,
     replicates) shares a plan, so the last plan built is kept and reused.
     The signs are kept as float64, the dtype every test multiplies them
     in, so no test converts them again. That holds 8 bytes per study per
@@ -369,7 +371,7 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
 
     For each sign assignment the outcomes are reflected around the null
     mean. With stat="cml" the heterogeneity is refit on each permuted
-    sample (warm-started at the observed constrained fit) before the
+    sample (started at the observed constrained fit) before the
     score statistic is evaluated; with stat="moment" the sign-invariant
     moment plug-in makes any refit unnecessary, so the whole
     distribution is computed in one vectorized pass.
@@ -390,7 +392,7 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
         n_failed = 0
         includes_identity = _includes_identity(plan, row_sums, data.n_studies)
     else:
-        t_obs, stats, n_failed, used_pinv, includes_identity = _refit_distribution(
+        t_obs, stats, n_failed, used_pinv, includes_identity, _ = _refit_distribution(
             data, mu, None, structure, plan
         )
     return _test_result(
@@ -437,9 +439,8 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
     Returns (statistics, failed, used_pinv, solutions): failed marks
     the rows whose scalar refit failed, and solutions holds each row's
     converged free vector from refit_rows, nan where the scalar fitter
-    took over or where a tau reads as zero (TAU_SNAP): the objective is
-    flat in log tau there, so that vector says nothing about where the
-    row's solution moves with the null value.
+    took over. The arrays refit_rows returns are left as it returned
+    them.
     """
     fixed = np.arange(data.p) if component is None else np.array([component])
     value = center if component is None else center[component]
@@ -458,25 +459,24 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
         sigmas = sigma_rows(X, structure, data.p)
         stats, J, pinv = _statistics(data, Ys, mus, sigmas, component)
         redo = np.flatnonzero(~ok | (J < MIN_MARGINAL_INFO))
-        X[redo] = np.nan
-        for b in redo:
+        mus_redo, sigmas_redo = mus[redo], sigmas[redo]
+        for i, b in enumerate(redo):
             flipped = _flip_dataset(data, center, chunk[b])
             try:
                 cml_b = _null_fit(flipped, value, component, structure, init=init)
             except NonConvergenceError as exc:
                 cml_b = exc.last_result
                 failed[start + b] = True
-            mus[b], sigmas[b] = cml_b.mu, cml_b.sigma
+            mus_redo[i], sigmas_redo[i] = cml_b.mu, cml_b.sigma
         if redo.size:
             stats[redo], J[redo], pinv[redo] = _statistics(
-                data, [Y[redo] for Y in Ys], mus[redo], sigmas[redo], component
+                data, [Y[redo] for Y in Ys], mus_redo, sigmas_redo, component
             )
             _require_information(J[redo], component)
         out[rows] = stats
         solutions[rows] = X
+        solutions[start + redo] = np.nan
         used_pinv |= bool(pinv.any())
-    zero_tau = (solutions[:, :structure.n_tau(data.p)] <= np.log(TAU_SNAP)).any(axis=1)
-    solutions[zero_tau] = np.nan
     return out, failed, used_pinv, solutions
 
 
@@ -486,26 +486,7 @@ def _distinct_rows(signs):
     return distinct, inverse.reshape(-1)
 
 
-def _nearest_solutions(starts, value):
-    """Row solutions extrapolated to value from the stored ones, or None.
-
-    Each row gets the line through its solutions at the two probed null
-    values nearest to value, evaluated at value; a row that is nan at
-    either of them gets its solution at the nearest one, and so does
-    every row when only one value is stored.
-    """
-    if not starts:
-        return None
-    near = sorted(starts, key=lambda v: abs(v - value))[:2]
-    nearest = starts[near[0]]
-    if len(near) == 1:
-        return nearest
-    slope = (starts[near[1]] - nearest) / (near[1] - near[0])
-    line = nearest + (value - near[0]) * slope
-    return np.where(np.isnan(line).any(axis=1, keepdims=True), nearest, line)
-
-
-def _refit_distribution(data, value, component, structure, plan, starts=None, warm=False):
+def _refit_distribution(data, value, component, structure, plan, starts=None):
     """Observed and permuted statistics of a refit test, t1 or t3.
 
     component None tests the whole mean at value (t1); otherwise one
@@ -521,15 +502,14 @@ def _refit_distribution(data, value, component, structure, plan, starts=None, wa
     reflection), so both are assigned directly. More than
     MAX_FAILURE_FRACTION failed refits raise NonConvergenceError.
 
-    starts, private to one inversion (see inference), maps each null
-    value tested so far under this plan to the free vectors its distinct
-    rows converged to (nan where the scalar fitter took over or a tau
-    reads as zero; see _permuted_statistics); this test's are added.
-    With warm true each row's refit starts from its own vectors
-    extrapolated to value (_nearest_solutions); otherwise, and for rows
-    without one, from the observed fit. The observed fit, its statistic
-    and the flip center never depend on starts.
-    Returns (s_obs, statistics, n_failed, used_pinv, includes_identity).
+    starts, when given, holds one free vector per distinct refit row, in
+    the order of np.unique over those rows; each row's refit starts
+    there (see refit_rows), and otherwise at the observed fit. The
+    observed fit, its statistic and the flip center never depend on
+    starts, and no argument is written to.
+    Returns (s_obs, statistics, n_failed, used_pinv, includes_identity,
+    solutions): solutions holds the distinct rows' free vectors in the
+    order of starts (see _permuted_statistics).
     """
     signs, row_sums = _sign_plan(plan, data.n_studies)
     s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)
@@ -538,11 +518,8 @@ def _refit_distribution(data, value, component, structure, plan, starts=None, wa
     n_refit = int(refit.sum())
     distinct, inverse = _distinct_rows(signs[refit])
     stats_d, failed, used, solutions = _permuted_statistics(
-        data, cml.mu, component, distinct, structure, cml.het,
-        _nearest_solutions(starts, value) if warm else None,
+        data, cml.mu, component, distinct, structure, cml.het, starts
     )
-    if starts is not None:
-        starts[value] = solutions
     stats[refit] = stats_d[inverse]
     n_failed = int(np.count_nonzero(failed[inverse]))
     if n_refit and n_failed > MAX_FAILURE_FRACTION * n_refit:
@@ -551,7 +528,7 @@ def _refit_distribution(data, value, component, structure, plan, starts=None, wa
             "result would not be trustworthy"
         )
     includes_identity = _includes_identity(plan, row_sums, data.n_studies)
-    return s_obs, stats, n_failed, used_pinv or used, includes_identity
+    return s_obs, stats, n_failed, used_pinv or used, includes_identity, solutions
 
 
 def marginal_permutation_test(data, value, component, plan=None, structure=None):
@@ -567,7 +544,7 @@ def marginal_permutation_test(data, value, component, plan=None, structure=None)
     plan = _default_plan(plan)
     value = float(value)
     # fit_marginal_null, the first fit, rejects a component out of range
-    s_obs, roots, n_failed, used_pinv, includes_identity = _refit_distribution(
+    s_obs, roots, n_failed, used_pinv, includes_identity, _ = _refit_distribution(
         data, value, component, structure, plan
     )
     mu_null = np.full(data.p, np.nan)

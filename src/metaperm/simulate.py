@@ -10,7 +10,7 @@ the acceptance rate with its binomial Monte Carlo standard error.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -193,31 +193,11 @@ class CoverageReport:
     alpha: float
 
     def to_row(self):
-        return [
-            self.scenario,
-            self.method,
-            self.target,
-            "" if self.component is None else self.component,
-            self.replications,
-            self.coverage,
-            self.monte_carlo_se,
-            self.non_convergence,
-            self.alpha,
-        ]
+        return ["" if v is None else v for v in astuple(self)]
 
-    @staticmethod
-    def header():
-        return [
-            "scenario",
-            "method",
-            "target",
-            "component",
-            "replications",
-            "coverage",
-            "monte_carlo_se",
-            "non_convergence",
-            "alpha",
-        ]
+    @classmethod
+    def header(cls):
+        return [f.name for f in fields(cls)]
 
 
 def monte_carlo_se(p, n):

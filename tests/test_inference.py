@@ -246,7 +246,7 @@ class TestConfidenceInterval:
 
 def _all_cold(monkeypatch):
     """Start every refit of an inversion at its test's observed fit."""
-    monkeypatch.setattr(metaperm.permutation, "_nearest_solutions", lambda starts, value: None)
+    monkeypatch.setattr(metaperm.inference._Probes, "nearest", lambda self, value: None)
 
 
 def _inversion(data, plan):
@@ -307,9 +307,9 @@ class TestWarmStarts:
         real = metaperm.inference._marginal_signed_distribution
         perturbed = []
 
-        def rejecting(data, m, *args, warm=False, **kwargs):
-            s_obs, roots, *rest = real(data, m, *args, warm=warm, **kwargs)
-            if warm and m == cold.lower:
+        def rejecting(data, m, component, structure, plan, starts=None):
+            s_obs, roots, *rest = real(data, m, component, structure, plan, starts)
+            if starts is not None and m == cold.lower:
                 # every permuted root below the observed one: p = 1/(B + 1)
                 perturbed.append(m)
                 roots = np.zeros_like(roots)
@@ -366,6 +366,48 @@ def test_no_start_extrapolated_through_a_zero_tau(bivariate5):
     scan = [warm.p_value(m, warm=k > 0) for k, m in enumerate(values)]
     assert warm.n_warm == len(values) - 1
     assert scan == [cold.p_value(m, warm=False) for m in values]
+
+
+def _stored(solutions):
+    """An inversion's probes holding these {null value: row solutions}."""
+    probes = metaperm.inference._Probes(None, 0, None, None)
+    probes.solutions.update(solutions)
+    return probes
+
+
+class TestNearestSolutions:
+    def test_nothing_stored(self):
+        assert _stored({}).nearest(0.3) is None
+
+    def test_one_stored_value_is_every_row_start(self):
+        solutions = np.array([[0.1, 0.2], [np.nan, np.nan]])
+        np.testing.assert_array_equal(_stored({0.5: solutions}).nearest(0.3), solutions)
+
+    def test_line_through_the_two_nearest_values(self):
+        probes = _stored({
+            0.0: np.array([[1.0, 2.0]]),
+            1.0: np.array([[3.0, 6.0]]),
+            5.0: np.array([[100.0, -100.0]]),
+        })
+        # beyond, between and before the two nearest; 5.0 is never one
+        # of them until the value comes closer to it than to 0.0
+        for value, want in ((2.0, [[5.0, 10.0]]), (0.25, [[1.5, 3.0]]), (-1.0, [[-1.0, -2.0]])):
+            np.testing.assert_allclose(probes.nearest(value), want, rtol=1e-15)
+        np.testing.assert_allclose(
+            probes.nearest(3.5), [[3.0 + 2.5 * 97.0 / 4.0, 6.0 - 2.5 * 106.0 / 4.0]]
+        )
+        # a stored value itself returns its own solutions
+        np.testing.assert_array_equal(probes.nearest(1.0), probes.solutions[1.0])
+
+    def test_rows_nan_at_either_value_take_the_nearest(self):
+        probes = _stored({
+            0.0: np.array([[1.0, 2.0], [np.nan, np.nan], [1.0, 1.0]]),
+            1.0: np.array([[3.0, 6.0], [4.0, 4.0], [np.nan, np.nan]]),
+        })
+        out = probes.nearest(1.5)
+        np.testing.assert_allclose(out[0], [4.0, 8.0])
+        np.testing.assert_array_equal(out[1], [4.0, 4.0])
+        assert np.isnan(out[2]).all()
 
 
 class TestConfidenceRegion:

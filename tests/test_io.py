@@ -344,6 +344,24 @@ class TestResultsToJson:
         doc = json.loads(results_to_json(rep))
         assert doc["kind"] == "coverage" and doc["coverage"] == 0.95
 
+    def test_coverage_header_row_and_payload(self):
+        # the CSV header, the CSV row and the JSON keys follow the fields
+        rep = CoverageReport(
+            scenario="s", method="perm-t3", target="marginal", component=None,
+            replications=100, coverage=0.95, monte_carlo_se=0.0218,
+            non_convergence=2, alpha=0.05,
+        )
+        header = [
+            "scenario", "method", "target", "component", "replications",
+            "coverage", "monte_carlo_se", "non_convergence", "alpha",
+        ]
+        values = ["s", "perm-t3", "marginal", None, 100, 0.95, 0.0218, 2, 0.05]
+        assert CoverageReport.header() == header
+        assert rep.to_row() == ["" if v is None else v for v in values]
+        assert json.loads(results_to_json(rep)) == {
+            "kind": "coverage", "schema_version": SCHEMA_VERSION, **dict(zip(header, values))
+        }
+
     def test_special_floats_and_arrays(self):
         doc = json.loads(
             results_to_json(

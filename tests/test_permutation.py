@@ -31,9 +31,9 @@ from metaperm.estimators import (
 from metaperm.model import _quad_forms, between_cov
 from metaperm.permutation import (
     _flip_dataset,
-    _nearest_solutions,
     _observed_statistic,
     _own_outcomes,
+    _refit_distribution,
     _sign_plan,
     _statistics,
     generate_signs,
@@ -656,41 +656,6 @@ def test_t1_exact_size_over_whole_orbits(seed, n, offset):
         assert np.count_nonzero(p <= a) <= a * 2 ** n, f"size above {a} at p <= {a}"
 
 
-class TestNearestSolutions:
-    def test_nothing_stored(self):
-        assert _nearest_solutions({}, 0.3) is None
-
-    def test_one_stored_value_is_every_row_start(self):
-        solutions = np.array([[0.1, 0.2], [np.nan, np.nan]])
-        np.testing.assert_array_equal(_nearest_solutions({0.5: solutions}, 0.3), solutions)
-
-    def test_line_through_the_two_nearest_values(self):
-        starts = {
-            0.0: np.array([[1.0, 2.0]]),
-            1.0: np.array([[3.0, 6.0]]),
-            5.0: np.array([[100.0, -100.0]]),
-        }
-        # beyond, between and before the two nearest; 5.0 is never one
-        # of them until the value comes closer to it than to 0.0
-        for value, want in ((2.0, [[5.0, 10.0]]), (0.25, [[1.5, 3.0]]), (-1.0, [[-1.0, -2.0]])):
-            np.testing.assert_allclose(_nearest_solutions(starts, value), want, rtol=1e-15)
-        np.testing.assert_allclose(
-            _nearest_solutions(starts, 3.5), [[3.0 + 2.5 * 97.0 / 4.0, 6.0 - 2.5 * 106.0 / 4.0]]
-        )
-        # a stored value itself returns its own solutions
-        np.testing.assert_array_equal(_nearest_solutions(starts, 1.0), starts[1.0])
-
-    def test_rows_nan_at_either_value_take_the_nearest(self):
-        starts = {
-            0.0: np.array([[1.0, 2.0], [np.nan, np.nan], [1.0, 1.0]]),
-            1.0: np.array([[3.0, 6.0], [4.0, 4.0], [np.nan, np.nan]]),
-        }
-        out = _nearest_solutions(starts, 1.5)
-        np.testing.assert_allclose(out[0], [4.0, 8.0])
-        np.testing.assert_array_equal(out[1], [4.0, 4.0])
-        assert np.isnan(out[2]).all()
-
-
 class TestDistinctRows:
     @pytest.mark.parametrize("stat", ["t1", "t3"])
     def test_each_distinct_row_refit_once(self, stat, monkeypatch):
@@ -731,6 +696,23 @@ class TestDistinctRows:
         assert distinct.p_value == every.p_value
         assert distinct.n_failed == every.n_failed
         assert distinct.used_pinv == every.used_pinv
+
+
+def test_refit_distribution_reads_its_starts_only(bivariate12):
+    # two calls with one start matrix agree bit for bit and leave it as
+    # it was; rows without a start (nan) begin at the observed fit
+    plan, structure = PermutationPlan.random(100, seed=20240101), CovStructure.parse("unstructured")
+    *_, solutions = _refit_distribution(bivariate12, 0.45, 0, structure, plan)
+    starts = solutions.copy()
+    starts[::7] = np.nan
+    kept = starts.copy()
+    first = _refit_distribution(bivariate12, 0.5, 0, structure, plan, starts)
+    second = _refit_distribution(bivariate12, 0.5, 0, structure, plan, starts)
+    np.testing.assert_array_equal(starts, kept)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+    cold = _refit_distribution(bivariate12, 0.5, 0, structure, plan)
+    assert not np.array_equal(first[5], cold[5], equal_nan=True)
 
 
 class TestMarginal:
@@ -877,8 +859,9 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
     """Run one test as shipped and once with every row on the scalar fitter.
 
     Returns a record of both results, the permuted rows' statistics of
-    each run, the batched run's flip center, sign rows and warm start,
-    and the (free vectors, means, converged masks) its kernel returned.
+    each run, the batched run's flip center, sign rows and refit start
+    (the observed fit), and the (free vectors, means, converged masks)
+    its kernel returned.
     """
     structure = CovStructure.parse(structure)
     plan = (
@@ -903,7 +886,7 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
         m.setattr(metaperm.permutation, "refit_rows", _no_row_converges(real_rows))
         _spy(m, "_permuted_statistics", scalar_permuted)
         scalar = run()
-    (_, center, _, signs, _, warm, _), (batched_rows, _, _, _) = permuted[0]
+    (_, center, _, signs, _, init, _), (batched_rows, _, _, _) = permuted[0]
     return SimpleNamespace(
         data=data,
         structure=structure,
@@ -914,7 +897,7 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
         scalar_rows=scalar_permuted[0][1][0],
         center=center,
         signs=signs,
-        warm=warm,
+        init=init,
         kernel=[out for _, out in kernel],
     )
 
@@ -938,7 +921,7 @@ def _assert_kernel_row_no_worse(run, i, x_kernel, mu_kernel, statistic):
         value = run.center[component]
         fit = lambda d, s, init: fit_marginal_null(d, value, component, s, init=init)
     try:
-        scalar_het = fit(flipped, structure, init=run.warm).het
+        scalar_het = fit(flipped, structure, init=run.init).het
     except NonConvergenceError as exc:
         scalar_het = exc.last_result.het
     f_kernel = fun(_pack(kernel_het, structure))[0]
@@ -997,6 +980,26 @@ class TestBatchedRefits:
         assert np.array_equal(
             run.batched.distribution.statistics, run.scalar.distribution.statistics
         )
+
+    def test_kernel_arrays_left_as_returned(self, bivariate6, monkeypatch):
+        # every row of this ridge case goes to the scalar fitter, which is
+        # marked in the test's own arrays; the arrays refit_rows returned
+        # stay as it returned them
+        real = metaperm.permutation.refit_rows
+        returned = []
+
+        def spy(*args):
+            out = real(*args)
+            returned.append((out, [a.copy() for a in out]))
+            return out
+
+        monkeypatch.setattr(metaperm.permutation, "refit_rows", spy)
+        value = fit_ml(bivariate6).mu[0] + 0.2
+        marginal_permutation_test(bivariate6, value, 0, plan=PermutationPlan.exhaustive())
+        assert returned and not any(ok.any() for (_, _, ok), _ in returned)
+        for out, kept in returned:
+            for a, b in zip(out, kept):
+                np.testing.assert_array_equal(a, b)
 
     def test_rows_processed_in_chunks(self, bivariate12, monkeypatch):
         plan = PermutationPlan.random(n_draws=150, seed=8)
