@@ -11,6 +11,12 @@ S_i + Sigma or scatters an observed block: model_terms runs the pass at
 one mean and Sigma, and the fitters and statistics call the steps they
 need. Every study contributes only through its observed subvector and
 submatrices; unobserved components contribute exactly zero.
+
+Symmetric blocks are inverted by eigendecomposition with the
+pseudoinverse and indefinite flags of _sym_inverse_flags, except that
+1x1 blocks are inverted directly (with the same bits) and, in passes
+with a leading row axis, well-conditioned 2x2 blocks in closed form
+(_sym_inverse_rows).
 """
 
 from collections import namedtuple
@@ -392,15 +398,70 @@ def _sym_inverse_flags(V):
     of shape V.shape[:-2] for a meaningfully negative eigenvalue and for
     the pseudoinverse path. W and logdet of an indefinite matrix are
     finite but meaningless.
+
+    A 1x1 matrix is its own eigenvalue with eigenvector 1, so at k = 1
+    the spectrum is V itself and no eigh runs; the result equals eigh's
+    bit for bit, flags and non-finite entries included.
     """
-    w, Q = np.linalg.eigh(V)
+    if V.shape[-1] == 1:
+        w, Q = V[..., 0], None
+    else:
+        w, Q = np.linalg.eigh(V)
     scale = np.maximum(w[..., -1], 0.0)
     indefinite = w[..., 0] < -EPS_PSD * np.maximum(1.0, scale)
     keep = w > RCOND * scale[..., None]
     winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     logdet = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
-    W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    if Q is None:
+        W = winv[..., None]
+    else:
+        W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
     return W, logdet, indefinite, ~keep.all(axis=-1)
+
+
+# A 2x2 block takes the closed-form inverse when det > _DET_MARGIN *
+# RCOND * tr^2. With a > 0 that bounds its eigenvalue ratio below by
+# det / tr^2, so the margin absorbs the rounding of det and of eigh's
+# eigenvalues and the block is one eigh would keep whole and unflagged.
+# A det below the smallest normal float would carry too few digits, so
+# such a block goes to eigh as well.
+_DET_MARGIN = 4.0
+_TINY = np.finfo(float).tiny
+
+
+def _sym_inverse_rows(V):
+    """_sym_inverse_flags with 2x2 blocks inverted in closed form.
+
+    For V of shape (..., 2, 2) with entries a, b (lower) and c, a block
+    with a > 0 and det = ac - b^2 > _DET_MARGIN * RCOND * (a + c)^2, det
+    a normal float, is positive definite and well inside the
+    pseudoinverse cutoff. It gets W = [[c, -b], [-b, a]] / det, logdet =
+    log det and both flags False, which agree with eigh's to rounding.
+    Every other block (near-singular, indefinite or non-finite) goes
+    through _sym_inverse_flags alone, so its W, logdet and flags are
+    eigh's bit for bit. Other k go through _sym_inverse_flags unchanged.
+    """
+    if V.shape[-1] != 2:
+        return _sym_inverse_flags(V)
+    a = V[..., 0, 0]
+    b = V[..., 1, 0]
+    c = V[..., 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflowing or non-finite blocks fail the test and go to eigh,
+        # which warns about none of them
+        det = a * c - b * b
+        tr = a + c
+        bound = np.maximum(_DET_MARGIN * RCOND * tr * tr, _TINY)
+    closed = (a > 0.0) & (det > bound)
+    det = np.where(closed, det, 1.0)
+    W = np.stack([c, -b, -b, a], axis=-1).reshape(V.shape) / det[..., None, None]
+    logdet = np.log(det)
+    indefinite = np.zeros(closed.shape, dtype=bool)
+    pinv = np.zeros(closed.shape, dtype=bool)
+    if not closed.all():
+        rest = ~closed
+        W[rest], logdet[rest], indefinite[rest], pinv[rest] = _sym_inverse_flags(V[rest])
+    return W, logdet, indefinite, pinv
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,12 +490,23 @@ def _weights(data, sigma, Ys=None):
     is indefinite or took the pseudoinverse. A pass without leading
     dimensions stops at the first indefinite group: no caller uses the
     blocks of an indefinite row.
+
+    A pass with a leading row axis (the batched refit kernel and the
+    t1, t2 and t3 statistics) inverts 2x2 blocks in closed form
+    (_sym_inverse_rows). A pass at one Sigma (the L-BFGS-B objective,
+    model_terms and the GLS means of the scalar fits) keeps eigh's bits
+    (_sym_inverse_flags). 1x1 blocks get eigh's bits on both sides.
     """
+    # The seam keeps the scalar fits on eigh's bits: the closed form
+    # there moved ML and REML convergence on the gauss3m-s2 coverage
+    # rows (ROADMAP item 1). The fitter changes of ROADMAP items 1 and 7
+    # re-record those rows and can then remove it.
+    invert = _sym_inverse_rows if sigma.ndim > 2 else _sym_inverse_flags
     indefinite = pinv = False
     blocks = []
     for i, g in enumerate(data._groups):
         sigma_g = sigma.take(g.idx, -2).take(g.idx, -1)[..., None, :, :]
-        W, logdet, ind, pv = _sym_inverse_flags(g.S + sigma_g)
+        W, logdet, ind, pv = invert(g.S + sigma_g)
         indefinite = indefinite | ind.any(axis=-1)
         pinv = pinv | pv.any(axis=-1)
         blocks.append(_Block(g, g.Y if Ys is None else Ys[i], W, logdet))

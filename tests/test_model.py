@@ -13,6 +13,13 @@ from metaperm import (
     marginal_information,
     model_terms,
 )
+from metaperm.model import (
+    EPS_PSD,
+    RCOND,
+    _sym_inverse_flags,
+    _sym_inverse_rows,
+    _weights,
+)
 
 UNSTR = CovStructure.unstructured()
 
@@ -159,6 +166,149 @@ class TestStudyWeights:
         W = t.information
         assert t.used_pinv
         assert np.allclose(W @ V @ W, W, atol=1e-12)
+
+
+def eigh_inverse(V):
+    """The eigendecomposition inverse with its flags, at any k: the reference."""
+    w, Q = np.linalg.eigh(V)
+    scale = np.maximum(w[..., -1], 0.0)
+    indefinite = w[..., 0] < -EPS_PSD * np.maximum(1.0, scale)
+    keep = w > RCOND * scale[..., None]
+    winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    logdet = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
+    W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    return W, logdet, indefinite, ~keep.all(axis=-1)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def assert_same_results(got, want):
+    for name, a, b in zip(("W", "logdet", "indefinite", "pinv"), got, want):
+        assert same_bits(a, b), name
+
+
+def rotated(eigenvalues, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    Q = np.array([[c, -s], [s, c]])
+    return Q @ np.diag(eigenvalues) @ Q.T
+
+
+def spd_batch(seed, shape):
+    """Random SPD 2x2 blocks, eigenvalue ratio at most 100, scales 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    top = 10.0 ** rng.uniform(-3, 3, n)
+    lam = np.stack([top * rng.uniform(0.01, 1.0, n), top], axis=1)
+    V = np.stack([rotated(l, a) for l, a in zip(lam, rng.uniform(0, np.pi, n))])
+    return V.reshape(shape + (2, 2))
+
+
+def hard_blocks():
+    """2x2 blocks the closed form must leave to eigh."""
+    r = 1.0 + 1e-3
+    return np.array([
+        [[1.0, 1.0], [1.0, 1.0]],                        # rank 1
+        rotated([0.0, 2.5], 0.3),                        # rank 1, rotated
+        [[1.0, 2.0], [2.0, 1.0]],                        # indefinite
+        [[-1.0, 0.0], [0.0, 2.0]],                       # indefinite, a < 0
+        [[0.0, 1.0], [1.0, 0.0]],                        # indefinite, zero diagonal
+        [[-1.0, 0.2], [0.2, -2.0]],                      # negative definite
+        [[1e-12, 0.0], [0.0, -1e-11]],                   # negative, within EPS_PSD
+        np.zeros((2, 2)),                                # zero
+        [[1.0, 0.0], [0.0, RCOND * r]],                  # just above the cutoff
+        [[1.0, 0.0], [0.0, RCOND / r]],                  # just below it
+        rotated([RCOND * r, 1.0], 0.7),
+        rotated([RCOND / r, 1.0], 0.7),
+        [[1.0, 0.0], [0.0, 3.9 * RCOND]],                # just short of the closed form
+        [[1e-160, 0.0], [0.0, 1e-160]],                  # det below the normal range
+        [[1e200, 0.0], [0.0, 1e200]],                    # det overflows
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[-np.inf, 0.0], [0.0, 1.0]],
+    ])
+
+
+class TestSymInverse:
+    def test_one_by_one_is_eigh_bit_for_bit(self):
+        values = [2.0, 1.0, 0.37, 1e-300, 0.0, -0.0, -1e-12, -1.0, -3e5, 1e300,
+                  np.nan, np.inf, -np.inf, 1e-11]
+        V = np.array(values).reshape(2, 7, 1, 1)
+        for invert in (_sym_inverse_flags, _sym_inverse_rows):
+            assert_same_results(invert(V), eigh_inverse(V))
+            assert_same_results(invert(V[0, 0]), eigh_inverse(V[0, 0]))
+
+    def test_closed_form_agrees_with_eigh(self):
+        V = spd_batch(3, (40, 7))
+        W, logdet, indefinite, pinv = _sym_inverse_rows(V)
+        W0, logdet0, indefinite0, pinv0 = eigh_inverse(V)
+        size = np.abs(W0).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(W - W0) <= 1e-12 * size)
+        assert np.all(np.abs(logdet - logdet0) <= 1e-13)
+        assert not (indefinite | indefinite0 | pinv | pinv0).any()
+        # the closed form, not eigh, produced them
+        assert not same_bits(W, W0)
+
+    def test_hard_blocks_are_eigh_bit_for_bit(self):
+        V = hard_blocks()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = eigh_inverse(V)
+            assert_same_results(_sym_inverse_rows(V), want)
+        indefinite, pinv = want[2], want[3]
+        assert indefinite[[2, 3, 4, 5]].all() and not indefinite[6]
+        assert pinv[[0, 1, 7, 9, 11]].all() and not pinv[[8, 10, 12]].any()
+
+    def test_just_past_the_test_takes_the_closed_form(self):
+        V = np.stack([np.diag([1.0, 4.1 * RCOND]), rotated([4.1 * RCOND, 1.0], 0.7)])
+        W, logdet, indefinite, pinv = _sym_inverse_rows(V)
+        W0, logdet0, indefinite0, pinv0 = eigh_inverse(V)
+        assert not same_bits(W, W0)
+        assert same_bits(indefinite, indefinite0) and same_bits(pinv, pinv0)
+        assert np.allclose(W, W0, rtol=1e-5, atol=1e-5 * np.abs(W0).max())
+        assert np.allclose(logdet, logdet0, rtol=0, atol=1e-5)
+
+    def test_mixed_batch_rows_get_their_own_results(self):
+        rng = np.random.default_rng(5)
+        V = np.concatenate([hard_blocks(), spd_batch(8, (20,))])[rng.permutation(40)]
+        V = V.reshape(4, 10, 2, 2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            batch = _sym_inverse_rows(V)
+            for i, j in np.ndindex(4, 10):
+                alone = _sym_inverse_rows(V[i, j][None])
+                assert_same_results([part[i, j][None] for part in batch], alone)
+
+
+class TestWeightsSeam:
+    # a pass at one Sigma keeps eigh's bits (the scalar fits and the
+    # gated ML/REML coverage rows rest on them); a row-batched pass may
+    # take the closed form
+    def test_scalar_pass_is_eigh_and_row_pass_agrees(self, trivariate_missing):
+        data = trivariate_missing
+        kappa = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
+        sigma = between_cov(het([0.3, 0.25, 0.35], kappa), UNSTR)
+        blocks, indefinite, pinv = _weights(data, sigma)
+        assert {g.idx.size for g in data._groups} == {1, 2, 3}
+        assert not indefinite and not pinv
+        for g, Y, W, logdet in blocks:
+            W0, logdet0, _, _ = eigh_inverse(g.S + sigma[np.ix_(g.idx, g.idx)])
+            assert same_bits(W, W0) and same_bits(logdet, logdet0)
+        Ys = [g.Y[None] for g in data._groups]
+        rows, indefinite, pinv = _weights(data, sigma[None], Ys)
+        assert indefinite.shape == (1,) and not indefinite[0] and not pinv[0]
+        closed = []
+        for (g, _, W, logdet), (_, _, W_row, logdet_row) in zip(blocks, rows):
+            size = np.abs(W).max()
+            assert np.all(np.abs(W_row[0] - W) <= 1e-12 * size)
+            assert np.all(np.abs(logdet_row[0] - logdet) <= 1e-12)
+            if g.idx.size == 2:
+                closed.append(not same_bits(W_row[0], W))
+            else:
+                assert same_bits(W_row[0], W) and same_bits(logdet_row[0], logdet)
+        assert any(closed)
 
 
 class TestLogLikelihood:

@@ -378,3 +378,31 @@ class TestCoverageExperiment:
         assert len(row) == len(rep.header())
         assert row[0] == "gauss2-s1"
         assert row[3] == ""  # joint target leaves the component blank
+
+
+class TestHeadlineCoverage:
+    # the paper's claim at N = 8: Wald regions fall short of 0.95 while
+    # the exact joint test reaches it. 200 replicates at the default
+    # seed; 3 SE of 0.95 is 0.046, so perm-t2 must lie in [0.904, 0.996]
+    # and both Wald rows below it
+    @pytest.fixture(scope="class")
+    def reports(self):
+        scenario = load_scenarios()["diag-n8-d1-h2"]
+        return {
+            m: coverage_experiment(scenario, m, reps=200)
+            for m in ("perm-t2", "ml-wald", "reml-wald")
+        }
+
+    def test_every_replicate_converges(self, reports):
+        for rep in reports.values():
+            assert rep.non_convergence == 0 and rep.replications == 200
+
+    def test_permutation_coverage_is_nominal(self, reports):
+        low, high = 0.95 - 3 * monte_carlo_se(0.95, 200), 0.95 + 3 * monte_carlo_se(0.95, 200)
+        assert (round(low, 3), round(high, 3)) == (0.904, 0.996)
+        assert low <= reports["perm-t2"].coverage <= high
+
+    def test_wald_coverage_falls_short(self, reports):
+        low = 0.95 - 3 * monte_carlo_se(0.95, 200)
+        assert reports["ml-wald"].coverage < low
+        assert reports["reml-wald"].coverage < low
