@@ -10,8 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence,
 """
 
 import argparse
-import io as _io
-import csv
 import sys
 
 import numpy as np
@@ -29,7 +27,8 @@ from .inference import (
     wald_inference,
 )
 from .io import (
-    _region_csv,
+    _csv_text,
+    _region_rows,
     back_transform,
     ingest_diagnostic,
     ingest_nma,
@@ -47,6 +46,9 @@ from .permutation import (
 from .simulate import CoverageReport, coverage_experiment, load_scenarios
 
 __all__ = ["main"]
+
+# --stat of test-joint and region: the permutation statistic it names
+_STATS = {"t1": "cml", "t2": "moment"}
 
 
 class _UsageError(Exception):
@@ -132,7 +134,7 @@ def _build_parser():
     )
     sub.add_argument(
         "--stat",
-        choices=("t1", "t2"),
+        choices=tuple(_STATS),
         default="t1",
         help="t1 refits the heterogeneity per permutation; t2 uses the "
         "sign-invariant moment plug-in (complete data only)",
@@ -176,7 +178,7 @@ def _build_parser():
         "box); write --bounds=-1:1,... when the first bound is negative",
     )
     sub.add_argument("--resolution", type=int, default=20, help="points per axis")
-    sub.add_argument("--stat", choices=("t1", "t2"), default="t1")
+    sub.add_argument("--stat", choices=tuple(_STATS), default="t1")
     sub.set_defaults(func=_cmd_region)
 
     sub = subs.add_parser("simulate", help="coverage experiment on a scenario", parents=[common])
@@ -293,19 +295,22 @@ def _parse_bounds(text, n_axes):
     return out
 
 
-def _kv_csv(payload):
-    """Flat key,value CSV for scalar/vector payload dicts."""
-    buf = _io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["key", "value"])
+def _kv_rows(payload):
+    """Flat key,value CSV rows for scalar/vector payload dicts."""
+    rows = [["key", "value"]]
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, np.ndarray):
             value = ";".join(repr(float(v)) for v in np.ravel(value))
         elif isinstance(value, (list, tuple)):
             value = ";".join(str(v) for v in value)
-        w.writerow([key, value])
-    return buf.getvalue()
+        rows.append([key, value])
+    return rows
+
+
+def _seed_echo(args, plan):
+    """The seed a random plan was drawn from; None for an exhaustive plan."""
+    return args.seed if plan.mode == "random" else None
 
 
 def _reported_scale_extras(data, component, values):
@@ -318,30 +323,29 @@ def _reported_scale_extras(data, component, values):
     return extras
 
 
+# Each command returns (result, extra, rows): the result and extra
+# top-level keys for results_to_json, and the CSV rows, header first.
+
+
 def _cmd_fit(args):
     data = _load_dataset(args)
     structure = _parse_structure(args)
     fit = fit_ml(data, structure) if args.estimator == "ml" else fit_reml(data, structure)
     extra = {"labels": list(data.labels), "scales": list(data.scales)}
-    reported = [
-        back_transform(float(m), s) for m, s in zip(fit.mu, data.scales)
-    ]
+    payload = {
+        "method": fit.method,
+        "loglik": fit.loglik,
+        "converged": fit.converged,
+        "iterations": fit.iterations,
+        "mu": fit.mu,
+        "tau": fit.het.tau,
+        "labels": list(data.labels),
+    }
     if any(s != "identity" for s in data.scales):
-        extra["mu_reported"] = reported
-    if args.format == "csv":
-        payload = {
-            "method": fit.method,
-            "loglik": fit.loglik,
-            "converged": fit.converged,
-            "iterations": fit.iterations,
-            "mu": fit.mu,
-            "tau": fit.het.tau,
-            "labels": list(data.labels),
-        }
-        if "mu_reported" in extra:
-            payload["mu_reported"] = extra["mu_reported"]
-        return _kv_csv(payload)
-    return results_to_json(fit, extra=extra)
+        extra["mu_reported"] = payload["mu_reported"] = [
+            back_transform(float(m), s) for m, s in zip(fit.mu, data.scales)
+        ]
+    return fit, extra, _kv_rows(payload)
 
 
 def _cmd_test_joint(args):
@@ -349,25 +353,21 @@ def _cmd_test_joint(args):
     structure = _parse_structure(args)
     plan = _parse_plan(args)
     mu0 = _parse_mu(args.mu_null, data.p)
-    stat = "cml" if args.stat == "t1" else "moment"
-    res = joint_permutation_test(data, mu0, plan=plan, stat=stat, structure=structure)
-    extra = {
-        "alpha": args.alpha,
-        "reject": res.p_value <= args.alpha,
-        "seed": args.seed if plan.mode == "random" else None,
-    }
-    if args.format == "csv":
-        return _kv_csv(
-            {
-                "stat": args.stat,
-                "statistic": res.statistic,
-                "p_value": res.p_value,
-                "n_permutations": res.n_permutations,
-                "n_failed": res.n_failed,
-                "reject": extra["reject"],
-            }
-        )
-    return results_to_json(res, extra=extra)
+    res = joint_permutation_test(
+        data, mu0, plan=plan, stat=_STATS[args.stat], structure=structure
+    )
+    reject = res.p_value <= args.alpha
+    extra = {"alpha": args.alpha, "reject": reject, "seed": _seed_echo(args, plan)}
+    return res, extra, _kv_rows(
+        {
+            "stat": args.stat,
+            "statistic": res.statistic,
+            "p_value": res.p_value,
+            "n_permutations": res.n_permutations,
+            "n_failed": res.n_failed,
+            "reject": reject,
+        }
+    )
 
 
 def _cmd_test_marginal(args):
@@ -378,28 +378,27 @@ def _cmd_test_marginal(args):
     res = marginal_permutation_test(
         data, args.mu1_null, component, plan=plan, structure=structure
     )
+    reject = res.p_value <= args.alpha
     extra = {
         "alpha": args.alpha,
-        "reject": res.p_value <= args.alpha,
+        "reject": reject,
         "label": data.labels[component],
-        "seed": args.seed if plan.mode == "random" else None,
+        "seed": _seed_echo(args, plan),
     }
     extra.update(
         _reported_scale_extras(data, component, {"value_reported": args.mu1_null})
     )
-    if args.format == "csv":
-        return _kv_csv(
-            {
-                "component": data.labels[component],
-                "value": args.mu1_null,
-                "statistic": res.statistic,
-                "p_value": res.p_value,
-                "n_permutations": res.n_permutations,
-                "n_failed": res.n_failed,
-                "reject": extra["reject"],
-            }
-        )
-    return results_to_json(res, extra=extra)
+    return res, extra, _kv_rows(
+        {
+            "component": data.labels[component],
+            "value": args.mu1_null,
+            "statistic": res.statistic,
+            "p_value": res.p_value,
+            "n_permutations": res.n_permutations,
+            "n_failed": res.n_failed,
+            "reject": reject,
+        }
+    )
 
 
 def _cmd_ci(args):
@@ -410,10 +409,7 @@ def _cmd_ci(args):
     interval = confidence_interval(
         data, component, alpha=args.alpha, plan=plan, structure=structure
     )
-    extra = {
-        "label": data.labels[component],
-        "seed": args.seed if plan.mode == "random" else None,
-    }
+    extra = {"label": data.labels[component], "seed": _seed_echo(args, plan)}
     extra.update(
         _reported_scale_extras(
             data,
@@ -425,17 +421,15 @@ def _cmd_ci(args):
             },
         )
     )
-    if args.format == "csv":
-        payload = {
-            "component": data.labels[component],
-            "alpha": interval.alpha,
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "center": interval.center,
-        }
-        payload.update({k: v for k, v in extra.items() if k != "label"})
-        return _kv_csv(payload)
-    return results_to_json(interval, extra=extra)
+    payload = {
+        "component": data.labels[component],
+        "alpha": interval.alpha,
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "center": interval.center,
+    }
+    payload.update({k: v for k, v in extra.items() if k != "label"})
+    return interval, extra, _kv_rows(payload)
 
 
 def _cmd_region(args):
@@ -444,20 +438,17 @@ def _cmd_region(args):
     plan = _parse_plan(args)
     axes = _parse_axes(data, args.axes)
     bounds = _parse_bounds(args.bounds, len(axes)) if args.bounds else None
-    stat = "cml" if args.stat == "t1" else "moment"
     grid = confidence_region(
         data,
         components=axes,
         alpha=args.alpha,
         bounds=bounds,
         resolution=args.resolution,
-        stat=stat,
+        stat=_STATS[args.stat],
         plan=plan,
         structure=structure,
     )
-    if args.format == "csv":
-        return _region_csv(grid)
-    return results_to_json(grid, extra={"labels": [data.labels[j] for j in axes]})
+    return grid, {"labels": [data.labels[j] for j in axes]}, _region_rows(grid)
 
 
 def _cmd_simulate(args):
@@ -480,13 +471,7 @@ def _cmd_simulate(args):
         component=_zero_based(args.component, scenario.p),
         structure=structure,
     )
-    if args.format == "csv":
-        buf = _io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(CoverageReport.header())
-        w.writerow(report.to_row())
-        return buf.getvalue()
-    return results_to_json(report, extra={"seed": args.seed})
+    return report, {"seed": args.seed}, [CoverageReport.header(), report.to_row()]
 
 
 def _cmd_ingest_check(args):
@@ -507,16 +492,15 @@ def _cmd_ingest_check(args):
         "observed_per_outcome": data.observed.sum(axis=0).tolist(),
         "warnings": [str(w.message) for w in caught],
     }
-    if args.format == "csv":
-        return _kv_csv({k: v for k, v in payload.items() if k != "kind"})
-    return results_to_json(payload)
+    return payload, None, _kv_rows({k: v for k, v in payload.items() if k != "kind"})
 
 
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text = args.func(args)
+        result, extra, rows = args.func(args)
+        text = _csv_text(rows) if args.format == "csv" else results_to_json(result, extra=extra)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -496,6 +496,17 @@ def sigma_rows(X, structure, p):
     return _assemble_cov(np.where(tau <= TAU_SNAP, 0.0, tau), K)
 
 
+def tau_reads_zero(X, structure, p):
+    """Whether a free vector, or each row of X, has a tau that reads as zero (TAU_SNAP).
+
+    The objective is flat in log tau there whatever the outcomes, so such
+    a vector says nothing about where a row's solution lies: refit_rows
+    starts no row from one, and the solutions of permutation's refit
+    tests are nan where one holds.
+    """
+    return (X[..., : structure.n_tau(p)] <= np.log(TAU_SNAP)).any(axis=-1)
+
+
 def _derivative_patterns(structure, p):
     """Constant patterns of dSigma/dx.
 
@@ -629,13 +640,14 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
 
     Each row starts from init, or from its own free vector in starts
     (R, m), clipped into the box, where that row of starts is finite and
-    no tau, in it or in init, reads as zero (TAU_SNAP): a test inside an
-    inversion passes each row's solution extrapolated from earlier null
-    values, which lies near its solution at this one. A row whose start
-    gives a non-finite objective starts from init instead. Only init
-    decides the two rules that send every row to the scalar fitter: init
-    on the |kappa| -> 1 ridge, and a non-finite objective at init. So a
-    row started from init takes the same steps with or without starts.
+    no tau, in it or in init, reads as zero (tau_reads_zero): a row
+    started there stays there. A test inside an inversion passes each
+    row's solution extrapolated from earlier null values, which lies
+    near its solution at this one. A row whose start gives a non-finite
+    objective starts from init instead. Only init decides the two rules
+    that send every row to the scalar fitter: init on the |kappa| -> 1
+    ridge, and a non-finite objective at init. So a row started from
+    init takes the same steps with or without starts.
 
     The rows move in lock step by projected Newton steps inside the box
     (Bertsekas 1982, SIAM J. Control Optim.):
@@ -687,13 +699,11 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
         return X, mu, converged
     rows = np.arange(R)
     warm = np.zeros(R, dtype=bool)
-    # a tau that reads as zero sits where the objective is flat in log tau
-    # whatever the outcomes, so a row started there stays there: a row
-    # starts warm only when neither init nor its start has such a tau
-    if starts is not None and (x0[:nt] > np.log(TAU_SNAP)).all():
+    # a row started where a tau reads as zero stays there, so a row starts
+    # warm only when neither init nor its start has such a tau
+    if starts is not None and not tau_reads_zero(x0, structure, p):
         starts = np.clip(starts, lo, hi)
-        warm = np.isfinite(starts).all(axis=1)
-        warm &= (starts[:, :nt] > np.log(TAU_SNAP)).all(axis=1)
+        warm = np.isfinite(starts).all(axis=1) & ~tau_reads_zero(starts, structure, p)
         X[warm] = starts[warm]
     state = evaluate(rows, X)
     lost = np.flatnonzero(warm & ~np.isfinite(state[0]))

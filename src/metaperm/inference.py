@@ -4,17 +4,15 @@ Confidence regions come from scanning a lattice of joint null values,
 confidence intervals from inverting the marginal test by outward scan
 plus bisection, point estimates from solving for a one-sided signed
 permutation p-value of one half, and Wald summaries from the fitted
-information matrix. The point estimate and each side of the interval
-share one bisection, _bisect, and an interval fits ML once for both its
-step size and its point estimate. Every permutation test invoked here
-reuses one fixed sign plan, so acceptance is a deterministic function
-of the null value and the reported boundaries are well defined. Warm
-starts are decided here and nowhere else: within one inversion a
-_Probes object keeps each test's sign-row solutions, starts the next
-warm test's refits from them extrapolated to its null value, and
-confirms every reported boundary with cold re-tests
-(_Probes.cold_checked). The permutation layer only takes the starts
-it is given.
+information matrix. Every permutation test invoked here reuses one
+fixed sign plan, so acceptance is a deterministic function of the null
+value and the reported boundaries are well defined. One _Probes object
+runs each inversion: it fits ML once for the anchor and step size, and
+its one search (_Probes.search) finds the point estimate and each side
+of the interval. Warm starts are decided there and nowhere else: the
+search starts each warm test's refits from the sign rows' solutions at
+earlier null values and confirms its final values with cold re-tests.
+The permutation layer only takes the starts it is given.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, gammaincinv, ndtri
 
-from .estimators import TAU_SNAP, fit_ml
+from .estimators import fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
 from .model import RCOND, _check_component, _finite_mean, _require_structure
 from .permutation import (
@@ -248,61 +246,37 @@ def overall_null_test(data, plan=None, structure=None, stat="cml"):
     )
 
 
-def _wald_anchor(data, component, structure):
-    """ML estimate and Wald standard error of one component."""
-    fit = fit_ml(data, structure)
-    cov = _checked_information_inverse(fit.information)
-    return float(fit.mu[component]), float(np.sqrt(max(cov[component, component], 0.0)))
-
-
-def _bisect(accepts, inner, outer):
-    """Halve the bracket until |outer - inner| <= XTOL; returns (inner, outer).
-
-    accepts(inner) holds and accepts(outer) does not; each midpoint
-    replaces the end whose verdict it shares. Inside an inversion the
-    midpoints are warm tests (see _Probes), and _Probes.cold_checked
-    confirms the returned pair with cold tests.
-    """
-    while abs(outer - inner) > XTOL:
-        mid = 0.5 * (inner + outer)
-        if accepts(mid):
-            inner = mid
-        else:
-            outer = mid
-    return inner, outer
-
-
 class _Probes:
-    """The t3 tests of one inversion, and the warm starts they pass on.
+    """The t3 tests of one inversion, its searches and the warm starts they pass on.
 
-    Every test runs under the same data, component, plan and structure,
-    so every test refits the same distinct sign rows, in the same order.
+    Built once per inversion: it resolves the default plan and structure
+    and fits ML once for anchor and anchor_se, the component's ML
+    estimate and its Wald standard error. Every test runs under the same
+    data, component, plan and structure, so every test refits the same
+    distinct sign rows, in the same order.
     solutions, kept only as long as this object, maps each tested null
-    value to the free vectors those rows converged to there (see
+    value to the free vectors those rows converged to there, nan where
+    the scalar fitter took over or a tau reads as zero (see
     permutation._refit_distribution). A warm test starts each row's
     refit from the line through its own vectors at the two nearest
     values tested before (nearest): consecutive probes lie close
     together, so the rows start near their solutions. A cold test
     starts every row at the test's observed fit, exactly as a standalone
     marginal_permutation_test does. The observed fit, its statistic and
-    the flip center are the same either way.
-    A solution with a tau that reads as zero (TAU_SNAP) is stored as
-    nan: the objective is flat in log tau there, so it says nothing
-    about where the row's solution moves with the null value. With one
-    outcome every test is cold: the only mean component is fixed,
-    reflection about it leaves each row's likelihood unchanged, and so
-    the observed fit is already every row's solution.
-    solutions holds one float per free parameter, per distinct sign row,
-    per tested value: about 150 kB for 60 tests of 100 rows at p = 2.
-    cold holds the values whose latest test was cold; n_warm counts the
-    warm tests.
+    the flip center are the same either way. search decides which tests
+    are warm. solutions holds one float per free parameter, per distinct
+    sign row, per tested value: about 150 kB for 60 tests of 100 rows at
+    p = 2.
     """
 
     def __init__(self, data, component, plan, structure):
-        self.data, self.component, self.plan, self.structure = data, component, plan, structure
+        self.data, self.component = data, component
+        self.plan, self.structure = _default_plan(plan), _require_structure(structure)
+        fit = fit_ml(data, self.structure)
+        cov = _checked_information_inverse(fit.information)
+        self.anchor = float(fit.mu[component])
+        self.anchor_se = float(np.sqrt(max(cov[component, component], 0.0)))
         self.solutions = {}
-        self.cold = set()
-        self.n_warm = 0
 
     def nearest(self, value):
         """Row solutions extrapolated to value from the stored ones, or None.
@@ -322,100 +296,115 @@ class _Probes:
         line = nearest + (value - near[0]) * slope
         return np.where(np.isnan(line).any(axis=1, keepdims=True), nearest, line)
 
-    def _signed(self, m, warm):
-        starts = self.nearest(m) if warm and self.data.p > 1 else None
-        s_obs, roots, _, _, _, solutions = _marginal_signed_distribution(
+    def p_value(self, m, warm, signed):
+        """p-value at m of a warm or cold test, stored with its solutions.
+
+        signed gives the one-sided p-value of the signed marginal score;
+        otherwise the p-value of the marginal test, as
+        marginal_permutation_test gives it.
+        """
+        starts = self.nearest(m) if warm else None
+        s_obs, roots, _, _, _, self.solutions[m] = _marginal_signed_distribution(
             self.data, m, self.component, self.structure, self.plan, starts
         )
-        n_tau = self.structure.n_tau(self.data.p)
-        solutions[(solutions[:, :n_tau] <= np.log(TAU_SNAP)).any(axis=1)] = np.nan
-        self.solutions[m] = solutions
-        if starts is None:
-            self.cold.add(m)
-        else:
-            self.n_warm += 1
-            self.cold.discard(m)
-        return s_obs, roots
-
-    def signed_p(self, m, warm=True):
-        """One-sided p-value of the signed marginal score at m."""
-        s_obs, roots = self._signed(m, warm)
+        if not signed:
+            s_obs, roots = s_obs * s_obs, roots * roots
         return NullDistribution(statistics=roots, mode=self.plan.mode).p_value(s_obs)
 
-    def p_value(self, m, warm=True):
-        """p-value of the marginal test at m, as marginal_permutation_test gives it."""
-        s_obs, roots = self._signed(m, warm)
-        null = NullDistribution(statistics=roots * roots, mode=self.plan.mode)
-        return null.p_value(s_obs * s_obs)
+    def search(self, verdict, log, inner, outer=None, step=None):
+        """The last value where verdict holds, by scan and bisection, confirmed cold.
 
-    def cold_checked(self, search, holds):
-        """Run one search of this inversion warm and confirm its final bracket cold.
+        verdict(m, warm) runs a warm or cold test at m (p_value) and
+        returns (entry, holds): what the log records and whether the
+        verdict holds. It holds at inner and, when outer is given, not
+        at outer; both were tested cold, and log holds what their tests
+        recorded. Given a step, the search first scans inner + step,
+        inner + 2 step, ... for at most MAX_STEPS steps, up to the first
+        value where the verdict fails, which becomes outer. It then
+        halves the bracket, each midpoint replacing the end whose verdict
+        it shares, until the ends lie within XTOL or no float lies
+        between them.
 
-        search(warm) runs a scan or bisection with warm or cold tests
-        and returns (inner, outer, log): its final value on the side
-        where holds, its final value on the other side (None when the
-        scan found none) and the probes it recorded. Each final value
-        whose latest test was warm is tested again cold, holds(m) giving
-        the cold verdict; these tests are not logged. If a cold verdict
-        differs, the search runs again with cold tests only. Either way
-        both returned values carry cold verdicts, and when every verdict
-        agrees they equal what a search with cold tests alone returns,
-        bit for bit.
+        These tests are warm, except with one outcome: then every test is
+        cold, because the only mean component is fixed, reflection about
+        it leaves each row's likelihood unchanged, and so the observed fit
+        is already every row's solution. Each final value tested warm is
+        tested again cold, up to the first cold verdict that differs;
+        these tests are not logged. If one differs, the search runs again
+        with cold tests only. Either way both final values carry cold
+        verdicts, and when every verdict agrees they equal what a search
+        with cold tests alone returns, bit for bit.
+
         Returns (inner, outer, log, {"verified": ..., "warm_probes": ...}):
-        verified is false when the search was redone; warm_probes counts
-        the warm tests of the first run.
+        the final values (outer None when the scan found no failing
+        value) and the log with the search's tests after the given ones;
+        verified is false when the search was redone, and warm_probes
+        counts the warm tests of the first run.
         """
-        n_warm = self.n_warm
-        inner, outer, log = search(True)
-        warm_probes = self.n_warm - n_warm
-        verified = all(
-            holds(m) == side
-            for m, side in ((inner, True), (outer, False))
-            if m is not None and m not in self.cold
+
+        def run(warm):
+            trace = list(log)
+
+            def holds(m):
+                entry, ok = verdict(m, warm)
+                trace.append(entry)
+                return ok
+
+            a, b = inner, outer
+            for k in range(1, MAX_STEPS + 1 if step is not None else 1):
+                m = inner + k * step
+                if not holds(m):
+                    b = m
+                    break
+                a = m
+            while b is not None and abs(b - a) > XTOL:
+                mid = 0.5 * (a + b)
+                if mid in (a, b):
+                    # adjacent floats wider than XTOL: nothing lies between
+                    break
+                if holds(mid):
+                    a = mid
+                else:
+                    b = mid
+            return a, b, trace
+
+        warm = self.data.p > 1
+        a, b, trace = run(warm)
+        warm_probes = len(trace) - len(log) if warm else 0
+        verified = not warm or all(
+            verdict(m, False)[1] == side
+            for m, side in ((a, True), (b, False))
+            if m not in (inner, outer)
         )
         if not verified:
-            inner, outer, log = search(False)
-        return inner, outer, log, {"verified": verified, "warm_probes": warm_probes}
+            a, b, trace = run(False)
+        return a, b, trace, {"verified": verified, "warm_probes": warm_probes}
 
+    def median_unbiased(self):
+        """The median-unbiased estimate and its diagnostics; see median_unbiased_estimate."""
+        lo = self.anchor - 4.0 * self.anchor_se
+        hi = self.anchor + 4.0 * self.anchor_se
 
-def _median_unbiased(probes, anchor, anchor_se):
-    """The median-unbiased estimate bracketed around a Wald anchor.
+        def below(m, warm):
+            # p is a step function; keep p(inner) <= 1/2 < p(outer) up to ties
+            p = self.p_value(m, warm, signed=True)
+            return (float(m), p), p <= 0.5
 
-    Both bracket ends are tested cold, the bisection warm and its final
-    pair confirmed cold (_Probes.cold_checked). Returns (value, diagnostics);
-    see median_unbiased_estimate.
-    """
-    lo, hi = anchor - 4.0 * anchor_se, anchor + 4.0 * anchor_se
-    p_lo, p_hi = probes.signed_p(lo, warm=False), probes.signed_p(hi, warm=False)
-    ends = [(float(lo), p_lo), (float(hi), p_hi)]
-
-    def search(warm):
-        trace = list(ends)
-
-        def below(m):
-            p = probes.signed_p(m, warm)
-            trace.append((float(m), p))
-            return p <= 0.5
-
-        # p is a step function; keep p(inner) <= 1/2 < p(outer) up to ties
-        inner, outer = _bisect(below, lo, hi)
-        return inner, outer, trace
-
-    crossed = p_lo <= 0.5 <= p_hi
-    value, trace, check = anchor, ends, {"verified": True, "warm_probes": 0}
-    if crossed:
-        inner, outer, trace, check = probes.cold_checked(
-            search, lambda m: probes.signed_p(m, warm=False) <= 0.5
-        )
-        value = 0.5 * (inner + outer)
-    return float(value), {
-        "crossed": bool(crossed),
-        "bracket": (float(lo), float(hi)),
-        "anchor": anchor,
-        "anchor_se": anchor_se,
-        "trace": trace,
-        **check,
-    }
+        ends = [below(m, False)[0] for m in (lo, hi)]
+        (_, p_lo), (_, p_hi) = ends
+        crossed = p_lo <= 0.5 <= p_hi
+        value, trace, check = self.anchor, ends, {"verified": True, "warm_probes": 0}
+        if crossed:
+            inner, outer, trace, check = self.search(below, ends, lo, hi)
+            value = 0.5 * (inner + outer)
+        return float(value), {
+            "crossed": bool(crossed),
+            "bracket": (float(lo), float(hi)),
+            "anchor": self.anchor,
+            "anchor_se": self.anchor_se,
+            "trace": trace,
+            **check,
+        }
 
 
 def median_unbiased_estimate(data, component, plan=None, structure=None, *, full_output=False):
@@ -428,16 +417,12 @@ def median_unbiased_estimate(data, component, plan=None, structure=None, *, full
     so the solution balances the permutation distribution around the
     observed signed score.
 
-    The bracket ends are tested cold: every sign row's refit starts at
-    the test's observed fit, as in a standalone test. Each bisection
-    test starts every row from its own solutions at the null values
-    tested before, which saves refit iterations (with one
-    outcome every test is cold; see _Probes). The final bisection pair
-    is then tested again cold; if either verdict differs, the bisection
-    is redone cold from the bracket. So the estimate always lies
-    between two values with cold verdicts, and it is the estimate of an
-    all-cold bisection whenever the verdicts agree. The solutions are
-    kept only for the duration of the call.
+    The bracket ends are tested cold, as standalone tests; the
+    bisection's tests start from the solutions of the tests before them
+    and its final pair is confirmed cold (see _Probes.search). So the
+    estimate always lies between two values with cold verdicts, and it
+    is the estimate of an all-cold bisection whenever the verdicts
+    agree.
 
     Falls back to the ML component estimate when no crossing exists in
     the bracket; with full_output=True returns (value, diagnostics)
@@ -446,11 +431,7 @@ def median_unbiased_estimate(data, component, plan=None, structure=None, *, full
     verified (false when the bisection was redone cold) and warm_probes
     (the warm tests of the first bisection).
     """
-    structure = _require_structure(structure)
-    plan = _default_plan(plan)
-    anchor, anchor_se = _wald_anchor(data, component, structure)
-    probes = _Probes(data, component, plan, structure)
-    value, diagnostics = _median_unbiased(probes, anchor, anchor_se)
+    value, diagnostics = _Probes(data, component, plan, structure).median_unbiased()
     return (value, diagnostics) if full_output else value
 
 
@@ -468,17 +449,14 @@ def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, 
     endpoints are well defined. One ML fit gives both the Wald standard
     error and the anchor of the median-unbiased estimate.
 
-    The center is tested cold, as a standalone test: every sign row's
-    refit starts at the test's observed fit. Every later scan and
-    bisection test starts each row from its own solutions at the null
-    values tested before in this call, the median-unbiased
-    estimate's probes included. When a side's scan and bisection end,
-    its final accepted and rejected values are tested again cold; if
-    either verdict differs, that side is redone with cold tests only.
-    So each endpoint is accepted and its outer neighbour rejected by
-    cold tests, the endpoints are those of an all-cold inversion
-    whenever the verdicts agree, and the re-tests appear in no scan.
-    The solutions are kept only for the duration of the call.
+    The center is tested cold, as a standalone test; each side's scan
+    and bisection tests start from the solutions of the tests before
+    them in this call, the median-unbiased estimate's included, and the
+    side's final accepted and rejected values are confirmed cold (see
+    _Probes.search). So each endpoint is accepted and its outer
+    neighbour rejected by cold tests, the endpoints are those of an
+    all-cold inversion whenever the verdicts agree, and the re-tests
+    appear in no scan.
 
     A side with no rejection within the scan range reports the last
     scanned value with open_ended=True in its diagnostics. If the
@@ -486,46 +464,25 @@ def confidence_interval(data, component, alpha=0.05, plan=None, structure=None, 
     is returned with monotone_crossing=False on both sides; the scan
     trace is always attached for inspection.
     """
-    structure = _require_structure(structure)
-    plan = _default_plan(plan)
     _check_alpha(alpha)
-    anchor, anchor_se = _wald_anchor(data, component, structure)
     probes = _Probes(data, component, plan, structure)
     if center is None:
-        center, _ = _median_unbiased(probes, anchor, anchor_se)
+        center, _ = probes.median_unbiased()
     center = float(center)
-    step = STEP_FRACTION * anchor_se
 
-    p_center = probes.p_value(center, warm=False)
-    center_ok = p_center > alpha
+    def accepts(m, warm):
+        p = probes.p_value(m, warm, signed=False)
+        ok = p > alpha
+        return (m, p, ok), ok
+
+    center_log = [accepts(center, False)[0]]
+    _, p_center, center_ok = center_log[0]
     diagnostics = {"center": {"value": center, "p_value": p_center, "accepted": center_ok}}
     bounds = {}
     for side, direction in (("lower", -1.0), ("upper", 1.0)):
-
-        def search(warm, direction=direction):
-            scan = [(center, p_center, center_ok)]
-
-            def accepts(m):
-                p = probes.p_value(m, warm)
-                scan.append((m, p, p > alpha))
-                return p > alpha
-
-            inner, outer = center, None
-            # a rejected center scans no further: the interval is [center, center]
-            for k in range(1, MAX_STEPS + 1 if center_ok else 1):
-                m = center + direction * k * step
-                if not accepts(m):
-                    outer = m
-                    break
-                inner = m
-            if outer is not None:
-                # bisect the accepted/rejected bracket; report the accepted end
-                inner, outer = _bisect(accepts, inner, outer)
-            return inner, outer, scan
-
-        inner, outer, scan, check = probes.cold_checked(
-            search, lambda m: probes.p_value(m, warm=False) > alpha
-        )
+        # a rejected center scans no further: the interval is [center, center]
+        step = direction * (STEP_FRACTION * probes.anchor_se) if center_ok else None
+        inner, outer, scan, check = probes.search(accepts, center_log, center, step=step)
         bounds[side] = inner
         diagnostics[side] = {
             "monotone_crossing": outer is not None,

@@ -365,20 +365,25 @@ def ingest_nma(path, reference):
     )
 
 
-def _region_csv(grid):
-    """Region grid as CSV text; see write_region_csv."""
-    k = len(grid.axis_components)
+def _csv_text(rows):
+    """Rows as CSV text, the header first, as csv.writer writes them."""
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow([f"mu{j + 1}" for j in grid.axis_components]
-               + ["statistic", "threshold", "accepted", "p_value"])
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _region_rows(grid):
+    """Region grid as CSV rows; see write_region_csv."""
+    k = len(grid.axis_components)
+    rows = [[f"mu{j + 1}" for j in grid.axis_components]
+            + ["statistic", "threshold", "accepted", "p_value"]]
     for row in grid.to_rows():
         out = [repr(float(v)) for v in row[:k]]
         stat, thr, acc, pv = row[k:]
         out += [repr(float(stat)), repr(float(thr)),
                 "true" if acc else "false", repr(float(pv))]
-        w.writerow(out)
-    return buf.getvalue()
+        rows.append(out)
+    return rows
 
 
 def write_region_csv(grid, path):
@@ -390,7 +395,7 @@ def write_region_csv(grid, path):
     accepted=false.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_region_csv(grid))
+        fh.write(_csv_text(_region_rows(grid)))
 
 
 def back_transform(value, scale):

@@ -36,6 +36,7 @@ from .estimators import (
     moment_between_cov,
     refit_rows,
     sigma_rows,
+    tau_reads_zero,
 )
 from .exceptions import NonConvergenceError, UninformativeComponentError
 from .model import (
@@ -509,7 +510,10 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     starts, and no argument is written to.
     Returns (s_obs, statistics, n_failed, used_pinv, includes_identity,
     solutions): solutions holds the distinct rows' free vectors in the
-    order of starts (see _permuted_statistics).
+    order of starts (see _permuted_statistics), nan where a tau reads as
+    zero (tau_reads_zero): the objective is flat in log tau there, so
+    such a vector says nothing about where the row's solution moves with
+    value.
     """
     signs, row_sums = _sign_plan(plan, data.n_studies)
     s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)
@@ -520,6 +524,7 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     stats_d, failed, used, solutions = _permuted_statistics(
         data, cml.mu, component, distinct, structure, cml.het, starts
     )
+    solutions[tau_reads_zero(solutions, structure, data.p)] = np.nan
     stats[refit] = stats_d[inverse]
     n_failed = int(np.count_nonzero(failed[inverse]))
     if n_refit and n_failed > MAX_FAILURE_FRACTION * n_refit:

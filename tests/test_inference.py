@@ -29,6 +29,7 @@ from metaperm import (
     wald_inference,
 )
 from metaperm.inference import XTOL, _chi2_ppf, _chi2_sf, ndtri
+from metaperm.permutation import NullDistribution
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +245,90 @@ class TestConfidenceInterval:
             confidence_interval(univariate10, 0, alpha=1.0, plan=u10_plan)
 
 
+class TestSearch:
+    def test_equals_a_plain_cold_inversion(self, univariate10, u10_plan):
+        # with one outcome every test of an inversion is cold, so the
+        # search must be a plain bisection over standalone signed
+        # p-values for the estimate, and a plain scan and bisection over
+        # standalone marginal tests for each endpoint, probe for probe
+        data, plan = univariate10, u10_plan
+        structure = CovStructure.unstructured()
+        wald = wald_inference(fit_ml(data))
+        anchor, se = float(wald.estimate[0]), float(wald.se[0])
+
+        def signed_p(m):
+            s_obs, roots = metaperm.permutation._refit_distribution(data, m, 0, structure, plan)[:2]
+            return NullDistribution(statistics=roots, mode=plan.mode).p_value(s_obs)
+
+        def bisect(inner, outer, test, holds, log):
+            while abs(outer - inner) > XTOL:
+                mid = 0.5 * (inner + outer)
+                p = test(mid)
+                log.append((mid, p))
+                if holds(p):
+                    inner = mid
+                else:
+                    outer = mid
+            return inner, outer
+
+        lo, hi = anchor - 4.0 * se, anchor + 4.0 * se
+        trace = [(lo, signed_p(lo)), (hi, signed_p(hi))]
+        assert trace[0][1] <= 0.5 <= trace[1][1]
+        inner, outer = bisect(lo, hi, signed_p, lambda p: p <= 0.5, trace)
+        mue = 0.5 * (inner + outer)
+
+        est, diag = median_unbiased_estimate(data, 0, plan=plan, full_output=True)
+        assert est == mue
+        assert diag["trace"] == trace
+        assert diag["verified"] and diag["warm_probes"] == 0
+
+        def p_value(m):
+            return marginal_permutation_test(data, m, 0, plan=plan).p_value
+
+        iv = confidence_interval(data, 0, plan=plan)
+        assert iv.center == mue
+        p_center = p_value(mue)
+        assert p_center > 0.05
+        for side, direction, bound in (("lower", -1.0, iv.lower), ("upper", 1.0, iv.upper)):
+            log = [(mue, p_center)]
+            inner = mue
+            for k in range(1, metaperm.inference.MAX_STEPS + 1):
+                m = mue + direction * k * (metaperm.inference.STEP_FRACTION * se)
+                log.append((m, p_value(m)))
+                if log[-1][1] <= 0.05:
+                    break
+                inner = m
+            inner, _ = bisect(inner, m, p_value, lambda p: p > 0.05, log)
+            assert bound == inner
+            assert iv.boundary_diagnostics[side]["scan"] == [(m, p, p > 0.05) for m, p in log]
+
+    def test_bisection_ends_where_floats_are_wider_than_xtol(
+        self, univariate10, u10_plan, monkeypatch
+    ):
+        # floats near 1e12 lie 1.2e-4 apart, more than XTOL, so the
+        # midpoint of two adjacent ones rounds onto an end; the bisection
+        # stops there instead of probing that end forever
+        data = Dataset.from_arrays(univariate10.Y + 1e12, univariate10.S)
+        real = metaperm.inference._marginal_signed_distribution
+        probed = []
+
+        def counted(*args):
+            probed.append(args[1])
+            if len(probed) > 200:
+                raise RuntimeError(f"more than 200 probes, the last at {args[1]!r}")
+            return real(*args)
+
+        monkeypatch.setattr(metaperm.inference, "_marginal_signed_distribution", counted)
+        mue, diag = median_unbiased_estimate(data, 0, plan=u10_plan, full_output=True)
+        assert diag["crossed"]
+        iv = confidence_interval(data, 0, plan=u10_plan)
+        assert iv.center == mue
+        for bound, outward in ((iv.lower, -np.inf), (iv.upper, np.inf)):
+            accepted = marginal_permutation_test(data, bound, 0, plan=u10_plan)
+            beyond = marginal_permutation_test(data, np.nextafter(bound, outward), 0, plan=u10_plan)
+            assert accepted.p_value > 0.05 >= beyond.p_value
+
+
 def _all_cold(monkeypatch):
     """Start every refit of an inversion at its test's observed fit."""
     monkeypatch.setattr(metaperm.inference._Probes, "nearest", lambda self, value: None)
@@ -328,7 +413,7 @@ class TestWarmStarts:
         # it, are bit for bit the same: the solutions die with the call.
         # The joint test is at the whole constrained mean of each probe
         plan = PermutationPlan.random(100, seed=20240101)
-        _, se = metaperm.inference._wald_anchor(bivariate12, 0, None)
+        se = metaperm.inference._Probes(bivariate12, 0, plan, None).anchor_se
         center = 0.45
         values = (center, center - metaperm.inference.STEP_FRACTION * se)
         means = [fit_marginal_null(bivariate12, m, 0).mu for m in values]
@@ -350,7 +435,7 @@ class TestWarmStarts:
             )
 
 
-def test_no_start_extrapolated_through_a_zero_tau(bivariate5):
+def test_no_start_extrapolated_through_a_zero_tau(bivariate5, monkeypatch):
     # under cs:0.3 some of bivariate5's sign rows settle at tau = 0, where
     # the objective is flat in log tau. A line through such a solution
     # starts its row far outside the box (log tau up to 26 before
@@ -359,19 +444,30 @@ def test_no_start_extrapolated_through_a_zero_tau(bivariate5):
     # extrapolated, so a warm scan up from the ML estimate reads the
     # p-values of cold tests
     plan, structure = PermutationPlan.random(100, seed=20240101), CovStructure.cs(0.3)
-    anchor, se = metaperm.inference._wald_anchor(bivariate5, 0, structure)
-    values = anchor + metaperm.inference.STEP_FRACTION * se * np.arange(16)
     warm = metaperm.inference._Probes(bivariate5, 0, plan, structure)
     cold = metaperm.inference._Probes(bivariate5, 0, plan, structure)
-    scan = [warm.p_value(m, warm=k > 0) for k, m in enumerate(values)]
-    assert warm.n_warm == len(values) - 1
-    assert scan == [cold.p_value(m, warm=False) for m in values]
+    step = metaperm.inference.STEP_FRACTION * warm.anchor_se
+    values = warm.anchor + step * np.arange(16)
+    real = metaperm.inference._marginal_signed_distribution
+    started = []
+
+    def recorded(data, m, component, structure, plan, starts=None):
+        started.append(starts is not None)
+        return real(data, m, component, structure, plan, starts)
+
+    monkeypatch.setattr(metaperm.inference, "_marginal_signed_distribution", recorded)
+    scan = [warm.p_value(m, k > 0, signed=False) for k, m in enumerate(values)]
+    assert started == [k > 0 for k in range(len(values))]
+    assert scan == [cold.p_value(m, False, signed=False) for m in values]
 
 
 def _stored(solutions):
-    """An inversion's probes holding these {null value: row solutions}."""
-    probes = metaperm.inference._Probes(None, 0, None, None)
-    probes.solutions.update(solutions)
+    """An inversion's probes holding these {null value: row solutions}.
+
+    nearest reads nothing else, so the probes skip their ML fit.
+    """
+    probes = object.__new__(metaperm.inference._Probes)
+    probes.solutions = dict(solutions)
     return probes
 
 
