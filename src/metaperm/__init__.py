@@ -32,7 +32,6 @@ from .estimators import (
     fit_marginal_null,
     fit_ml,
     fit_reml,
-    het_from_cov,
     moment_between_cov,
 )
 from .permutation import (
@@ -50,7 +49,6 @@ from .inference import (
     confidence_interval,
     confidence_region,
     median_unbiased_estimate,
-    overall_null_test,
     wald_inference,
 )
 from .simulate import (
@@ -96,7 +94,6 @@ __all__ = [
     "fit_eta_given_mu",
     "fit_marginal_null",
     "moment_between_cov",
-    "het_from_cov",
     "PermutationPlan",
     "NullDistribution",
     "TestResult",
@@ -107,7 +104,6 @@ __all__ = [
     "Interval",
     "RegionGrid",
     "wald_inference",
-    "overall_null_test",
     "confidence_interval",
     "median_unbiased_estimate",
     "confidence_region",

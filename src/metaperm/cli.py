@@ -6,11 +6,13 @@ validation. All randomized commands are reproducible from the seed and
 the input file alone, and repeated runs emit identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence,
-4 internal error.
+4 internal error. Warnings go to stderr as plain "warning: <message>"
+lines.
 """
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -475,10 +477,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_ingest_check(args):
-    import warnings as _warnings
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         data = _load_dataset(args)
     payload = {
         "kind": "ingest-check",
@@ -495,12 +495,19 @@ def _cmd_ingest_check(args):
     return payload, None, _kv_rows({k: v for k, v in payload.items() if k != "kind"})
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one plain line on stderr, without source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        result, extra, rows = args.func(args)
-        text = _csv_text(rows) if args.format == "csv" else results_to_json(result, extra=extra)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            args = parser.parse_args(argv)
+            result, extra, rows = args.func(args)
+            text = _csv_text(rows) if args.format == "csv" else results_to_json(result, extra=extra)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

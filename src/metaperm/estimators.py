@@ -6,10 +6,12 @@ profiled out by generalized least squares. All components fixed gives
 the joint null of fit_eta_given_mu and the ML heterogeneity step; one
 fixed gives the marginal null of fit_marginal_null; none fixed with the
 restricted term gives REML. The constrained fits are one L-BFGS-B run
-each (_fit_constrained); ML and REML alternate a GLS mean update with
-that heterogeneity step. refit_rows runs the constrained fit for many
-sign-flipped outcome sets at once. The sign-invariant method-of-moments
-between-study covariance with truncation completes the module.
+each (_lbfgs_refit); ML and REML alternate a GLS mean update with that
+heterogeneity step. refit_rows runs the constrained fit for many
+sign-flipped outcome sets at once, by a batched Newton kernel with one
+scalar L-BFGS-B run for each row the kernel leaves unconverged. The
+sign-invariant method-of-moments between-study covariance with
+truncation completes the module.
 
 Every likelihood evaluation is model.py's pass; the scalar objective
 adds only the REML term and the batched kernel _row_terms only the
@@ -56,7 +58,6 @@ __all__ = [
     "fit_eta_given_mu",
     "fit_marginal_null",
     "moment_between_cov",
-    "het_from_cov",
 ]
 
 # alternating fits stop once no parameter moves by more than TOL, and
@@ -84,7 +85,7 @@ PENALTY = 1e13
 
 # batched refits (refit_rows): a row stops once its projected gradient is
 # at most ROW_PGTOL, tighter than the scalar fitter's gtol of 1e-8; rows
-# still moving after ROW_MAX_ITER steps are left to the scalar fitter
+# still moving after ROW_MAX_ITER steps get a scalar L-BFGS-B refit
 ROW_PGTOL = 1e-9
 ROW_MAX_ITER = 100
 # Armijo sufficient-decrease constant and step halvings per iteration;
@@ -215,7 +216,7 @@ def _chain_grad(G, tau_full, K, structure, p):
     return np.concatenate([g_tau, g_kappa])
 
 
-def _neg_profiled_free(data, structure, fixed, values, restricted=False):
+def _neg_profiled_free(data, structure, fixed, values, restricted=False, Ys=None):
     """Objective closure: -loglik and its gradient in the free vector.
 
     One likelihood pass of model.py per trial heterogeneity: weights,
@@ -226,13 +227,14 @@ def _neg_profiled_free(data, structure, fixed, values, restricted=False):
     profiled components vanishes at their GLS update, so the profile
     adds no gradient term. restricted=True, with nothing fixed, is
     REML: the objective adds -0.5 log|A| of the information
-    A = sum_i W_i, and dl/dSigma gains 0.5 sum_i W_i A^{-1} W_i.
+    A = sum_i W_i, and dl/dSigma gains 0.5 sum_i W_i A^{-1} W_i. Ys,
+    one array (n, k) per mask group, replaces the data's outcomes.
     """
     p = data.p
 
     def fun(x):
         tau_full, K, sigma = _unpack(x, structure, p)
-        blocks, indefinite, _ = _weights(data, sigma)
+        blocks, indefinite, _ = _weights(data, sigma, Ys)
         if indefinite:
             return PENALTY, np.zeros_like(x)
         mu, Ainv, logdet_A, indefinite, _ = _gls_profile(blocks, p, fixed, values)
@@ -406,35 +408,44 @@ def _finalize(data, x, structure, method, trace, iterations, pinv_used, converge
     )
 
 
+def _lbfgs_refit(data, fixed, values, structure, x0, Ys=None):
+    """One L-BFGS-B run of _neg_profiled_free from x0, fixed components at values.
+
+    Ys, one array (n, k) per mask group, replaces the data's outcomes.
+    Returns (x, mu, loglik, ok, iterations), mu the whole mean with the
+    free components profiled by GLS at x, so their score vanishes
+    exactly at the returned point.
+    """
+    p = data.p
+    fun = _neg_profiled_free(data, structure, fixed, values, Ys=Ys)
+    x, ll, ok, nit = _optimize_eta(fun, x0, _bounds(structure, p))
+    mu = values.copy()
+    if fixed.size < p:
+        blocks, indefinite, _ = _weights(data, _unpack(x, structure, p)[2], Ys)
+        mu, _, _, indefinite_A, _ = _gls_profile(blocks, p, fixed, values)
+        _require_definite(indefinite | indefinite_A)
+    return x, mu, ll, ok, nit
+
+
 def _fit_constrained(data, fixed, values, structure, init):
     """Constrained ML of the heterogeneity with the fixed mean components at values.
 
-    One L-BFGS-B run of _neg_profiled_free from init, or from the
-    moment-based start. Returns a CmlResult whose mu is the whole mean,
-    its free components profiled at the fit; raises NonConvergenceError
-    carrying it when the optimizer does not converge.
+    One _lbfgs_refit from init, or from the moment-based start. Returns
+    a CmlResult whose mu is the whole mean, its free components profiled
+    at the fit; raises NonConvergenceError carrying it when the
+    optimizer does not converge.
     """
-    p = data.p
     structure = _require_structure(structure)
     fixed = np.asarray(fixed, dtype=np.intp)
     values = np.asarray(values, dtype=float)
-    free = np.setdiff1d(np.arange(p), fixed)
     if init is not None:
         x0 = _pack(init, structure)
     else:
         mu0 = _naive_mean(data)
         mu0[fixed] = values
         x0 = _default_init(data, mu0, structure)
-    fun = _neg_profiled_free(data, structure, fixed, values)
-    x, ll, ok, nit = _optimize_eta(fun, x0, _bounds(structure, p))
-    mu = values.copy()
-    if free.size:
-        # the free components at the returned heterogeneity, so their
-        # score vanishes exactly at the reported point
-        blocks, indefinite, _ = _weights(data, _unpack(x, structure, p)[2])
-        mu, _, _, indefinite_A, _ = _gls_profile(blocks, p, fixed, values)
-        _require_definite(indefinite | indefinite_A)
-    het = _het_from_free(x, structure, p)
+    x, mu, ll, ok, nit = _lbfgs_refit(data, fixed, values, structure, x0)
+    het = _het_from_free(x, structure, data.p)
     result = CmlResult(
         het=het,
         mu=mu,
@@ -638,16 +649,48 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     of fit_marginal_null. The free vector, bounds and objective are the
     scalar fitters'.
 
-    Each row starts from init, or from its own free vector in starts
-    (R, m), clipped into the box, where that row of starts is finite and
-    no tau, in it or in init, reads as zero (tau_reads_zero): a row
-    started there stays there. A test inside an inversion passes each
-    row's solution extrapolated from earlier null values, which lies
-    near its solution at this one. A row whose start gives a non-finite
-    objective starts from init instead. Only init decides the two rules
-    that send every row to the scalar fitter: init on the |kappa| -> 1
-    ridge, and a non-finite objective at init. So a row started from
-    init takes the same steps with or without starts.
+    The rows are first refit together by the batched kernel
+    (_newton_rows). Each row starts from init, or from its own free
+    vector in starts (R, m), clipped into the box, where that row of
+    starts is finite and no tau, in it or in init, reads as zero
+    (tau_reads_zero): a row started there stays there. A test inside an
+    inversion passes each row's solution extrapolated from earlier null
+    values, which lies near its solution at this one. A row whose start
+    gives a non-finite objective starts from init instead.
+
+    Every row the kernel leaves unconverged (iteration budget, failed
+    line search, singular or indefinite covariance) gets one scalar
+    L-BFGS-B run (_lbfgs_refit) on its own outcomes, started from init:
+    the run fit_eta_given_mu or fit_marginal_null makes on the reflected
+    dataset, bit for bit. Only init decides the two rules that send
+    every row there: init on the |kappa| -> 1 ridge, where which boundary
+    maximum a local search settles in depends on its path, and a
+    non-finite objective at init. So a row started from init takes the
+    same steps with or without starts.
+
+    Returns (X, mu, by_kernel, failed): free vectors (R, m), the whole
+    mean at X (R, p) with the fixed components at values and the others
+    profiled, the rows the kernel converged, and the rows whose scalar
+    run did not converge, which carry its last iterate. Raises DataError
+    where a scalar run ends at an indefinite covariance.
+    """
+    fixed = np.asarray(fixed, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    structure = _require_structure(structure)
+    x0 = _pack(init, structure)
+    X, mu, by_kernel = _newton_rows(data, Ys, fixed, values, structure, x0, starts)
+    failed = np.zeros(X.shape[0], dtype=bool)
+    for b in np.flatnonzero(~by_kernel):
+        # C-contiguous copies: a strided row of masked data can move the
+        # GLS mean of the scalar pass by an ulp
+        Yb = [np.ascontiguousarray(Y[b]) for Y in Ys]
+        X[b], mu[b], _, ok, _ = _lbfgs_refit(data, fixed, values, structure, x0, Yb)
+        failed[b] = not ok
+    return X, mu, by_kernel, failed
+
+
+def _newton_rows(data, Ys, fixed, values, structure, x0, starts):
+    """The batched kernel of refit_rows: every row from x0 or its start.
 
     The rows move in lock step by projected Newton steps inside the box
     (Bertsekas 1982, SIAM J. Control Optim.):
@@ -666,23 +709,17 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     row's evaluation does not depend on the rows beside it, so the
     result is bit for bit that of halving one step per evaluation.
 
-    Returns (X, mu, converged): free vectors (R, m), the whole mean at
-    X (R, p) with the fixed components at values and the others profiled,
-    and the rows that converged. Rows that did not (iteration budget,
-    failed line search, singular or indefinite covariance) carry their
-    last iterate, and their mean only the fixed components; callers
-    refit those with the scalar fitters.
+    Returns (X, mu, converged); rows that did not converge carry their
+    last iterate and a mean with only the fixed components set. With x0
+    on the |kappa| -> 1 ridge or a non-finite objective at x0 no row
+    moves.
     """
     p = data.p
-    fixed = np.asarray(fixed, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    structure = _require_structure(structure)
     bounds = np.array(_bounds(structure, p))
     lo, hi = bounds[:, 0], bounds[:, 1]
     nt = structure.n_tau(p)
     Mt, Pk = _derivative_patterns(structure, p)
     R = Ys[0].shape[0]
-    x0 = _pack(init, structure)
     X = np.tile(x0, (R, 1))
     mu = np.zeros((R, p))
     mu[:, fixed] = values
@@ -694,8 +731,7 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
 
     if np.any(np.abs(x0[nt:]) >= ZETA_MAX):
         # a start on the |kappa| -> 1 ridge, where kappa has almost no
-        # curvature: which boundary maximum the scalar fitter's local
-        # search settles in depends on its path, so it decides every row
+        # curvature
         return X, mu, converged
     rows = np.arange(R)
     warm = np.zeros(R, dtype=bool)
@@ -799,15 +835,3 @@ def moment_between_cov(data, mu):
         M = (Q * np.maximum(w, 0.0)) @ Q.T
         M = 0.5 * (M + M.T)
     return M, bool(truncated)
-
-
-def het_from_cov(sigma):
-    """Decompose a PSD covariance into HetParams (SDs and correlations)."""
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.sqrt(np.maximum(np.diag(sigma), 0.0))
-    p = tau.size
-    K = np.eye(p)
-    for j, k in _pairs(p):
-        denom = tau[j] * tau[k]
-        K[j, k] = K[k, j] = np.clip(sigma[j, k] / denom, -1.0, 1.0) if denom > 0 else 0.0
-    return HetParams(tau=tau, kappa=K)

@@ -40,7 +40,6 @@ __all__ = [
     "Interval",
     "RegionGrid",
     "wald_inference",
-    "overall_null_test",
     "median_unbiased_estimate",
     "confidence_interval",
     "confidence_region",
@@ -239,13 +238,6 @@ def wald_inference(fit, alpha=0.05, mu_null=None):
     )
 
 
-def overall_null_test(data, plan=None, structure=None, stat="cml"):
-    """Joint permutation test of the all-zeros mean null."""
-    return joint_permutation_test(
-        data, np.zeros(data.p), plan=plan, stat=stat, structure=structure
-    )
-
-
 class _Probes:
     """The t3 tests of one inversion, its searches and the warm starts they pass on.
 
@@ -256,8 +248,8 @@ class _Probes:
     distinct sign rows, in the same order.
     solutions, kept only as long as this object, maps each tested null
     value to the free vectors those rows converged to there, nan where
-    the scalar fitter took over or a tau reads as zero (see
-    permutation._refit_distribution). A warm test starts each row's
+    refit_rows gave the row to its scalar fallback or a tau reads as
+    zero (see permutation._permuted_statistics). A warm test starts each row's
     refit from the line through its own vectors at the two nearest
     values tested before (nearest): consecutive probes lie close
     together, so the rows start near their solutions. A cold test

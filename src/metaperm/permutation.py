@@ -11,12 +11,13 @@ fixes: all of them for t1, one for t3. The observed data are fit under
 the null (_null_fit) and scored there (_statistics); the fitted mean is
 the flip center, which for t3 plugs constrained estimates in for the
 nuisance components (a local Monte Carlo test). Every sign row's
-reflected sample is refit the same way, in batches with scalar
-fallbacks, and scored at its own refit (_permuted_statistics). Each
-row's refit starts at the observed fit or where the caller says: inside
-one interval or estimate, inference.py decides those starts from the
-inversion's earlier tests, and this module keeps nothing between tests
-and writes to no argument. t2 (the joint moment test) needs no refit:
+reflected sample is refit under the same null by estimators.refit_rows,
+which chooses between its batched kernel and the scalar fitter row by
+row, and each chunk of rows is scored once at its refits
+(_permuted_statistics). Each row's refit starts at the observed fit or
+where the caller says: inside one interval or estimate, inference.py
+decides those starts from the inversion's earlier tests, and this
+module keeps nothing between tests and writes to no argument. t2 (the joint moment test) needs no refit:
 its covariance is sign-invariant, so one pass gives the whole null.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
@@ -26,7 +27,7 @@ statistics, and the t2 null adds each study's weighted residuals.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,15 +311,6 @@ def _flipped_outcomes(data, center, signs):
     return Ys
 
 
-def _flip_dataset(data, center, v):
-    """The dataset with outcomes reflected by one sign row around the center.
-
-    Uses the expression of _flipped_outcomes, so the packed groups of
-    the result equal that row's flipped outcomes bit for bit.
-    """
-    return replace(data, Y=center + v[:, None] * (data.Y - center))
-
-
 def _require_information(J, component):
     if np.any(J < MIN_MARGINAL_INFO):
         raise UninformativeComponentError(
@@ -326,16 +318,18 @@ def _require_information(J, component):
         )
 
 
-def _null_fit(data, value, component, structure, init=None):
-    """Constrained fit at the null: the whole mean at value when component
-    is None (t1), else that one component at value (t3).
+def _null_fit(data, value, component, structure):
+    """Constrained fit of the observed data at the null: the whole mean at
+    value when component is None (t1), else that one component at value
+    (t3).
 
     Calls the fitters through this module's bindings, so perfbench's
-    traced run sees every refit.
+    traced run sees every observed fit; the sign rows' refits run inside
+    refit_rows.
     """
     if component is None:
-        return fit_eta_given_mu(data, value, structure, init=init)
-    return fit_marginal_null(data, value, component, structure, init=init)
+        return fit_eta_given_mu(data, value, structure)
+    return fit_marginal_null(data, value, component, structure)
 
 
 def _observed_statistic(data, value, component, structure):
@@ -431,52 +425,35 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
     With component None the whole mean is fixed at the center and the
     statistic is the joint score statistic (t1); otherwise that one
     component is fixed, the rest are profiled, and the statistic is the
-    signed marginal root (t3). The refits of each chunk of REFIT_CHUNK
-    rows run in one refit_rows call, started at init, the observed
-    constrained fit, or at the rows' free vectors in starts (see
-    refit_rows). Rows it leaves unconverged, and marginal rows without
-    information, are refit one at a time with the scalar fitter on the
-    reflected dataset, started at init; only a failure there counts.
+    signed marginal root (t3). Each chunk of REFIT_CHUNK rows is refit
+    in one refit_rows call, started at init, the observed constrained
+    fit, or at the rows' free vectors in starts, and scored in one
+    _statistics call. Raises UninformativeComponentError where a row's
+    tested component carries no information at its refit.
     Returns (statistics, failed, used_pinv, solutions): failed marks
-    the rows whose scalar refit failed, and solutions holds each row's
-    converged free vector from refit_rows, nan where the scalar fitter
-    took over. The arrays refit_rows returns are left as it returned
-    them.
+    the rows whose scalar refit failed, and solutions holds the free
+    vector of each row the batched kernel converged, nan where the
+    scalar fitter took over or a tau reads as zero (tau_reads_zero): the
+    objective is flat in log tau there, so such a vector says nothing
+    about where the row's solution moves with the null.
     """
     fixed = np.arange(data.p) if component is None else np.array([component])
-    value = center if component is None else center[component]
     out = np.empty(signs.shape[0])
-    failed = np.zeros(signs.shape[0], dtype=bool)
+    failed = np.empty(signs.shape[0], dtype=bool)
     solutions = np.empty((signs.shape[0], structure.n_free(data.p)))
     used_pinv = False
     for start in range(0, signs.shape[0], REFIT_CHUNK):
         rows = slice(start, start + REFIT_CHUNK)
-        chunk = signs[rows]
-        Ys = _flipped_outcomes(data, center, chunk)
-        X, mus, ok = refit_rows(
+        Ys = _flipped_outcomes(data, center, signs[rows])
+        X, mus, by_kernel, failed[rows] = refit_rows(
             data, Ys, fixed, center[fixed], structure, init,
             None if starts is None else starts[rows],
         )
         sigmas = sigma_rows(X, structure, data.p)
-        stats, J, pinv = _statistics(data, Ys, mus, sigmas, component)
-        redo = np.flatnonzero(~ok | (J < MIN_MARGINAL_INFO))
-        mus_redo, sigmas_redo = mus[redo], sigmas[redo]
-        for i, b in enumerate(redo):
-            flipped = _flip_dataset(data, center, chunk[b])
-            try:
-                cml_b = _null_fit(flipped, value, component, structure, init=init)
-            except NonConvergenceError as exc:
-                cml_b = exc.last_result
-                failed[start + b] = True
-            mus_redo[i], sigmas_redo[i] = cml_b.mu, cml_b.sigma
-        if redo.size:
-            stats[redo], J[redo], pinv[redo] = _statistics(
-                data, [Y[redo] for Y in Ys], mus_redo, sigmas_redo, component
-            )
-            _require_information(J[redo], component)
-        out[rows] = stats
-        solutions[rows] = X
-        solutions[start + redo] = np.nan
+        out[rows], J, pinv = _statistics(data, Ys, mus, sigmas, component)
+        _require_information(J, component)
+        kept = by_kernel & ~tau_reads_zero(X, structure, data.p)
+        solutions[rows] = np.where(kept[:, None], X, np.nan)
         used_pinv |= bool(pinv.any())
     return out, failed, used_pinv, solutions
 
@@ -510,10 +487,7 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     starts, and no argument is written to.
     Returns (s_obs, statistics, n_failed, used_pinv, includes_identity,
     solutions): solutions holds the distinct rows' free vectors in the
-    order of starts (see _permuted_statistics), nan where a tau reads as
-    zero (tau_reads_zero): the objective is flat in log tau there, so
-    such a vector says nothing about where the row's solution moves with
-    value.
+    order of starts (see _permuted_statistics).
     """
     signs, row_sums = _sign_plan(plan, data.n_studies)
     s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)
@@ -524,7 +498,6 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     stats_d, failed, used, solutions = _permuted_statistics(
         data, cml.mu, component, distinct, structure, cml.het, starts
     )
-    solutions[tau_reads_zero(solutions, structure, data.p)] = np.nan
     stats[refit] = stats_d[inverse]
     n_failed = int(np.count_nonzero(failed[inverse]))
     if n_refit and n_failed > MAX_FAILURE_FRACTION * n_refit:

@@ -361,6 +361,16 @@ class TestIngestCheck:
         assert doc["n_studies"] == 5
         assert any("continuity" in w for w in doc["warnings"])
 
+    def test_warning_is_one_plain_stderr_line(self, capsys, diag_csv):
+        # s3's zero cell gets a continuity correction; the warning reaches
+        # stderr as one "warning:" line, without Python's source location
+        code, _, err = run(capsys, ["fit", "ml", diag_csv, "--input-format", "diagnostic"])
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning:") and "continuity" in lines[0]
+        assert ".py:" not in err
+
     def test_nma_masks(self, capsys, nma_csv):
         code, out, _ = run(
             capsys,

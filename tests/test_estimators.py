@@ -17,7 +17,6 @@ from metaperm import (
     fit_marginal_null,
     fit_ml,
     fit_reml,
-    het_from_cov,
     model_terms,
     moment_between_cov,
 )
@@ -450,8 +449,8 @@ class TestRefitRows:
             trivariate_missing, structure, component, [0.3, 0.35, 0.4]
         )
         mu0 = np.array([0.2, 0.0, -0.3])
-        X, mus, converged = refit_rows(data, Ys, fixed, values, structure, start)
-        assert converged.all()
+        X, mus, converged, failed = refit_rows(data, Ys, fixed, values, structure, start)
+        assert converged.all() and not failed.any()
         sigmas = sigma_rows(X, structure, 3)
         Y, S = data.Y, data.S
         for b, scale in enumerate([1.0, 0.6, 1.5]):
@@ -508,12 +507,12 @@ class TestRefitRows:
         starts[2] = np.nan
         clipped = np.clip(starts, lo, hi)
         calls = _counted_row_terms(monkeypatch)
-        X, mus, converged = refit_rows(data, Ys, fixed, values, structure, start, starts)
+        out = refit_rows(data, Ys, fixed, values, structure, start, starts)
         first = calls[0]
         np.testing.assert_array_equal(first[:2], clipped[:2])
         np.testing.assert_array_equal(first[2], x0)
         again = refit_rows(data, Ys, fixed, values, structure, start, clipped)
-        for got, want in zip((X, mus, converged), again):
+        for got, want in zip(out, again):
             assert got.tobytes() == want.tobytes()
 
 
@@ -555,22 +554,6 @@ class TestMomentBetweenCov:
     def test_output_is_psd(self, bivariate12):
         sigma, _ = moment_between_cov(bivariate12, np.zeros(2))
         assert np.all(np.linalg.eigvalsh(sigma) >= -1e-12)
-
-
-class TestHetFromCov:
-    def test_round_trip_through_between_cov(self):
-        kappa = np.array([[1.0, -0.4], [-0.4, 1.0]])
-        h = HetParams(tau=np.array([0.3, 0.5]), kappa=kappa)
-        sigma = between_cov(h, UNSTR)
-        back = het_from_cov(sigma)
-        assert np.allclose(back.tau, h.tau, atol=1e-12)
-        assert np.allclose(back.kappa, kappa, atol=1e-12)
-
-    def test_zero_variance_component_gets_zero_correlation(self):
-        sigma = np.diag([0.25, 0.0])
-        h = het_from_cov(sigma)
-        assert h.tau[1] == 0.0
-        assert h.kappa[0, 1] == 0.0
 
 
 class TestStructures:

@@ -25,7 +25,6 @@ from metaperm import (
     joint_permutation_test,
     marginal_permutation_test,
     median_unbiased_estimate,
-    overall_null_test,
     wald_inference,
 )
 from metaperm.inference import XTOL, _chi2_ppf, _chi2_sf, ndtri
@@ -142,16 +141,6 @@ class TestWithoutScipyStats:
                 got, want = _chi2_sf(x, df), float(chi2.sf(x, df=df))
                 assert type(got) is float
                 assert got == want or (np.isnan(got) and np.isnan(want))
-
-
-class TestOverallNullTest:
-    def test_is_joint_test_at_zero(self, bivariate5):
-        plan = PermutationPlan.exhaustive()
-        a = overall_null_test(bivariate5, plan=plan, stat="moment")
-        b = joint_permutation_test(bivariate5, [0.0, 0.0], plan=plan, stat="moment")
-        assert a.p_value == b.p_value
-        assert np.array_equal(a.distribution.statistics, b.distribution.statistics)
-        assert np.array_equal(a.mu_null, np.zeros(2))
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Tests for sign-assignment plans, null distributions, and permutation tests."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from metaperm import (
     joint_permutation_test,
     marginal_permutation_test,
 )
+import metaperm.estimators
 import metaperm.permutation
 from metaperm.estimators import (
     TAU_MIN,
@@ -27,12 +29,15 @@ from metaperm.estimators import (
     fit_eta_given_mu,
     fit_marginal_null,
     moment_between_cov,
+    refit_rows,
+    sigma_rows,
 )
 from metaperm.model import _quad_forms, between_cov
 from metaperm.permutation import (
-    _flip_dataset,
+    _flipped_outcomes,
     _observed_statistic,
     _own_outcomes,
+    _permuted_statistics,
     _refit_distribution,
     _sign_plan,
     _statistics,
@@ -40,6 +45,15 @@ from metaperm.permutation import (
 )
 
 from conftest import make_mvn, make_univariate
+
+
+def _flip_dataset(data, center, v):
+    """The dataset with outcomes reflected by one sign row around the center.
+
+    Uses the expression of _flipped_outcomes, so the packed groups of
+    the result equal that row's flipped outcomes bit for bit.
+    """
+    return replace(data, Y=center + v[:, None] * (data.Y - center))
 
 
 def _stat_at(data, mu, sigma, component=None):
@@ -782,44 +796,31 @@ class TestMarginal:
     def test_refit_failure_budget(self, bivariate12, monkeypatch):
         # if more than a fifth of the permutation refits fail the test
         # must abort instead of quietly returning a distorted null
-        _force_refit_failures(monkeypatch, "fit_marginal_null")
+        _force_refit_failures(monkeypatch)
         with pytest.raises(NonConvergenceError, match="trustworthy"):
             marginal_permutation_test(
                 bivariate12, 0.4, 0, plan=PermutationPlan.random(n_draws=100, seed=3)
             )
 
 
-def _no_row_converges(refit_rows):
-    """refit_rows as shipped, but reporting every row unconverged, which
-    sends each one to the scalar fitter."""
-
-    def unconverged(*args, **kwargs):
-        X, mus, converged = refit_rows(*args, **kwargs)
-        return X, mus, np.zeros_like(converged)
-
-    return unconverged
-
-
-def _force_refit_failures(monkeypatch, scalar_fitter):
+def _force_refit_failures(monkeypatch):
     """Fail every permuted refit: the batched kernel converges no row and
-    every scalar fallback raises; the observed fit (first call) is kept."""
-    unconverged = _no_row_converges(metaperm.permutation.refit_rows)
-    real = getattr(metaperm.permutation, scalar_fitter)
-    calls = {"n": 0}
+    every L-BFGS-B run after the first, the observed fit, reports that it
+    did not converge."""
+    real = metaperm.estimators._optimize_eta
+    calls = []
 
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        result = real(*args, **kwargs)
-        if calls["n"] > 1:
-            raise NonConvergenceError("forced failure", last_result=result)
-        return result
+    def flaky(*args):
+        x, ll, ok, nit = real(*args)
+        calls.append(None)
+        return x, ll, ok and len(calls) == 1, nit
 
-    monkeypatch.setattr(metaperm.permutation, "refit_rows", unconverged)
-    monkeypatch.setattr(metaperm.permutation, scalar_fitter, flaky)
+    monkeypatch.setattr(metaperm.estimators, "ROW_MAX_ITER", 0)
+    monkeypatch.setattr(metaperm.estimators, "_optimize_eta", flaky)
 
 
 def test_joint_refit_failure_budget(bivariate12, monkeypatch):
-    _force_refit_failures(monkeypatch, "fit_eta_given_mu")
+    _force_refit_failures(monkeypatch)
     with pytest.raises(NonConvergenceError, match="trustworthy"):
         joint_permutation_test(
             bivariate12, [0.4, -0.2], plan=PermutationPlan.random(n_draws=100, seed=3)
@@ -860,8 +861,8 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
 
     Returns a record of both results, the permuted rows' statistics of
     each run, the batched run's flip center, sign rows and refit start
-    (the observed fit), and the (free vectors, means, converged masks)
-    its kernel returned.
+    (the observed fit), and the (free vectors, means, by_kernel, failed)
+    its refit_rows calls returned.
     """
     structure = CovStructure.parse(structure)
     plan = (
@@ -876,14 +877,15 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
             return joint_permutation_test(data, mu, plan=plan, stat="cml", structure=structure)
         return marginal_permutation_test(data, mu[component], component, plan=plan, structure=structure)
 
-    real_rows = metaperm.permutation.refit_rows
     kernel, permuted, scalar_permuted = [], [], []
     with monkeypatch.context() as m:
         _spy(m, "refit_rows", kernel)
         _spy(m, "_permuted_statistics", permuted)
         batched = run()
     with monkeypatch.context() as m:
-        m.setattr(metaperm.permutation, "refit_rows", _no_row_converges(real_rows))
+        # a kernel with no iterations converges no row, so every row takes
+        # the scalar refit
+        m.setattr(metaperm.estimators, "ROW_MAX_ITER", 0)
         _spy(m, "_permuted_statistics", scalar_permuted)
         scalar = run()
     (_, center, _, signs, _, init, _), (batched_rows, _, _, _) = permuted[0]
@@ -938,7 +940,7 @@ def _assert_close_to_scalar(run):
     # 1e-9, so where the likelihood is flat the scalar refit can stop short
     b, s = run.batched_rows, run.scalar_rows
     atol = 1e-9 * np.abs(s).max()
-    X, mus, ok = (np.concatenate(a) for a in zip(*run.kernel))
+    X, mus, ok, _ = (np.concatenate(a) for a in zip(*run.kernel))
     for i in np.flatnonzero(np.abs(b - s) > 1e-6 * np.abs(s) + atol):
         assert ok[i], f"row {i}: scalar fallback {b[i]!r} differs from the oracle {s[i]!r}"
         _assert_kernel_row_no_worse(run, i, X[i], mus[i], b[i])
@@ -951,7 +953,7 @@ class TestBatchedRefits:
     ):
         data = request.getfixturevalue(name)
         run = _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypatch)
-        assert sum(int(ok.sum()) for _, _, ok in run.kernel) > 0
+        assert sum(int(ok.sum()) for _, _, ok, _ in run.kernel) > 0
         _assert_close_to_scalar(run)
         assert run.batched.statistic == run.scalar.statistic
         assert run.batched.p_value == run.scalar.p_value
@@ -963,7 +965,7 @@ class TestBatchedRefits:
         run = _batched_and_scalar(
             trivariate_missing, "cs:0.3", "t3", 0, 0.2, "random", monkeypatch
         )
-        X, _, ok = (np.concatenate(a) for a in zip(*run.kernel))
+        X, _, ok, _ = (np.concatenate(a) for a in zip(*run.kernel))
         at_floor = (X[:, :3] <= np.log(TAU_MIN) + 1e-9).any(axis=1)
         assert (ok & at_floor).sum() >= 5
         assert (ok & ~at_floor).sum() >= 5
@@ -976,15 +978,15 @@ class TestBatchedRefits:
         run = _batched_and_scalar(
             bivariate6, "unstructured", "t3", 0, 0.2, "exhaustive", monkeypatch
         )
-        assert not any(ok.any() for _, _, ok in run.kernel)
+        assert not any(ok.any() for _, _, ok, _ in run.kernel)
         assert np.array_equal(
             run.batched.distribution.statistics, run.scalar.distribution.statistics
         )
 
     def test_kernel_arrays_left_as_returned(self, bivariate6, monkeypatch):
-        # every row of this ridge case goes to the scalar fitter, which is
-        # marked in the test's own arrays; the arrays refit_rows returned
-        # stay as it returned them
+        # every row of this ridge case goes to the scalar fitter inside
+        # refit_rows; the permutation layer writes to none of the arrays
+        # it returned
         real = metaperm.permutation.refit_rows
         returned = []
 
@@ -996,7 +998,7 @@ class TestBatchedRefits:
         monkeypatch.setattr(metaperm.permutation, "refit_rows", spy)
         value = fit_ml(bivariate6).mu[0] + 0.2
         marginal_permutation_test(bivariate6, value, 0, plan=PermutationPlan.exhaustive())
-        assert returned and not any(ok.any() for (_, _, ok), _ in returned)
+        assert returned and not any(ok.any() for (_, _, ok, _), _ in returned)
         for out, kept in returned:
             for a, b in zip(out, kept):
                 np.testing.assert_array_equal(a, b)
@@ -1008,4 +1010,77 @@ class TestBatchedRefits:
         chunked = joint_permutation_test(bivariate12, [0.6, -0.2], plan=plan)
         np.testing.assert_array_equal(
             whole.distribution.statistics, chunked.distribution.statistics
+        )
+
+
+def _scalar_refit(data, center, component, structure, init):
+    """The scalar fitter's constrained fit of data at the flip center, and
+    whether it failed (then the fit is its last iterate)."""
+    try:
+        if component is None:
+            return fit_eta_given_mu(data, center, structure, init=init), False
+        return fit_marginal_null(data, center[component], component, structure, init=init), False
+    except NonConvergenceError as exc:
+        return exc.last_result, True
+
+
+# (fixture, structure, how rows reach the scalar refit): bivariate6's
+# unstructured fits sit on the |kappa| -> 1 ridge, where the kernel moves
+# no row; a kernel without iterations converges none; and a forced
+# failure makes every L-BFGS-B run after the observed fit report one.
+# trivariate_missing's mask groups are strided views of its flipped
+# outcomes
+FALLBACK_CASES = [
+    ("bivariate6", "unstructured", "ridge"),
+    ("trivariate_missing", "cs:0.3", "budget"),
+    ("trivariate_missing", "unstructured", "failure"),
+]
+
+
+@pytest.mark.parametrize("component", [None, 1])
+@pytest.mark.parametrize("name, structure, how", FALLBACK_CASES)
+def test_fallback_rows_are_scalar_fits_of_reflected_data(
+    request, monkeypatch, name, structure, how, component
+):
+    # a row the kernel leaves unconverged gets the fit fit_eta_given_mu or
+    # fit_marginal_null makes on the reflected dataset, bit for bit, and
+    # a failed row is scored at its last iterate
+    data = request.getfixturevalue(name)
+    structure = CovStructure.parse(structure)
+    mu = fit_ml(data, structure).mu + 0.2
+    observed, _ = _scalar_refit(data, mu, component, structure, None)
+    center = observed.mu
+    fixed = np.arange(data.p) if component is None else np.array([component])
+    signs = _sign_plan(PermutationPlan.random(100, seed=8), data.n_studies)[0][:12]
+    if how != "ridge":
+        monkeypatch.setattr(metaperm.estimators, "ROW_MAX_ITER", 0)
+    if how == "failure":
+        real = metaperm.estimators._optimize_eta
+
+        def failing(*args):
+            x, ll, _, nit = real(*args)
+            return x, ll, False, nit
+
+        monkeypatch.setattr(metaperm.estimators, "_optimize_eta", failing)
+    X, mus, by_kernel, failed = refit_rows(
+        data, _flipped_outcomes(data, center, signs), fixed, center[fixed], structure,
+        observed.het,
+    )
+    sigmas = sigma_rows(X, structure, data.p)
+    stats, failed_rows, _, solutions = _permuted_statistics(
+        data, center, component, signs, structure, observed.het
+    )
+    assert not by_kernel.any()
+    assert np.isnan(solutions).all()
+    np.testing.assert_array_equal(failed_rows, failed)
+    assert failed.all() == (how == "failure")
+    for b, v in enumerate(signs):
+        flipped = _flip_dataset(data, center, v)
+        fit, fit_failed = _scalar_refit(flipped, center, component, structure, observed.het)
+        np.testing.assert_array_equal(sigmas[b], fit.sigma)
+        np.testing.assert_array_equal(mus[b], fit.mu)
+        assert failed[b] == fit_failed
+        # scored in a chunk, where _quad_forms may sum in another order
+        assert stats[b] == pytest.approx(
+            _stat_at(flipped, fit.mu, fit.sigma, component), rel=1e-12, abs=1e-15
         )
