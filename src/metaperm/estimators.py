@@ -662,11 +662,9 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     line search, singular or indefinite covariance) gets one scalar
     L-BFGS-B run (_lbfgs_refit) on its own outcomes, started from init:
     the run fit_eta_given_mu or fit_marginal_null makes on the reflected
-    dataset, bit for bit. Only init decides the two rules that send
-    every row there: init on the |kappa| -> 1 ridge, where which boundary
-    maximum a local search settles in depends on its path, and a
-    non-finite objective at init. So a row started from init takes the
-    same steps with or without starts.
+    dataset, bit for bit. One rule sends every row there: a non-finite
+    objective at init, which only init decides. So a row started from
+    init takes the same steps with or without starts.
 
     Returns (X, mu, by_kernel, failed): free vectors (R, m), the whole
     mean at X (R, p) with the fixed components at values and the others
@@ -710,14 +708,12 @@ def _newton_rows(data, Ys, fixed, values, structure, x0, starts):
     result is bit for bit that of halving one step per evaluation.
 
     Returns (X, mu, converged); rows that did not converge carry their
-    last iterate and a mean with only the fixed components set. With x0
-    on the |kappa| -> 1 ridge or a non-finite objective at x0 no row
-    moves.
+    last iterate and a mean with only the fixed components set. With a
+    non-finite objective at x0 no row moves.
     """
     p = data.p
     bounds = np.array(_bounds(structure, p))
     lo, hi = bounds[:, 0], bounds[:, 1]
-    nt = structure.n_tau(p)
     Mt, Pk = _derivative_patterns(structure, p)
     R = Ys[0].shape[0]
     X = np.tile(x0, (R, 1))
@@ -729,10 +725,6 @@ def _newton_rows(data, Ys, fixed, values, structure, x0, starts):
     def evaluate(rows, Xr):
         return _row_terms(data, [Y[rows] for Y in Ys], Xr, fixed, values, free, structure, Mt, Pk)
 
-    if np.any(np.abs(x0[nt:]) >= ZETA_MAX):
-        # a start on the |kappa| -> 1 ridge, where kappa has almost no
-        # curvature
-        return X, mu, converged
     rows = np.arange(R)
     warm = np.zeros(R, dtype=bool)
     # a row started where a tau reads as zero stays there, so a row starts

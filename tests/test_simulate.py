@@ -382,15 +382,18 @@ class TestCoverageExperiment:
 
 class TestHeadlineCoverage:
     # the paper's claim at N = 8: Wald regions fall short of 0.95 while
-    # the exact joint test reaches it. 200 replicates at the default
-    # seed; 3 SE of 0.95 is 0.046, so perm-t2 must lie in [0.904, 0.996]
-    # and both Wald rows below it
+    # the permutation tests reach it, the joint t1 and t2 and the
+    # marginal t3. 200 replicates at the default seed; 3 SE of 0.95 is
+    # 0.046, so each permutation row must lie in [0.904, 0.996], with
+    # no replicate left out, and both Wald rows below it
+    PERMUTATION = ("perm-t1", "perm-t2", "perm-t3")
+
     @pytest.fixture(scope="class")
     def reports(self):
         scenario = load_scenarios()["diag-n8-d1-h2"]
         return {
             m: coverage_experiment(scenario, m, reps=200)
-            for m in ("perm-t2", "ml-wald", "reml-wald")
+            for m in self.PERMUTATION + ("ml-wald", "reml-wald")
         }
 
     def test_every_replicate_converges(self, reports):
@@ -400,7 +403,8 @@ class TestHeadlineCoverage:
     def test_permutation_coverage_is_nominal(self, reports):
         low, high = 0.95 - 3 * monte_carlo_se(0.95, 200), 0.95 + 3 * monte_carlo_se(0.95, 200)
         assert (round(low, 3), round(high, 3)) == (0.904, 0.996)
-        assert low <= reports["perm-t2"].coverage <= high
+        for m in self.PERMUTATION:
+            assert low <= reports[m].coverage <= high, m
 
     def test_wald_coverage_falls_short(self, reports):
         low = 0.95 - 3 * monte_carlo_se(0.95, 200)
