@@ -245,7 +245,8 @@ class _Probes:
     and fits ML once for anchor and anchor_se, the component's ML
     estimate and its Wald standard error. Every test runs under the same
     data, component, plan and structure, so every test refits the same
-    distinct sign rows, in the same order.
+    sign rows, one of each complementary pair the plan draws, in the
+    plan's fixed order.
     solutions, kept only as long as this object, maps each tested null
     value to the free vectors those rows converged to there, nan where
     refit_rows gave the row to its scalar fallback or a tau reads as
@@ -256,7 +257,7 @@ class _Probes:
     starts every row at the test's observed fit, exactly as a standalone
     marginal_permutation_test does. The observed fit, its statistic and
     the flip center are the same either way. search decides which tests
-    are warm. solutions holds one float per free parameter, per distinct
+    are warm. solutions holds one float per free parameter, per refit
     sign row, per tested value: about 150 kB for 60 tests of 100 rows at
     p = 2.
     """

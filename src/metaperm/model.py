@@ -401,7 +401,9 @@ def _sym_inverse_flags(V):
 
     A 1x1 matrix is its own eigenvalue with eigenvector 1, so at k = 1
     the spectrum is V itself and no eigh runs; the result equals eigh's
-    bit for bit, flags and non-finite entries included.
+    bit for bit, flags and non-finite entries included. When every
+    eigenvalue is kept, the common case, the masked expressions reduce
+    to 1 / w and the sum of log w, so those are taken directly.
     """
     if V.shape[-1] == 1:
         w, Q = V[..., 0], None
@@ -410,13 +412,19 @@ def _sym_inverse_flags(V):
     scale = np.maximum(w[..., -1], 0.0)
     indefinite = w[..., 0] < -EPS_PSD * np.maximum(1.0, scale)
     keep = w > RCOND * scale[..., None]
-    winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    logdet = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
+    if keep.all():
+        winv = 1.0 / w
+        logdet = np.log(w).sum(axis=-1)
+        pinv = np.zeros(w.shape[:-1], dtype=bool)
+    else:
+        winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        logdet = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
+        pinv = ~keep.all(axis=-1)
     if Q is None:
         W = winv[..., None]
     else:
         W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    return W, logdet, indefinite, ~keep.all(axis=-1)
+    return W, logdet, indefinite, pinv
 
 
 # A 2x2 block takes the closed-form inverse when det > _DET_MARGIN *
@@ -622,12 +630,14 @@ def _quad_forms(U, Iinv):
     outer and j inner. That is the order of np.einsum("ri,rij,rj->r")
     and np.einsum("bi,ij,bj->b"), so the result equals theirs bit for
     bit at a fraction of their cost; region thresholds compare these
-    statistics exactly. At p = 2 with one row, or two rows sharing one
-    inverse, einsum sums each i's two terms before adding them to the
-    total, and so does this.
+    statistics exactly. At p = 2 with one row and its own inverse,
+    einsum sums each i's two terms before adding them to the total, and
+    so does this. Rows sharing one inverse are always summed in the
+    order above, so each row's form is the same however many rows come
+    with it (einsum pairs the terms of one or two such rows).
     """
     R, p = U.shape
-    paired = p == 2 and R <= (2 if Iinv.ndim == 2 else 1)
+    paired = p == 2 and R == 1 and Iinv.ndim == 3
     columns = U.T.copy()
     out = np.zeros(R)
     term = np.empty_like(out)

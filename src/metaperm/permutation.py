@@ -14,11 +14,16 @@ nuisance components (a local Monte Carlo test). Every sign row's
 reflected sample is refit under the same null by estimators.refit_rows,
 which chooses between its batched kernel and the scalar fitter row by
 row, and each chunk of rows is scored once at its refits
-(_permuted_statistics). Each row's refit starts at the observed fit or
-where the caller says: inside one interval or estimate, inference.py
-decides those starts from the inversion's earlier tests, and this
-module keeps nothing between tests and writes to no argument. t2 (the joint moment test) needs no refit:
-its covariance is sign-invariant, so one pass gives the whole null.
+(_permuted_statistics). A row and its complement reflect the data about
+the same center, so the sign plan is folded once per plan (_sign_plan)
+and every refit test refits one row of each complementary pair: t1
+copies the statistic to the complement, t3 negates its root. Each row's
+refit starts at the observed fit or where the caller says: inside one
+interval or estimate, inference.py decides those starts from the
+inversion's earlier tests, and this module keeps nothing between tests
+and writes to no argument. t2 (the joint moment test) needs no refit:
+its covariance is sign-invariant, so one pass gives the whole null, and
+an exhaustive plan's pass runs over its first half.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
@@ -133,7 +138,9 @@ def generate_signs(plan, n_studies):
     """Materialize the sign matrix, shape (B, N) with entries +-1.
 
     Exhaustive mode enumerates assignments in binary order: row b flips
-    study i exactly when bit i of b is set, so row 0 is the identity.
+    study i exactly when bit i of b is set, so row 0 is the identity,
+    row 2^N - 1 - b is the complement of row b, and the first half holds
+    one row of every complementary pair (_sign_plan folds on that).
     It fills one column at a time from one int64 row index, so the build
     peaks at the int8 matrix (N bytes per row) plus three B-length int64
     vectors: 1 + 1.5 MiB at N = 16, 20 + 24 MiB at N = 20. Random
@@ -151,26 +158,61 @@ def generate_signs(plan, n_studies):
     return (2 * rng.integers(0, 2, size=(size, n_studies)) - 1).astype(np.int8)
 
 
+@dataclass(frozen=True, eq=False)
+class _FoldedPlan:
+    """A sign plan folded over its complementary pairs of rows.
+
+    A row v and its complement -v reflect the data about the same center,
+    so each pair is computed once: the t2 and t1 statistics are even in
+    v, and the t3 root is odd. signs holds one canonical row for each
+    pair the plan draws, the one whose last study is unflipped, as
+    read-only float64 rows. Row b of the plan is flips[b] *
+    signs[inverse[b]], where flips[b] is its last sign. row_sums are the
+    canonical rows' int64 sums, so the identity is the canonical row
+    that sums to N, and includes_identity tells whether the plan itself
+    draws the identity (the full flip folds onto it too).
+    """
+
+    signs: np.ndarray
+    inverse: np.ndarray
+    flips: np.ndarray
+    row_sums: np.ndarray
+    includes_identity: bool
+
+
 @functools.lru_cache(maxsize=1)
 def _sign_plan(plan, n_studies):
-    """Read-only float64 sign matrix of a plan and its int64 row sums.
+    """The plan's sign matrix folded over complementary rows (_FoldedPlan).
 
     Every test of one inversion (lattice points, interval tests,
-    replicates) shares a plan, so the last plan built is kept and reused.
-    The signs are kept as float64, the dtype every test multiplies them
-    in, so no test converts them again. That holds 8 bytes per study per
-    sign row between tests: 8.5 MiB at N = 16 with the row sums, and
-    168 MiB at the 2^20 cap (N = 20) where int8 signs would hold 20 MiB.
-    The build peaks at the float plan plus the int8 matrix: 9.5 MiB at
-    N = 16, 188 MiB at N = 20. generate_signs is looked up in this module
-    at call time, so perfbench's traced run sees each build.
+    replicates) shares a plan, so the last plan built is kept and reused,
+    folded once. In the binary order of an exhaustive plan the canonical
+    rows are the first half and row 2^N - 1 - b is the complement of row
+    b, so no sort runs; a random plan's canonical rows are np.unique's,
+    in its order. The canonical signs are kept as float64, the dtype
+    every test multiplies them in. Between tests an exhaustive plan holds
+    8 bytes per study and 8 more per canonical row, and 9 bytes per row
+    of the plan: 4.8 MiB at N = 16 and 93 MiB at the 2^20 cap (N = 20),
+    where the unfolded float plan held 8.5 and 168 MiB. The build peaks
+    at 6.3 MiB at N = 16 and 121 MiB at N = 20 (188 MiB unfolded).
+    generate_signs is looked up in this module at call time, so
+    perfbench's traced run sees each build.
     """
     signs = generate_signs(plan, n_studies)
-    row_sums = signs.sum(axis=1, dtype=np.int64)
-    row_sums.flags.writeable = False
-    signs = signs.astype(float)
-    signs.flags.writeable = False
-    return signs, row_sums
+    flips = signs[:, -1].copy()
+    if plan.mode == "exhaustive":
+        canonical = signs[: signs.shape[0] // 2]
+        rows = np.arange(signs.shape[0])
+        inverse = np.minimum(rows, rows[::-1])
+    else:
+        canonical, inverse = np.unique(signs * flips[:, None], axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+    row_sums = canonical.sum(axis=1, dtype=np.int64)
+    includes_identity = bool(((row_sums == n_studies)[inverse] & (flips == 1)).any())
+    folded = _FoldedPlan(canonical.astype(float), inverse, flips, row_sums, includes_identity)
+    for array in (folded.signs, inverse, flips, row_sums):
+        array.flags.writeable = False
+    return folded
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +390,6 @@ def _observed_statistic(data, value, component, structure):
     return float(stats[0]), bool(pinv[0]), cml
 
 
-def _includes_identity(plan, row_sums, n_studies):
-    """True when the plan's rows contain the all-plus assignment."""
-    return plan.mode == "exhaustive" or bool((row_sums == n_studies).any())
-
-
 def _test_result(plan, t_obs, stats, includes_identity, **fields):
     """TestResult of an observed statistic against its permutation values."""
     dist = NullDistribution(statistics=stats, mode=plan.mode, includes_identity=includes_identity)
@@ -372,7 +409,9 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     distribution is computed in one vectorized pass.
 
     Sign assignments that flip nothing (or everything) reproduce the
-    observed statistic exactly and are assigned it directly.
+    observed statistic exactly and are assigned it directly. Either
+    statistic is even in the signs, so each complementary pair of
+    assignments is computed once (see _FoldedPlan).
     """
     if stat not in ("cml", "moment"):
         raise ValueError(f"unknown joint statistic {stat!r}")
@@ -380,12 +419,21 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     plan = _default_plan(plan)
     mu = _finite_mean(mu_null, data.p, "null mean")
     if stat == "moment":
-        signs, row_sums = _sign_plan(plan, data.n_studies)
+        fold = _sign_plan(plan, data.n_studies)
         sigma, _ = moment_between_cov(data, mu)
-        t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, signs)
-        stats[np.abs(row_sums) == data.n_studies] = t_obs
+        if plan.mode == "exhaustive":
+            t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, fold.signs)
+            stats = stats[fold.inverse]
+        else:
+            # BLAS may sum a row's product in another order when the row
+            # sits in the partial block at the end of the matrix, and
+            # folding moves a random plan's rows; so they are multiplied
+            # where the plan draws them
+            signs = fold.flips[:, None] * fold.signs[fold.inverse]
+            t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, signs)
+        stats[(fold.row_sums == data.n_studies)[fold.inverse]] = t_obs
         n_failed = 0
-        includes_identity = _includes_identity(plan, row_sums, data.n_studies)
+        includes_identity = fold.includes_identity
     else:
         t_obs, stats, n_failed, used_pinv, includes_identity, _ = _refit_distribution(
             data, mu, None, structure, plan
@@ -404,9 +452,11 @@ def _moment_statistics(data, mu, sigma, signs):
     likelihood pass at a single row inverts the weights once and gives
     the information, the observed score and the per-study W_i r_i. The
     observed statistic is summed as _statistics sums the t1 statistic,
-    so at the same Sigma the two agree bit for bit. Raises DataError if a marginal covariance
-    or the information is indefinite. Returns (t_obs, statistics,
-    used_pinv).
+    so at the same Sigma the two agree bit for bit. The complement -v
+    gives -U_b exactly, so the first half of an exhaustive plan gives
+    the statistics of the whole plan bit for bit. Raises DataError if a marginal covariance or the
+    information is indefinite. Returns (t_obs, statistics of the rows of
+    signs, used_pinv).
     """
     blocks, indefinite, pinv_w = _weights(data, sigma[None], _own_outcomes(data))
     _require_definite(indefinite)
@@ -458,12 +508,6 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
     return out, failed, used_pinv, solutions
 
 
-def _distinct_rows(signs):
-    """The distinct rows of a sign matrix and each row's index among them."""
-    distinct, inverse = np.unique(signs, axis=0, return_inverse=True)
-    return distinct, inverse.reshape(-1)
-
-
 def _refit_distribution(data, value, component, structure, plan, starts=None):
     """Observed and permuted statistics of a refit test, t1 or t3.
 
@@ -472,41 +516,44 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     roots. The observed data are fit under the null and scored at that
     fit, whose mean is the flip center. Every other sign row's reflected
     sample is refit and scored the same way (_permuted_statistics),
-    once per distinct row: a random plan that draws the same
-    assignment twice refits it once and gives both the same statistic.
-    The assignment that flips nothing reproduces the observed statistic
-    exactly, and the one that flips everything reproduces it for t1 and
-    its negation for t3 (the refit center is invariant under global
-    reflection), so both are assigned directly. More than
-    MAX_FAILURE_FRACTION failed refits raise NonConvergenceError.
+    once per canonical row of the folded plan (_FoldedPlan): the refit
+    center is invariant under global reflection, so a row and its
+    complement reach one refit, where the t1 statistic is the same and
+    the t3 root changes sign. A random plan that draws an assignment or
+    its complement again refits neither. The identity reproduces the
+    observed statistic exactly, and the full flip reproduces it for t1
+    and its negation for t3, so both are assigned directly. A failed
+    refit counts once for every row of the plan that folds onto it, and
+    more than MAX_FAILURE_FRACTION failed rows raise NonConvergenceError.
 
-    starts, when given, holds one free vector per distinct refit row, in
-    the order of np.unique over those rows; each row's refit starts
-    there (see refit_rows), and otherwise at the observed fit. The
-    observed fit, its statistic and the flip center never depend on
-    starts, and no argument is written to.
+    starts, when given, holds one free vector per canonical row other
+    than the identity, in the plan's fixed order of canonical rows; each
+    row's refit starts there (see refit_rows), and otherwise at the
+    observed fit. The observed fit, its statistic and the flip center
+    never depend on starts, and no argument is written to.
     Returns (s_obs, statistics, n_failed, used_pinv, includes_identity,
-    solutions): solutions holds the distinct rows' free vectors in the
+    solutions): solutions holds the refit rows' free vectors in the
     order of starts (see _permuted_statistics).
     """
-    signs, row_sums = _sign_plan(plan, data.n_studies)
+    fold = _sign_plan(plan, data.n_studies)
     s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)
-    stats = np.where(row_sums > 0, s_obs, s_obs if component is None else -s_obs)
-    refit = np.abs(row_sums) != data.n_studies
-    n_refit = int(refit.sum())
-    distinct, inverse = _distinct_rows(signs[refit])
-    stats_d, failed, used, solutions = _permuted_statistics(
-        data, cml.mu, component, distinct, structure, cml.het, starts
+    refit = fold.row_sums != data.n_studies
+    stats = np.full(refit.shape, s_obs)
+    failed = np.zeros(refit.shape, dtype=bool)
+    stats[refit], failed[refit], used, solutions = _permuted_statistics(
+        data, cml.mu, component, fold.signs[refit], structure, cml.het, starts
     )
-    stats[refit] = stats_d[inverse]
-    n_failed = int(np.count_nonzero(failed[inverse]))
+    stats = stats[fold.inverse]
+    if component is not None:
+        stats *= fold.flips
+    n_refit = int(np.count_nonzero(refit[fold.inverse]))
+    n_failed = int(np.count_nonzero(failed[fold.inverse]))
     if n_refit and n_failed > MAX_FAILURE_FRACTION * n_refit:
         raise NonConvergenceError(
             f"{n_failed} of {n_refit} permutation refits failed; "
             "result would not be trustworthy"
         )
-    includes_identity = _includes_identity(plan, row_sums, data.n_studies)
-    return s_obs, stats, n_failed, used_pinv or used, includes_identity, solutions
+    return s_obs, stats, n_failed, used_pinv or used, fold.includes_identity, solutions
 
 
 def marginal_permutation_test(data, value, component, plan=None, structure=None):

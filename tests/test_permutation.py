@@ -39,6 +39,8 @@ from metaperm.permutation import (
     _flipped_outcomes,
     _observed_statistic,
     _own_outcomes,
+    _FoldedPlan,
+    _moment_statistics,
     _permuted_statistics,
     _refit_distribution,
     _sign_plan,
@@ -138,8 +140,10 @@ class TestGenerateSigns:
     def test_exhaustive_build_holds_no_int64_matrix(self):
         # a (B, N) int64 temporary alone is 8 MiB at N = 16; the build may
         # hold the int8 matrix and a few B-length vectors, and the cached
-        # plan adds its float64 signs and int64 row sums
+        # fold keeps float64 signs and int64 row sums for half the rows,
+        # an int64 index and an int8 sign for every row
         n, size = 16, 2 ** 16
+        held = 8 * (size // 2) * (n + 1) + 9 * size
         plan = PermutationPlan.exhaustive()
         _sign_plan.cache_clear()
         tracemalloc.start()
@@ -150,12 +154,13 @@ class TestGenerateSigns:
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
             _sign_plan(plan, n)
-            _, plan_peak = tracemalloc.get_traced_memory()
+            plan_held, plan_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             _sign_plan.cache_clear()
         assert peak < size * n + 4 * 8 * size
-        assert plan_peak - base < 1.25 * (8 * size * n + 8 * size + size * n)
+        assert plan_held - base < 1.05 * held
+        assert plan_peak - base < 1.25 * (held + size * n + 8 * size)
 
 
 def _sorted_threshold(stats, mode, alpha):
@@ -278,24 +283,37 @@ class TestSignPlanCache:
         for (data, plan, kind), expected in zip(sequence, cold):
             assert self._results(data, plan, kind) == expected
 
-    def test_cached_arrays_read_only_and_generate_signs_fresh(self, bivariate5):
-        plan = PermutationPlan.random(n_draws=100, seed=1)
+    @pytest.mark.parametrize(
+        "plan", [PermutationPlan.random(n_draws=100, seed=1), PermutationPlan.exhaustive()]
+    )
+    def test_cached_fold_read_only_and_generate_signs_fresh(self, bivariate5, plan):
         expected = self._results(bivariate5, plan, "moment")
-        signs, row_sums = _sign_plan(plan, 5)
-        assert signs.dtype == np.float64 and row_sums.dtype == np.int64
-        assert not signs.flags.writeable and not row_sums.flags.writeable
+        fold = _sign_plan(plan, 5)
+        arrays = (fold.signs, fold.inverse, fold.flips, fold.row_sums)
+        assert fold.signs.dtype == np.float64 and fold.row_sums.dtype == np.int64
+        assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
-            signs[0, 0] = -signs[0, 0]
-        np.testing.assert_array_equal(row_sums, signs.sum(axis=1))
+            fold.signs[0, 0] = -fold.signs[0, 0]
+        # one canonical row per complementary pair, the one whose last
+        # study is unflipped, and every row of the plan unfolds from it
+        assert (fold.signs[:, -1] == 1).all()
+        assert len(np.unique(fold.signs, axis=0)) == len(fold.signs)
+        np.testing.assert_array_equal(fold.row_sums, fold.signs.sum(axis=1))
+        unfolded = fold.flips[:, None] * fold.signs[fold.inverse]
 
         fresh = generate_signs(plan, 5)
         assert fresh.dtype == np.int8 and fresh.flags.writeable
-        assert not np.shares_memory(fresh, signs)
-        np.testing.assert_array_equal(fresh, signs)
+        assert not any(np.shares_memory(fresh, a) for a in arrays)
+        np.testing.assert_array_equal(unfolded, fresh)
+        assert fold.includes_identity == (fresh == 1).all(axis=1).any()
+        if plan.mode == "exhaustive":
+            # binary order: the first half, and row 2^N - 1 - b is b's complement
+            np.testing.assert_array_equal(fold.signs, fresh[:16])
+            np.testing.assert_array_equal(fold.inverse, [*range(16), *range(15, -1, -1)])
         fresh[:] = 1
-        np.testing.assert_array_equal(generate_signs(plan, 5), signs)
+        np.testing.assert_array_equal(generate_signs(plan, 5), unfolded)
         assert self._results(bivariate5, plan, "moment") == expected
-        assert not (_sign_plan(plan, 5)[0] == 1).all()
+        assert not (_sign_plan(plan, 5).signs == 1).all()
 
 
 @pytest.fixture(scope="module")
@@ -427,7 +445,11 @@ class TestQuadForms:
         # region thresholds compare statistics exactly, so the quadratic
         # forms must keep einsum's summation order, not just its value;
         # few rows get many draws, because einsum's order changes with
-        # the shape there and a single draw often rounds alike either way
+        # the shape there and a single draw often rounds alike either way.
+        # Under a shared inverse (the t2 null) a row's form must not
+        # depend on how many rows come with it, since a folded plan scores
+        # half the rows: einsum pairs the terms of one or two such rows,
+        # so it is the oracle from three rows on
         rng = np.random.default_rng([p, rows])
         for _ in range(200 if rows <= 2 else 1):
             U = rng.standard_normal((rows, p)) * rng.uniform(0.1, 10.0, size=(rows, 1))
@@ -435,9 +457,10 @@ class TestQuadForms:
             Iinv = np.linalg.inv(A @ A.transpose(0, 2, 1) + np.eye(p))
             assert np.array_equal(_quad_forms(U, Iinv), np.einsum("ri,rij,rj->r", U, Iinv, U))
             shared = Iinv[0]
-            assert np.array_equal(
-                _quad_forms(U, shared), np.einsum("bi,ij,bj->b", U, shared, U)
-            )
+            alone = _quad_forms(U, shared)
+            assert np.array_equal(alone, _quad_forms(np.concatenate([U, U, U]), shared)[:rows])
+            if rows > 2:
+                assert np.array_equal(alone, np.einsum("bi,ij,bj->b", U, shared, U))
 
 
 def _enumerated_moment_null(data, mu):
@@ -670,12 +693,27 @@ def test_t1_exact_size_over_whole_orbits(seed, n, offset, structure):
         assert np.count_nonzero(p <= a) <= a * 2 ** n, f"size above {a} at p <= {a}"
 
 
-class TestDistinctRows:
+class TestFoldedRows:
+    @pytest.fixture
+    def refit_counts(self, monkeypatch):
+        """The row count of every refit_rows call, recorded as the test runs."""
+        real = metaperm.permutation.refit_rows
+        rows = []
+
+        def counted(data, Ys, *args, **kwargs):
+            rows.append(Ys[0].shape[0])
+            return real(data, Ys, *args, **kwargs)
+
+        monkeypatch.setattr(metaperm.permutation, "refit_rows", counted)
+        return rows
+
     @pytest.mark.parametrize("stat", ["t1", "t3"])
-    def test_each_distinct_row_refit_once(self, stat, monkeypatch):
-        # 2,400 draws at N = 8 repeat most of the 254 refit rows; each
-        # distinct row is refit once and its statistic copied to its
-        # repeats, bit for bit what refitting every draw gives
+    def test_each_row_pair_refit_once(self, stat, monkeypatch, refit_counts):
+        # 2,400 draws at N = 8 repeat most of the 254 refit rows, and
+        # draw most rows with their complements; one refit per pair (127
+        # rows) gives what refitting every drawn row gives: the observed
+        # statistic and the p-value exactly, the null statistics to
+        # optimizer tolerance, as v and -v are refit apart there
         data = make_mvn(5, 8)
         plan = PermutationPlan.random(2400, seed=7)
         mu = fit_ml(data).mu + 0.1
@@ -685,31 +723,77 @@ class TestDistinctRows:
                 return joint_permutation_test(data, mu, plan=plan)
             return marginal_permutation_test(data, mu[0], 0, plan=plan)
 
-        real = metaperm.permutation.refit_rows
-        rows = []
-
-        def counted(data, Ys, *args, **kwargs):
-            rows.append(Ys[0].shape[0])
-            return real(data, Ys, *args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(metaperm.permutation, "refit_rows", counted)
-            distinct = run()
+        folded = run()
         signs = generate_signs(plan, data.n_studies)
         refit = signs[np.abs(signs.sum(axis=1)) != data.n_studies]
-        assert sum(rows) == len(np.unique(refit, axis=0)) < len(refit)
-        with monkeypatch.context() as m:
-            m.setattr(
-                metaperm.permutation, "_distinct_rows", lambda s: (s, np.arange(s.shape[0]))
-            )
-            every = run()
-        np.testing.assert_array_equal(
-            distinct.distribution.statistics, every.distribution.statistics
+        pairs = np.unique(refit * refit[:, -1:], axis=0)
+        assert sum(refit_counts) == len(pairs) == 127 < len(np.unique(refit, axis=0))
+        # the plan folded only where it flips every study: each other
+        # drawn row, a repeat or not, is its own canonical row and is refit
+        flips = np.where(signs.sum(axis=1) == -data.n_studies, -1, 1).astype(np.int8)
+        canonical = signs * flips[:, None]
+        unfolded = _FoldedPlan(
+            canonical.astype(float), np.arange(len(signs)), flips,
+            canonical.sum(axis=1, dtype=np.int64),
+            _sign_plan(plan, data.n_studies).includes_identity,
         )
-        assert distinct.statistic == every.statistic
-        assert distinct.p_value == every.p_value
-        assert distinct.n_failed == every.n_failed
-        assert distinct.used_pinv == every.used_pinv
+        refit_counts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(metaperm.permutation, "_sign_plan", lambda plan, n: unfolded)
+            every = run()
+        assert sum(refit_counts) == len(refit)
+        np.testing.assert_allclose(
+            folded.distribution.statistics, every.distribution.statistics, rtol=1e-7, atol=1e-12
+        )
+        assert folded.statistic == every.statistic
+        assert folded.p_value == every.p_value
+        assert folded.n_failed == every.n_failed == 0
+        assert folded.used_pinv == every.used_pinv
+
+    @pytest.mark.parametrize("component", [None, 0])
+    def test_complement_rows_mirror_their_partners(self, component, refit_counts):
+        # exhaustive at N = 8: 127 refits per test, one per pair other
+        # than the identity; row 2^N - 1 - b is the complement of row b,
+        # with the same t1 statistic and the negated t3 root, bit for bit
+        data = make_mvn(5, 8)
+        structure = CovStructure.unstructured()
+        mu = fit_ml(data).mu + 0.1
+        value = mu if component is None else mu[component]
+        s_obs, stats, *_, solutions = _refit_distribution(
+            data, value, component, structure, PermutationPlan.exhaustive()
+        )
+        assert sum(refit_counts) == len(solutions) == 127
+        sign = 1.0 if component is None else -1.0
+        np.testing.assert_array_equal(stats[128:], sign * stats[:128][::-1])
+        assert stats[0] == s_obs and stats[-1] == sign * s_obs
+
+
+class TestFoldedMomentNull:
+    @pytest.mark.parametrize(
+        "n, plan",
+        [
+            (16, PermutationPlan.exhaustive()),
+            (16, PermutationPlan.random(2400, seed=3)),
+            (5, PermutationPlan.random(100, seed=4)),
+            (2, PermutationPlan.exhaustive()),
+            (3, PermutationPlan.exhaustive()),
+        ],
+    )
+    def test_equals_the_unfolded_pass_bitwise(self, n, plan):
+        # the t2 null of the folded plan is _moment_statistics over every
+        # row of the plan, with the identity and the full flip assigned
+        # the observed statistic, bit for bit at several null values
+        data = make_mvn(n, n)
+        signs = generate_signs(plan, n)
+        ends = np.abs(signs.sum(axis=1)) == n
+        for mu in ([0.4, -0.2], [0.1, 0.3], [-0.5, -0.2], [1.2, 0.6]):
+            mu = np.asarray(mu)
+            res = joint_permutation_test(data, mu, plan=plan, stat="moment")
+            sigma, _ = moment_between_cov(data, mu)
+            t_obs, full, _ = _moment_statistics(data, mu, sigma, signs.astype(float))
+            full[ends] = t_obs
+            assert res.statistic == t_obs
+            np.testing.assert_array_equal(res.distribution.statistics, full)
 
 
 def test_refit_distribution_reads_its_starts_only(bivariate12):
@@ -1025,7 +1109,7 @@ def test_ridge_rows_no_worse_than_scalar_fitter(request, name):
     data = request.getfixturevalue(name)
     structure = CovStructure.unstructured()
     ml = fit_ml(data, structure).mu
-    signs = _sign_plan(PermutationPlan.exhaustive(), data.n_studies)[0]
+    signs = generate_signs(PermutationPlan.exhaustive(), data.n_studies).astype(float)
     better = ridge = 0
     for offset in (0.15, -0.3):
         for component in [None, *range(data.p)]:
@@ -1073,7 +1157,7 @@ def test_fallback_rows_are_scalar_fits_of_reflected_data(
     observed, _ = _scalar_refit(data, mu, component, structure, None)
     center = observed.mu
     fixed = np.arange(data.p) if component is None else np.array([component])
-    signs = _sign_plan(PermutationPlan.random(100, seed=8), data.n_studies)[0][:12]
+    signs = generate_signs(PermutationPlan.random(100, seed=8), data.n_studies)[:12].astype(float)
     monkeypatch.setattr(metaperm.estimators, "ROW_MAX_ITER", 0)
     if how == "failure":
         real = metaperm.estimators._optimize_eta
