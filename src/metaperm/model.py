@@ -507,7 +507,7 @@ def _weights(data, sigma, Ys=None):
     """
     # The seam keeps the scalar fits on eigh's bits: the closed form
     # there moved ML and REML convergence on the gauss3m-s2 coverage
-    # rows (ROADMAP item 1). The fitter changes of ROADMAP items 1 and 7
+    # rows (ROADMAP item 3). The fitter changes of ROADMAP items 3 and 9
     # re-record those rows and can then remove it.
     invert = _sym_inverse_rows if sigma.ndim > 2 else _sym_inverse_flags
     indefinite = pinv = False
@@ -656,8 +656,8 @@ def _schur_information(info, component):
     """Schur complement J = I_aa - I_ac I_cc^{-1} I_ca of each row.
 
     info has shape (R, p, p) and a is the component. J is clamped at
-    zero; at p = 1 it is I_aa as it stands. Returns (J, indefinite, pinv) with the flags of each row's
-    I_cc inverse.
+    zero; at p = 1 it is I_aa as it stands. Returns (J, indefinite,
+    pinv) with the flags of each row's I_cc inverse.
     """
     R, p = info.shape[:2]
     J = info[:, component, component]

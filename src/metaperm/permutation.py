@@ -8,7 +8,7 @@ with v_i = +1 or -1 per study; within-study covariances are unchanged.
 t1 (the joint cml test) and t3 (the marginal test) take one refit path,
 _refit_distribution, and differ only in which mean components the null
 fixes: all of them for t1, one for t3. The observed data are fit under
-the null (_null_fit) and scored there (_statistics); the fitted mean is
+the null and scored there (_observed_statistic); the fitted mean is
 the flip center, which for t3 plugs constrained estimates in for the
 nuisance components (a local Monte Carlo test). Every sign row's
 reflected sample is refit under the same null by estimators.refit_rows,
@@ -22,12 +22,12 @@ refit starts at the observed fit or where the caller says: inside one
 interval or estimate, inference.py decides those starts from the
 inversion's earlier tests, and this module keeps nothing between tests
 and writes to no argument. t2 (the joint moment test) needs no refit:
-its covariance is sign-invariant, so one pass gives the whole null, and
-an exhaustive plan's pass runs over its first half.
+its covariance is sign-invariant, so one pass over the folded plan's
+canonical rows gives the whole null.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
-(_score_rows), its quadratic forms and Schur complements give the
+(_statistics), its quadratic forms and Schur complements give the
 statistics, and the t2 null adds each study's weighted residuals.
 """
 
@@ -140,12 +140,12 @@ def generate_signs(plan, n_studies):
     Exhaustive mode enumerates assignments in binary order: row b flips
     study i exactly when bit i of b is set, so row 0 is the identity,
     row 2^N - 1 - b is the complement of row b, and the first half holds
-    one row of every complementary pair (_sign_plan folds on that).
-    It fills one column at a time from one int64 row index, so the build
-    peaks at the int8 matrix (N bytes per row) plus three B-length int64
-    vectors: 1 + 1.5 MiB at N = 16, 20 + 24 MiB at N = 20. Random
-    mode draws iid uniform signs from the plan's seed; repeated calls
-    return the same matrix.
+    one row of every complementary pair (_sign_plan folds every plan,
+    sorting only a random one). It fills one column at a time from one
+    int64 row index, so the build peaks at the int8 matrix (N bytes per
+    row) plus three B-length int64 vectors: 1 + 1.5 MiB at N = 16,
+    20 + 24 MiB at N = 20. Random mode draws iid uniform signs from the
+    plan's seed; repeated calls return the same matrix.
     """
     size = plan.size_for(n_studies)
     if plan.mode == "exhaustive":
@@ -167,16 +167,16 @@ class _FoldedPlan:
     v, and the t3 root is odd. signs holds one canonical row for each
     pair the plan draws, the one whose last study is unflipped, as
     read-only float64 rows. Row b of the plan is flips[b] *
-    signs[inverse[b]], where flips[b] is its last sign. row_sums are the
-    canonical rows' int64 sums, so the identity is the canonical row
-    that sums to N, and includes_identity tells whether the plan itself
-    draws the identity (the full flip folds onto it too).
+    signs[inverse[b]], where flips[b] is its last sign. identity marks
+    the canonical row of all +1: the plan rows that fold onto it
+    reproduce the observed statistic. includes_identity tells whether
+    the plan itself draws the identity (the full flip folds onto it too).
     """
 
     signs: np.ndarray
     inverse: np.ndarray
     flips: np.ndarray
-    row_sums: np.ndarray
+    identity: np.ndarray
     includes_identity: bool
 
 
@@ -186,15 +186,16 @@ def _sign_plan(plan, n_studies):
 
     Every test of one inversion (lattice points, interval tests,
     replicates) shares a plan, so the last plan built is kept and reused,
-    folded once. In the binary order of an exhaustive plan the canonical
-    rows are the first half and row 2^N - 1 - b is the complement of row
-    b, so no sort runs; a random plan's canonical rows are np.unique's,
-    in its order. The canonical signs are kept as float64, the dtype
-    every test multiplies them in. Between tests an exhaustive plan holds
-    8 bytes per study and 8 more per canonical row, and 9 bytes per row
-    of the plan: 4.8 MiB at N = 16 and 93 MiB at the 2^20 cap (N = 20),
-    where the unfolded float plan held 8.5 and 168 MiB. The build peaks
-    at 6.3 MiB at N = 16 and 121 MiB at N = 20 (188 MiB unfolded).
+    folded once; every test, t2 included, computes its canonical rows
+    only. In the binary order of an exhaustive plan the canonical rows
+    are the first half and row 2^N - 1 - b is the complement of row b,
+    so no sort runs; a random plan's canonical rows are np.unique's, so
+    its repeats fold too. The canonical signs are kept as float64, the
+    dtype every test multiplies them in. Between tests an exhaustive
+    plan holds 8 bytes per study and 1 more per canonical row, and 9
+    bytes per row of the plan: 4.6 MiB at N = 16 and 89.5 MiB at the
+    2^20 cap (N = 20), against 8.5 and 168 MiB for the unfolded float
+    plan. The build peaks at 6.1 and 117.5 MiB (188 unfolded at N = 20).
     generate_signs is looked up in this module at call time, so
     perfbench's traced run sees each build.
     """
@@ -207,10 +208,10 @@ def _sign_plan(plan, n_studies):
     else:
         canonical, inverse = np.unique(signs * flips[:, None], axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
-    row_sums = canonical.sum(axis=1, dtype=np.int64)
-    includes_identity = bool(((row_sums == n_studies)[inverse] & (flips == 1)).any())
-    folded = _FoldedPlan(canonical.astype(float), inverse, flips, row_sums, includes_identity)
-    for array in (folded.signs, inverse, flips, row_sums):
+    identity = (canonical == 1).all(axis=1)
+    includes_identity = bool((identity[inverse] & (flips == 1)).any())
+    folded = _FoldedPlan(canonical.astype(float), inverse, flips, identity, includes_identity)
+    for array in (folded.signs, inverse, flips, identity):
         array.flags.writeable = False
     return folded
 
@@ -300,34 +301,24 @@ class TestResult:
         return self.distribution.size
 
 
-def _score_rows(data, Ys, mus, sigmas):
-    """Score and information of each row at its own mean and Sigma.
-
-    Row b has outcomes Ys[g][b] per mask group, mean mus[b] and
-    between-study covariance sigmas[b]. Returns U (R, p), the scattered
-    information (R, p, p) and the rows whose weights took the
-    pseudoinverse path. Raises DataError if any marginal covariance is
-    indefinite.
-    """
-    blocks, indefinite, pinv = _weights(data, sigmas, Ys)
-    _require_definite(indefinite)
-    info, U = _scatter(blocks, mus.shape[1], mus)
-    return U, info, pinv
-
-
 def _statistics(data, Ys, mus, sigmas, component):
     """t1 or t3 statistic of many rows, each at its own mean and Sigma.
 
-    With component None it is the joint score statistic U' I^{-1} U,
-    clamped at zero (t1); J is +inf and pinv flags a pseudoinverse in
-    the weights or the information. Otherwise it is the signed marginal
-    root U_c / sqrt(J) of that component (t3), J its Schur information;
-    at a row's own constrained fit the nuisance components of U vanish,
-    so U_c is the efficient score. Roots are nan where J <
-    MIN_MARGINAL_INFO, and pinv flags a pseudoinverse in the Schur
-    complement. Returns (statistics, J, pinv).
+    Row b has outcomes Ys[g][b] per mask group, mean mus[b] and
+    between-study covariance sigmas[b]; one likelihood pass gives every
+    row's score U and information. With component None it is the joint
+    score statistic U' I^{-1} U, clamped at zero (t1); J is +inf and
+    pinv flags a pseudoinverse in the weights or the information.
+    Otherwise it is the signed marginal root U_c / sqrt(J) of that
+    component (t3), J its Schur information; at a row's own constrained
+    fit the nuisance components of U vanish, so U_c is the efficient
+    score. Roots are nan where J < MIN_MARGINAL_INFO, and pinv flags a
+    pseudoinverse in the Schur complement. Returns (statistics, J,
+    pinv). Raises DataError if any marginal covariance is indefinite.
     """
-    U, info, pinv_w = _score_rows(data, Ys, mus, sigmas)
+    blocks, indefinite, pinv_w = _weights(data, sigmas, Ys)
+    _require_definite(indefinite)
+    info, U = _scatter(blocks, mus.shape[1], mus)
     if component is None:
         Iinv, _, _, pinv = _sym_inverse_flags(info)
         stats = np.maximum(_quad_forms(U, Iinv), 0.0)
@@ -360,29 +351,22 @@ def _require_information(J, component):
         )
 
 
-def _null_fit(data, value, component, structure):
-    """Constrained fit of the observed data at the null: the whole mean at
-    value when component is None (t1), else that one component at value
-    (t3).
-
-    Calls the fitters through this module's bindings, so perfbench's
-    traced run sees every observed fit; the sign rows' refits run inside
-    refit_rows.
-    """
-    if component is None:
-        return fit_eta_given_mu(data, value, structure)
-    return fit_marginal_null(data, value, component, structure)
-
-
 def _observed_statistic(data, value, component, structure):
     """Fit the null on the data and evaluate the statistic at that fit.
 
+    The constrained fit fixes the whole mean at value when component is
+    None (t1), else that one component (t3). It calls the fitters
+    through this module's bindings, so perfbench's traced run sees every
+    observed fit; the sign rows' refits run inside refit_rows.
     Returns (statistic, used_pinv, cml): the joint score statistic for
     component None, else the signed marginal root (see _statistics),
     and the constrained fit. Raises UninformativeComponentError when the
     tested component carries no information at the fit.
     """
-    cml = _null_fit(data, value, component, structure)
+    if component is None:
+        cml = fit_eta_given_mu(data, value, structure)
+    else:
+        cml = fit_marginal_null(data, value, component, structure)
     stats, J, pinv = _statistics(
         data, _own_outcomes(data), cml.mu[None], cml.sigma[None], component
     )
@@ -421,17 +405,8 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     if stat == "moment":
         fold = _sign_plan(plan, data.n_studies)
         sigma, _ = moment_between_cov(data, mu)
-        if plan.mode == "exhaustive":
-            t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, fold.signs)
-            stats = stats[fold.inverse]
-        else:
-            # BLAS may sum a row's product in another order when the row
-            # sits in the partial block at the end of the matrix, and
-            # folding moves a random plan's rows; so they are multiplied
-            # where the plan draws them
-            signs = fold.flips[:, None] * fold.signs[fold.inverse]
-            t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, signs)
-        stats[(fold.row_sums == data.n_studies)[fold.inverse]] = t_obs
+        t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, fold.signs)
+        stats = np.where(fold.identity, t_obs, stats)[fold.inverse]
         n_failed = 0
         includes_identity = fold.includes_identity
     else:
@@ -453,10 +428,10 @@ def _moment_statistics(data, mu, sigma, signs):
     the information, the observed score and the per-study W_i r_i. The
     observed statistic is summed as _statistics sums the t1 statistic,
     so at the same Sigma the two agree bit for bit. The complement -v
-    gives -U_b exactly, so the first half of an exhaustive plan gives
-    the statistics of the whole plan bit for bit. Raises DataError if a marginal covariance or the
-    information is indefinite. Returns (t_obs, statistics of the rows of
-    signs, used_pinv).
+    gives -U_b exactly, so the canonical rows of a folded plan give the
+    statistic of every row of the plan. Raises DataError if a marginal
+    covariance or the information is indefinite. Returns (t_obs,
+    statistics of the rows of signs, used_pinv).
     """
     blocks, indefinite, pinv_w = _weights(data, sigma[None], _own_outcomes(data))
     _require_definite(indefinite)
@@ -537,7 +512,7 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     """
     fold = _sign_plan(plan, data.n_studies)
     s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)
-    refit = fold.row_sums != data.n_studies
+    refit = ~fold.identity
     stats = np.full(refit.shape, s_obs)
     failed = np.zeros(refit.shape, dtype=bool)
     stats[refit], failed[refit], used, solutions = _permuted_statistics(

@@ -289,8 +289,8 @@ class TestSignPlanCache:
     def test_cached_fold_read_only_and_generate_signs_fresh(self, bivariate5, plan):
         expected = self._results(bivariate5, plan, "moment")
         fold = _sign_plan(plan, 5)
-        arrays = (fold.signs, fold.inverse, fold.flips, fold.row_sums)
-        assert fold.signs.dtype == np.float64 and fold.row_sums.dtype == np.int64
+        arrays = (fold.signs, fold.inverse, fold.flips, fold.identity)
+        assert fold.signs.dtype == np.float64 and fold.identity.dtype == bool
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             fold.signs[0, 0] = -fold.signs[0, 0]
@@ -298,7 +298,9 @@ class TestSignPlanCache:
         # study is unflipped, and every row of the plan unfolds from it
         assert (fold.signs[:, -1] == 1).all()
         assert len(np.unique(fold.signs, axis=0)) == len(fold.signs)
-        np.testing.assert_array_equal(fold.row_sums, fold.signs.sum(axis=1))
+        # identity marks exactly the canonical row of all +1
+        np.testing.assert_array_equal(fold.identity, (fold.signs == 1).all(axis=1))
+        assert np.count_nonzero(fold.identity) == 1
         unfolded = fold.flips[:, None] * fold.signs[fold.inverse]
 
         fresh = generate_signs(plan, 5)
@@ -734,7 +736,7 @@ class TestFoldedRows:
         canonical = signs * flips[:, None]
         unfolded = _FoldedPlan(
             canonical.astype(float), np.arange(len(signs)), flips,
-            canonical.sum(axis=1, dtype=np.int64),
+            (canonical == 1).all(axis=1),
             _sign_plan(plan, data.n_studies).includes_identity,
         )
         refit_counts.clear()
@@ -769,6 +771,8 @@ class TestFoldedRows:
 
 
 class TestFoldedMomentNull:
+    NULLS = ([0.4, -0.2], [0.1, 0.3], [-0.5, -0.2], [1.2, 0.6])
+
     @pytest.mark.parametrize(
         "n, plan",
         [
@@ -782,18 +786,49 @@ class TestFoldedMomentNull:
     def test_equals_the_unfolded_pass_bitwise(self, n, plan):
         # the t2 null of the folded plan is _moment_statistics over every
         # row of the plan, with the identity and the full flip assigned
-        # the observed statistic, bit for bit at several null values
+        # the observed statistic, at several null values: bit for bit
+        # for an exhaustive plan. A random plan's canonical rows sit
+        # elsewhere in the matrix than its draws, and BLAS may sum a
+        # row's product in another order there, so its null matches to
+        # rounding and its p-value exactly
         data = make_mvn(n, n)
         signs = generate_signs(plan, n)
         ends = np.abs(signs.sum(axis=1)) == n
-        for mu in ([0.4, -0.2], [0.1, 0.3], [-0.5, -0.2], [1.2, 0.6]):
+        for mu in self.NULLS:
             mu = np.asarray(mu)
             res = joint_permutation_test(data, mu, plan=plan, stat="moment")
             sigma, _ = moment_between_cov(data, mu)
             t_obs, full, _ = _moment_statistics(data, mu, sigma, signs.astype(float))
             full[ends] = t_obs
             assert res.statistic == t_obs
-            np.testing.assert_array_equal(res.distribution.statistics, full)
+            if plan.mode == "exhaustive":
+                np.testing.assert_array_equal(res.distribution.statistics, full)
+            else:
+                np.testing.assert_allclose(res.distribution.statistics, full, rtol=1e-13)
+                unfolded = NullDistribution(statistics=full, mode="random")
+                assert res.p_value == unfolded.p_value(t_obs)
+
+    @pytest.mark.parametrize(
+        "n, plan",
+        [
+            (8, PermutationPlan.random(2400, seed=7)),
+            (16, PermutationPlan.random(257)),
+            (16, PermutationPlan.random(2400)),
+        ],
+    )
+    def test_rows_of_one_canonical_row_tie_bitwise(self, n, plan):
+        # every draw that folds onto one canonical row, a repeat or a
+        # complement, gets the same t2 statistic bit for bit; at N = 8
+        # nearly every one of the 2,400 draws repeats
+        data = make_mvn(n, n)
+        signs = generate_signs(plan, n)
+        _, first, groups = np.unique(
+            signs * signs[:, -1:], axis=0, return_index=True, return_inverse=True
+        )
+        for mu in self.NULLS:
+            res = joint_permutation_test(data, mu, plan=plan, stat="moment")
+            stats = res.distribution.statistics
+            np.testing.assert_array_equal(stats, stats[first][groups.reshape(-1)])
 
 
 def test_refit_distribution_reads_its_starts_only(bivariate12):
