@@ -26,6 +26,7 @@ from .model import RCOND, _check_component, _finite_mean, _require_structure
 from .permutation import (
     NullDistribution,
     _default_plan,
+    _moment_tests,
     # a module binding that perfbench's traced run wraps as the test span
     # of every probe of an inversion
     _refit_distribution as _marginal_signed_distribution,
@@ -504,6 +505,22 @@ def _default_region_bounds(fit, components):
     return out
 
 
+def _lattice_tests(data, mus, plan, stat, structure):
+    """The joint test at each null mean, row of mus, in order, as an iterator.
+
+    t2 tests share one product with the sign plan per chunk of means
+    (permutation._moment_tests). t1 tests run one joint_permutation_test
+    each, when the next result is asked for, so a mean whose test fails
+    raises before the next one is tested.
+    """
+    if stat == "moment":
+        return _moment_tests(data, mus, plan)
+    return (
+        joint_permutation_test(data, mu, plan=plan, stat=stat, structure=structure)
+        for mu in mus
+    )
+
+
 def confidence_region(
     data,
     components=None,
@@ -524,6 +541,16 @@ def confidence_region(
     REGION_ELLIPSE_LEVEL (99.9 percent), widened by REGION_INFLATE (half
     again). Lattice points whose test fails are marked failed and not
     accepted rather than aborting the scan.
+
+    The points are tested in row-major order. With stat="moment" (t2) a
+    chunk of points shares one product with the sign plan
+    (permutation._moment_tests), and each point's statistic, p-value and
+    threshold are those of its own joint_permutation_test: bit for bit
+    under an exhaustive plan; under a random plan a threshold can move
+    in its last bits, where BLAS sums a row's product in another order.
+    With stat="cml" (t1) each point runs its own joint_permutation_test.
+    An error other than a failed test raises at the first point in
+    order that meets it.
 
     Parameters
     ----------
@@ -567,37 +594,41 @@ def confidence_region(
     axis_values = tuple(np.linspace(lo, hi, resolution) for lo, hi in bounds)
     fixed = {j: float(fit.mu[j]) for j in range(p) if j not in components}
     shape = (resolution,) * len(components)
-    statistic = np.full(shape, np.nan)
-    threshold = np.full(shape, np.nan)
-    p_value = np.full(shape, np.nan)
-    accepted = np.zeros(shape, dtype=bool)
-    failed = np.zeros(shape, dtype=bool)
-
-    mu0 = np.empty(p)
+    # the lattice's null means, one row per point in row-major order
+    size = resolution ** len(components)
+    mus = np.empty((size, p))
     for j, v in fixed.items():
-        mu0[j] = v
-    for flat_idx in range(statistic.size):
-        idx = np.unravel_index(flat_idx, shape)
-        for axis, j in enumerate(components):
-            mu0[j] = axis_values[axis][idx[axis]]
+        mus[:, j] = v
+    for j, values in zip(components, np.meshgrid(*axis_values, indexing="ij")):
+        mus[:, j] = values.ravel()
+    statistic = np.full(size, np.nan)
+    threshold = np.full(size, np.nan)
+    p_value = np.full(size, np.nan)
+    failed = np.zeros(size, dtype=bool)
+
+    done = 0
+    while done < size:
         try:
-            res = joint_permutation_test(data, mu0, plan=plan, stat=stat, structure=structure)
+            for res in _lattice_tests(data, mus[done:], plan, stat, structure):
+                statistic[done] = res.statistic
+                threshold[done] = res.distribution.threshold(alpha)
+                p_value[done] = res.p_value
+                done += 1
+                # free this point's null before the next point forms its own
+                del res
         except (NonConvergenceError, SingularInformationError):
-            failed[idx] = True
-            continue
-        statistic[idx] = res.statistic
-        threshold[idx] = res.distribution.threshold(alpha)
-        p_value[idx] = res.p_value
-        accepted[idx] = res.p_value > alpha
+            # the point under test failed; the scan goes on after it
+            failed[done] = True
+            done += 1
     return RegionGrid(
         axis_components=components,
         axis_values=axis_values,
         fixed_components=fixed,
-        statistic=statistic,
-        threshold=threshold,
-        p_value=p_value,
-        accepted=accepted,
-        failed=failed,
+        statistic=statistic.reshape(shape),
+        threshold=threshold.reshape(shape),
+        p_value=p_value.reshape(shape),
+        accepted=(p_value > alpha).reshape(shape),
+        failed=failed.reshape(shape),
         alpha=float(alpha),
         stat=stat,
     )

@@ -629,16 +629,19 @@ def _quad_forms(U, Iinv):
     (R, p, p). Each term is (U_i Iinv_ij) U_j, summed from zero with i
     outer and j inner. That is the order of np.einsum("ri,rij,rj->r")
     and np.einsum("bi,ij,bj->b"), so the result equals theirs bit for
-    bit at a fraction of their cost; region thresholds compare these
-    statistics exactly. At p = 2 with one row and its own inverse,
-    einsum sums each i's two terms before adding them to the total, and
-    so does this. Rows sharing one inverse are always summed in the
-    order above, so each row's form is the same however many rows come
-    with it (einsum pairs the terms of one or two such rows).
+    bit at a fraction of their cost. At p = 2 with one row and its own
+    inverse, einsum sums each i's two terms before adding them to the
+    total, and so does this. Rows sharing one inverse are always summed
+    in the order above, so each row's form is the same however many
+    rows come with it (einsum pairs the terms of one or two such rows):
+    a t2 null and its region threshold depend only on each row's score,
+    not on the rows or lattice points scored with it. The columns of U
+    are read as contiguous rows of U.T, copied only when U.T is not
+    C-contiguous; a t2 null passes the transpose of its own rows.
     """
     R, p = U.shape
     paired = p == 2 and R == 1 and Iinv.ndim == 3
-    columns = U.T.copy()
+    columns = np.ascontiguousarray(U.T)
     out = np.zeros(R)
     term = np.empty_like(out)
     for i in range(p):

@@ -22,8 +22,11 @@ refit starts at the observed fit or where the caller says: inside one
 interval or estimate, inference.py decides those starts from the
 inversion's earlier tests, and this module keeps nothing between tests
 and writes to no argument. t2 (the joint moment test) needs no refit:
-its covariance is sign-invariant, so one pass over the folded plan's
-canonical rows gives the whole null.
+its covariance is sign-invariant, so one product of the folded plan's
+canonical rows with the studies' weighted residuals gives the whole
+null. Tests at several null means, the points of a region's lattice,
+share that product chunk by chunk (_moment_tests), so the plan is read
+once per chunk of points; a single test is a chunk of one.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
@@ -86,6 +89,12 @@ MIN_MARGINAL_INFO = 1e-12
 # arrays, the (rows, studies, k, k) weights of the likelihood pass,
 # under exhaustive plans (an Armijo ladder evaluates no more rows)
 REFIT_CHUNK = 256
+
+# t2 tests at several null means share one product with the folded
+# plan (_moment_tests); this caps that product, (means * p, canonical
+# rows) of float64, in bytes: four bivariate means of an exhaustive plan
+# at N = 16
+MOMENT_CHUNK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -191,9 +200,11 @@ def _sign_plan(plan, n_studies):
     are the first half and row 2^N - 1 - b is the complement of row b,
     so no sort runs; a random plan's canonical rows are np.unique's, so
     its repeats fold too. The canonical signs are kept as float64, the
-    dtype every test multiplies them in. Between tests an exhaustive
-    plan holds 8 bytes per study and 1 more per canonical row, and 9
-    bytes per row of the plan: 4.6 MiB at N = 16 and 89.5 MiB at the
+    dtype every test multiplies them in, in column-major order, so that
+    signs.T is the study-major matrix a t2 product reads as it is
+    (_moment_tests). Between tests an exhaustive plan holds 8 bytes per
+    study and 1 more per canonical row, and 9 bytes per row of the
+    plan: 4.6 MiB at N = 16 and 89.5 MiB at the
     2^20 cap (N = 20), against 8.5 and 168 MiB for the unfolded float
     plan. The build peaks at 6.1 and 117.5 MiB (188 unfolded at N = 20).
     generate_signs is looked up in this module at call time, so
@@ -210,7 +221,9 @@ def _sign_plan(plan, n_studies):
         inverse = inverse.reshape(-1)
     identity = (canonical == 1).all(axis=1)
     includes_identity = bool((identity[inverse] & (flips == 1)).any())
-    folded = _FoldedPlan(canonical.astype(float), inverse, flips, identity, includes_identity)
+    folded = _FoldedPlan(
+        canonical.astype(float, order="F"), inverse, flips, identity, includes_identity
+    )
     for array in (folded.signs, inverse, flips, identity):
         array.flags.writeable = False
     return folded
@@ -403,36 +416,32 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     plan = _default_plan(plan)
     mu = _finite_mean(mu_null, data.p, "null mean")
     if stat == "moment":
-        fold = _sign_plan(plan, data.n_studies)
-        sigma, _ = moment_between_cov(data, mu)
-        t_obs, stats, used_pinv = _moment_statistics(data, mu, sigma, fold.signs)
-        stats = np.where(fold.identity, t_obs, stats)[fold.inverse]
-        n_failed = 0
-        includes_identity = fold.includes_identity
-    else:
-        t_obs, stats, n_failed, used_pinv, includes_identity, _ = _refit_distribution(
-            data, mu, None, structure, plan
-        )
+        (result,) = _moment_tests(data, [mu], plan)
+        return result
+    t_obs, stats, n_failed, used_pinv, includes_identity, _ = _refit_distribution(
+        data, mu, None, structure, plan
+    )
     return _test_result(
         plan, t_obs, stats, includes_identity,
         n_failed=n_failed, stat=stat, mu_null=mu, used_pinv=used_pinv,
     )
 
 
-def _moment_statistics(data, mu, sigma, signs):
-    """Observed and permuted statistics of the moment plug-in (t2).
+def _moment_point(data, mu):
+    """One null mean's setup for the moment plug-in test (t2).
 
-    The moment covariance is sign-invariant, so every assignment shares
-    one weight set: U_b = sum_i v_bi W_i r_i, T_b = U_b' I^{-1} U_b. One
-    likelihood pass at a single row inverts the weights once and gives
-    the information, the observed score and the per-study W_i r_i. The
+    The moment covariance at mu, then one likelihood pass at a single
+    row: it inverts the weights once and gives the information, the
+    observed score and each study's weighted residuals W_i r_i. The
     observed statistic is summed as _statistics sums the t1 statistic,
-    so at the same Sigma the two agree bit for bit. The complement -v
-    gives -U_b exactly, so the canonical rows of a folded plan give the
-    statistic of every row of the plan. Raises DataError if a marginal
-    covariance or the information is indefinite. Returns (t_obs,
-    statistics of the rows of signs, used_pinv).
+    so at the same Sigma the two agree bit for bit. Raises DataError if
+    a marginal covariance or the information is indefinite, and
+    IncompleteDataError when outcomes are missing. Returns (mu as a
+    read-only copy, t_obs, the residuals W_i r_i as study rows (N, p),
+    I^{-1} (p, p), used_pinv).
     """
+    mu = _finite_mean(mu, data.p, "null mean")
+    sigma, _ = moment_between_cov(data, mu)
     blocks, indefinite, pinv_w = _weights(data, sigma[None], _own_outcomes(data))
     _require_definite(indefinite)
     info, U_obs = _scatter(blocks, data.p, mu[None])
@@ -440,8 +449,57 @@ def _moment_statistics(data, mu, sigma, signs):
     Iinv, _, indefinite, pinv = _sym_inverse_flags(info)
     _require_definite(indefinite)
     t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
-    stats = np.maximum(_quad_forms(signs @ _study_rows(data, s)[0], Iinv[0]), 0.0)
-    return t_obs, stats, bool(pinv_w[0] or pinv[0])
+    return mu, t_obs, _study_rows(data, s)[0], Iinv[0], bool(pinv_w[0] or pinv[0])
+
+
+def _moment_tests(data, mus, plan):
+    """The moment plug-in test (t2) at each null mean of mus, yielded in order.
+
+    The moment covariance is sign-invariant, so every assignment of one
+    null mean shares one weight set: U_b = sum_i v_bi W_i r_i and
+    T_b = U_b' I^{-1} U_b. Each mean is set up alone (_moment_point);
+    the means of a chunk then share one product with the folded plan's
+    canonical rows, so a region reads the plan once per chunk, not once
+    per mean. Their residuals, stacked as the columns of V (N, P * p),
+    give V' signs' (P * p, canonical rows): each mean's score components
+    are contiguous rows, and _quad_forms reads them without a copy.
+    MOMENT_CHUNK_BYTES caps P * p rows of that product, and each
+    chunk's product is released before the next is formed. The
+    complement -v gives -U_b exactly, so the canonical rows give the
+    statistic of every row of the plan; the rows that fold onto the
+    identity take the observed statistic. A chunk's means are set up
+    in order before its first result is yielded, so a setup error
+    raises at the first failing mean and no mean after it is set up.
+    Yields one TestResult per mean.
+    """
+    fold = _sign_plan(plan, data.n_studies)
+    p = data.p
+    per_chunk = max(1, MOMENT_CHUNK_BYTES // (8 * p * fold.signs.shape[0]))
+    for start in range(0, len(mus), per_chunk):
+        points = [_moment_point(data, mu) for mu in mus[start : start + per_chunk]]
+        V = np.concatenate([point[2] for point in points], axis=1)
+        null = V.T @ fold.signs.T
+        for k, (mu, t_obs, _, Iinv, used_pinv) in enumerate(points):
+            yield _test_result(
+                plan, t_obs, _moment_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv),
+                fold.includes_identity,
+                n_failed=0, stat="moment", mu_null=mu, used_pinv=used_pinv,
+            )
+        del null
+
+
+def _moment_null(fold, t_obs, U, Iinv):
+    """t2 statistic of every row of the plan from the canonical rows' scores.
+
+    U holds the score components as rows, (p, canonical rows); the rows
+    that fold onto the identity take the observed statistic t_obs. The
+    canonical statistics die on return, so only the expanded null is
+    held while the result copies it.
+    """
+    stats = _quad_forms(U.T, Iinv)
+    np.maximum(stats, 0.0, out=stats)
+    stats[fold.identity] = t_obs
+    return stats[fold.inverse]
 
 
 def _permuted_statistics(data, center, component, signs, structure, init, starts=None):

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ import metaperm.inference
 import metaperm.permutation
 from metaperm import (
     CovStructure,
+    DataError,
     Dataset,
+    IncompleteDataError,
     NonConvergenceError,
     PermutationPlan,
     SingularInformationError,
@@ -28,7 +31,9 @@ from metaperm import (
     wald_inference,
 )
 from metaperm.inference import XTOL, _chi2_ppf, _chi2_sf, ndtri
-from metaperm.permutation import NullDistribution
+from metaperm.permutation import MOMENT_CHUNK_BYTES, NullDistribution, _sign_plan
+
+from conftest import make_mvn
 
 
 @pytest.fixture(scope="module")
@@ -607,3 +612,116 @@ class TestConfidenceRegion:
                 stat="moment",
                 plan=PermutationPlan.exhaustive(),
             )
+
+
+def _lattice_means(grid, p):
+    """Each lattice point's null mean, row-major, as confidence_region forms it."""
+    mesh = np.meshgrid(*grid.axis_values, indexing="ij")
+    mus = np.empty((mesh[0].size, p))
+    for j, v in grid.fixed_components.items():
+        mus[:, j] = v
+    for j, values in zip(grid.axis_components, mesh):
+        mus[:, j] = values.ravel()
+    return mus
+
+
+class TestMomentRegionChunks:
+    """A t2 region tests a chunk of lattice points per product with the
+    sign plan; each point must read as its own joint_permutation_test."""
+
+    @pytest.mark.parametrize(
+        "name, plan, kwargs",
+        [
+            ("bivariate6", PermutationPlan.exhaustive(), {}),
+            ("bivariate12", PermutationPlan.exhaustive(), {}),
+            ("bivariate12", PermutationPlan.random(2400), {}),
+            # 441 points: four to a chunk, the last chunk holds one
+            ("mvn16", PermutationPlan.exhaustive(), {"resolution": 21}),
+            ("mvn16", PermutationPlan.random(257), {"resolution": 21}),
+            # p = 3, component 1 fixed at its ML estimate
+            ("trivariate10", PermutationPlan.exhaustive(), {"components": (0, 2)}),
+        ],
+    )
+    def test_equals_one_test_per_point(self, request, name, plan, kwargs):
+        if name == "mvn16":
+            data = make_mvn(16, 16)
+        elif name == "trivariate10":
+            data = make_mvn(31, 10, tau=(0.3, 0.35, 0.4), kappa=0.4, mu=(0.2, 0.0, -0.3))
+        else:
+            data = request.getfixturevalue(name)
+        grid = confidence_region(data, stat="moment", plan=plan, **kwargs)
+        assert grid.accepted.any() and not grid.accepted.all()
+        tests = [
+            joint_permutation_test(data, mu, plan=plan, stat="moment")
+            for mu in _lattice_means(grid, data.p)
+        ]
+        statistic = np.array([t.statistic for t in tests]).reshape(grid.shape)
+        p_value = np.array([t.p_value for t in tests]).reshape(grid.shape)
+        threshold = np.array([t.distribution.threshold(0.05) for t in tests]).reshape(grid.shape)
+        np.testing.assert_array_equal(grid.statistic, statistic)
+        np.testing.assert_array_equal(grid.p_value, p_value)
+        np.testing.assert_array_equal(grid.accepted, p_value > 0.05)
+        assert not grid.failed.any()
+        if plan.mode == "exhaustive":
+            np.testing.assert_array_equal(grid.threshold, threshold)
+        else:
+            # BLAS may sum a canonical row's product in another order when
+            # more points share it, so a threshold can move in its last bits
+            np.testing.assert_allclose(grid.threshold, threshold, rtol=1e-13, atol=0.0)
+
+    def test_missing_data_raises(self, trivariate_missing):
+        with pytest.raises(IncompleteDataError):
+            confidence_region(
+                trivariate_missing,
+                bounds=[(-1.0, 1.0)] * 3,
+                resolution=20,
+                stat="moment",
+                plan=PermutationPlan.exhaustive(),
+            )
+
+    def test_first_failing_point_raises(self, bivariate12, monkeypatch):
+        # two neighbouring points of the second chunk fail; the first of
+        # them raises, and no point after it is set up
+        plan = PermutationPlan.exhaustive()
+        per_chunk = MOMENT_CHUNK_BYTES // (8 * 2 * 2 ** 11)
+        first = per_chunk + 3
+        real = metaperm.permutation.moment_between_cov
+        calls = []
+
+        def spy(data, mu):
+            calls.append(np.array(mu))
+            if len(calls) - 1 in (first, first + 1):
+                raise DataError(f"point {len(calls) - 1}")
+            return real(data, mu)
+
+        monkeypatch.setattr(metaperm.permutation, "moment_between_cov", spy)
+        kwargs = dict(bounds=[(-0.5, 1.0), (-1.0, 0.5)], resolution=20, stat="moment", plan=plan)
+        with pytest.raises(DataError, match=f"^point {first}$"):
+            confidence_region(bivariate12, **kwargs)
+        monkeypatch.setattr(metaperm.permutation, "moment_between_cov", real)
+        mus = _lattice_means(confidence_region(bivariate12, **kwargs), 2)
+        np.testing.assert_array_equal(np.array(calls), mus[: first + 1])
+
+    def test_memory_within_the_chunk_cap(self):
+        # above the held sign plan, a 20 x 20 exhaustive region at N = 16
+        # holds one chunk's product, at most MOMENT_CHUNK_BYTES, and less
+        # than three float vectors of the plan's length: the point under
+        # test's null expanded to every row and the NullDistribution's
+        # copy of it. A chunk's product must be released before the next
+        # one is formed, and a point's null before the next point's
+        data = make_mvn(1, 16)
+        plan = PermutationPlan.exhaustive()
+        vector = 8 * 2 ** 16
+        _sign_plan.cache_clear()
+        _sign_plan(plan, 16)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            confidence_region(
+                data, bounds=[(-0.5, 1.0), (-1.0, 0.5)], resolution=20, stat="moment", plan=plan
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _sign_plan.cache_clear()
+        assert peak - base < MOMENT_CHUNK_BYTES + 3 * vector

@@ -40,7 +40,7 @@ from metaperm.permutation import (
     _observed_statistic,
     _own_outcomes,
     _FoldedPlan,
-    _moment_statistics,
+    _moment_point,
     _permuted_statistics,
     _refit_distribution,
     _sign_plan,
@@ -784,21 +784,20 @@ class TestFoldedMomentNull:
         ],
     )
     def test_equals_the_unfolded_pass_bitwise(self, n, plan):
-        # the t2 null of the folded plan is _moment_statistics over every
-        # row of the plan, with the identity and the full flip assigned
-        # the observed statistic, at several null values: bit for bit
-        # for an exhaustive plan. A random plan's canonical rows sit
-        # elsewhere in the matrix than its draws, and BLAS may sum a
-        # row's product in another order there, so its null matches to
-        # rounding and its p-value exactly
+        # the t2 null of the folded plan is the product of every row of
+        # the plan with the studies' weighted residuals, with the identity
+        # and the full flip assigned the observed statistic, at several
+        # null values: bit for bit for an exhaustive plan. A random plan's
+        # canonical rows sit elsewhere in the matrix than its draws, and
+        # BLAS may sum a row's product in another order there, so its
+        # null matches to rounding and its p-value exactly
         data = make_mvn(n, n)
         signs = generate_signs(plan, n)
         ends = np.abs(signs.sum(axis=1)) == n
         for mu in self.NULLS:
-            mu = np.asarray(mu)
             res = joint_permutation_test(data, mu, plan=plan, stat="moment")
-            sigma, _ = moment_between_cov(data, mu)
-            t_obs, full, _ = _moment_statistics(data, mu, sigma, signs.astype(float))
+            _, t_obs, V, Iinv, _ = _moment_point(data, mu)
+            full = np.maximum(_quad_forms(signs.astype(float) @ V, Iinv), 0.0)
             full[ends] = t_obs
             assert res.statistic == t_obs
             if plan.mode == "exhaustive":
