@@ -702,8 +702,8 @@ def _newton_rows(data, Ys, fixed, values, structure, x0, starts):
     Every row tries the full step in one evaluation. The rows it does
     not satisfy then try their next halvings t/2, t/4, ... together, up
     to LADDER of them per row in one evaluation, never more trial points
-    than the full step had rows and never past MAX_HALVINGS; each row
-    takes the first that passes. The steps are powers of two and a
+    than max(full step's rows, LADDER) and never past MAX_HALVINGS; each
+    row takes the first that passes. The steps are powers of two and a
     row's evaluation does not depend on the rows beside it, so the
     result is bit for bit that of halving one step per evaluation.
 
@@ -768,7 +768,7 @@ def _newton_rows(data, Ys, fixed, values, structure, x0, starts):
         tried = 0
         while pending.size and tried <= MAX_HALVINGS:
             n_steps = 1 if tried == 0 else min(
-                LADDER, MAX_HALVINGS + 1 - tried, rows.size // pending.size
+                LADDER, MAX_HALVINGS + 1 - tried, max(rows.size, LADDER) // pending.size
             )
             # exact powers of two, so each trial point has the bits of
             # the one sequential halving reaches

@@ -24,7 +24,6 @@ from .estimators import fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
 from .model import RCOND, _check_component, _finite_mean, _require_structure
 from .permutation import (
-    NullDistribution,
     _default_plan,
     _moment_tests,
     # a module binding that perfbench's traced run wraps as the test span
@@ -298,12 +297,12 @@ class _Probes:
         marginal_permutation_test gives it.
         """
         starts = self.nearest(m) if warm else None
-        s_obs, roots, _, _, _, self.solutions[m] = _marginal_signed_distribution(
+        s_obs, roots, _, _, fold, self.solutions[m] = _marginal_signed_distribution(
             self.data, m, self.component, self.structure, self.plan, starts
         )
         if not signed:
             s_obs, roots = s_obs * s_obs, roots * roots
-        return NullDistribution(statistics=roots, mode=self.plan.mode).p_value(s_obs)
+        return fold.null(roots, self.plan.mode, signed).p_value(s_obs)
 
     def search(self, verdict, log, inner, outer=None, step=None):
         """The last value where verdict holds, by scan and bisection, confirmed cold.

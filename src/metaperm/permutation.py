@@ -4,29 +4,28 @@ Score statistics for joint and marginal nulls, sign-assignment
 generation, and the permutation tests themselves. Flipping reflects
 each study's observed outcomes around a center: z_i = v_i (y_i - c) + c
 with v_i = +1 or -1 per study; within-study covariances are unchanged.
+A row v and its complement -v reflect the data about the same center,
+so each plan is folded once (_sign_plan) and every test computes one
+value per canonical row, one row of each complementary pair the plan
+draws; its null counts each value once for every plan row that folds
+onto it (NullDistribution), so no test expands its values to the plan.
 
 t1 (the joint cml test) and t3 (the marginal test) take one refit path,
 _refit_distribution, and differ only in which mean components the null
 fixes: all of them for t1, one for t3. The observed data are fit under
 the null and scored there (_observed_statistic); the fitted mean is
 the flip center, which for t3 plugs constrained estimates in for the
-nuisance components (a local Monte Carlo test). Every sign row's
-reflected sample is refit under the same null by estimators.refit_rows,
-which chooses between its batched kernel and the scalar fitter row by
-row, and each chunk of rows is scored once at its refits
-(_permuted_statistics). A row and its complement reflect the data about
-the same center, so the sign plan is folded once per plan (_sign_plan)
-and every refit test refits one row of each complementary pair: t1
-copies the statistic to the complement, t3 negates its root. Each row's
-refit starts at the observed fit or where the caller says: inside one
-interval or estimate, inference.py decides those starts from the
-inversion's earlier tests, and this module keeps nothing between tests
-and writes to no argument. t2 (the joint moment test) needs no refit:
-its covariance is sign-invariant, so one product of the folded plan's
-canonical rows with the studies' weighted residuals gives the whole
-null. Tests at several null means, the points of a region's lattice,
-share that product chunk by chunk (_moment_tests), so the plan is read
-once per chunk of points; a single test is a chunk of one.
+nuisance components (a local Monte Carlo test). Each canonical row's
+reflected sample is refit by estimators.refit_rows, which chooses its
+batched kernel or the scalar fitter row by row, and each chunk of rows
+is scored once (_permuted_statistics). A refit starts at the observed
+fit or where the caller says: inference.py decides the starts of an
+inversion's tests, and this module keeps nothing between tests and
+writes to no argument. t2 (the joint moment test) needs no refit: its
+covariance is sign-invariant, so one product of the canonical rows
+with the studies' weighted residuals gives the whole null, and the
+points of a region's lattice share that product chunk by chunk
+(_moment_tests); a single test is a chunk of one.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
@@ -171,15 +170,16 @@ def generate_signs(plan, n_studies):
 class _FoldedPlan:
     """A sign plan folded over its complementary pairs of rows.
 
-    A row v and its complement -v reflect the data about the same center,
-    so each pair is computed once: the t2 and t1 statistics are even in
-    v, and the t3 root is odd. signs holds one canonical row for each
-    pair the plan draws, the one whose last study is unflipped, as
-    read-only float64 rows. Row b of the plan is flips[b] *
-    signs[inverse[b]], where flips[b] is its last sign. identity marks
-    the canonical row of all +1: the plan rows that fold onto it
-    reproduce the observed statistic. includes_identity tells whether
-    the plan itself draws the identity (the full flip folds onto it too).
+    The t1 and t2 statistics are even in the signs and the t3 root is
+    odd, so one row of each pair is computed: signs holds, as read-only
+    float64 rows, the one of each pair the plan draws whose last study
+    is unflipped. Row b of the plan is flips[b] * signs[inverse[b]].
+    counts[r] is the number of plan rows that fold onto canonical row
+    r; signed_counts splits them by last sign, the +1 rows of every
+    canonical row, then the -1 rows. An exhaustive plan's are the ints
+    2 and 1, the same for every row. identity marks the canonical row
+    of all +1, whose plan rows reproduce the observed statistic;
+    includes_identity tells whether the plan draws the identity itself.
     """
 
     signs: np.ndarray
@@ -187,6 +187,20 @@ class _FoldedPlan:
     flips: np.ndarray
     identity: np.ndarray
     includes_identity: bool
+    counts: object
+    signed_counts: object
+
+    def null(self, values, mode, signed=False):
+        """NullDistribution of one value per canonical row, in the order of signs.
+
+        signed values are t3 roots: a row's root r counts as +r for each
+        plan row that folds onto it with last sign +1, -r for each -1.
+        """
+        counts, rows = self.counts, (self.inverse, None)
+        if signed:
+            values, counts = np.concatenate([values, -values]), self.signed_counts
+            rows = (self.inverse, self.flips)
+        return NullDistribution(values, mode, self.includes_identity, _counts=counts, _rows=rows)
 
 
 @functools.lru_cache(maxsize=1)
@@ -194,21 +208,19 @@ def _sign_plan(plan, n_studies):
     """The plan's sign matrix folded over complementary rows (_FoldedPlan).
 
     Every test of one inversion (lattice points, interval tests,
-    replicates) shares a plan, so the last plan built is kept and reused,
-    folded once; every test, t2 included, computes its canonical rows
-    only. In the binary order of an exhaustive plan the canonical rows
+    replicates) shares a plan, so the last plan built is kept, folded
+    once. In the binary order of an exhaustive plan the canonical rows
     are the first half and row 2^N - 1 - b is the complement of row b,
     so no sort runs; a random plan's canonical rows are np.unique's, so
-    its repeats fold too. The canonical signs are kept as float64, the
-    dtype every test multiplies them in, in column-major order, so that
-    signs.T is the study-major matrix a t2 product reads as it is
-    (_moment_tests). Between tests an exhaustive plan holds 8 bytes per
-    study and 1 more per canonical row, and 9 bytes per row of the
-    plan: 4.6 MiB at N = 16 and 89.5 MiB at the
-    2^20 cap (N = 20), against 8.5 and 168 MiB for the unfolded float
-    plan. The build peaks at 6.1 and 117.5 MiB (188 unfolded at N = 20).
-    generate_signs is looked up in this module at call time, so
-    perfbench's traced run sees each build.
+    its repeats fold too. The canonical signs are kept as float64 in
+    column-major order, so that signs.T is the study-major matrix a t2
+    product reads as it is (_moment_tests). Between tests an exhaustive
+    plan holds 8 bytes per study and 1 more per canonical row, and 9
+    bytes per row of the plan (4.6 MiB at N = 16); a random plan also
+    holds 24 bytes of counts per canonical row. The README's
+    performance notes give the sizes and build peaks. generate_signs is
+    looked up in this module at call time, so perfbench's traced run
+    sees each build.
     """
     signs = generate_signs(plan, n_studies)
     flips = signs[:, -1].copy()
@@ -216,48 +228,83 @@ def _sign_plan(plan, n_studies):
         canonical = signs[: signs.shape[0] // 2]
         rows = np.arange(signs.shape[0])
         inverse = np.minimum(rows, rows[::-1])
+        counts, signed_counts = 2, 1
     else:
         canonical, inverse = np.unique(signs * flips[:, None], axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
+        up, down = (np.bincount(inverse[flips == f], minlength=len(canonical)) for f in (1, -1))
+        counts, signed_counts = up + down, np.concatenate([up, down])
+        counts.flags.writeable = signed_counts.flags.writeable = False
     identity = (canonical == 1).all(axis=1)
     includes_identity = bool((identity[inverse] & (flips == 1)).any())
     folded = _FoldedPlan(
-        canonical.astype(float, order="F"), inverse, flips, identity, includes_identity
+        canonical.astype(float, order="F"), inverse, flips, identity, includes_identity,
+        counts, signed_counts,
     )
     for array in (folded.signs, inverse, flips, identity):
         array.flags.writeable = False
     return folded
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NullDistribution:
     """Permutation null distribution with its counting rules.
 
-    In exhaustive mode the statistics cover all 2^N assignments (the
-    observed statistic is the identity row's entry); in random mode they
-    are the B drawn assignments, and the add-one rule accounts for the
-    observed one.
+    counts[j] is how many rows of the plan values[j] stands for, or one
+    int for every value. size is the plan's row count: all 2^N
+    assignments in exhaustive mode, the identity's value being the
+    observed statistic, or the B draws in random mode, where the add-one
+    rule accounts for the observed one. NullDistribution(statistics,
+    mode) counts each entry once; a test's null holds one value per
+    canonical row of its folded plan (_FoldedPlan.null), so no vector of
+    the plan's length is formed. Integer counts give every p-value and
+    threshold of the whole plan's vector bit for bit; statistics builds
+    that vector, in plan order, each time it is read.
     """
 
-    statistics: np.ndarray
+    values: np.ndarray
+    counts: object
     mode: str
-    includes_identity: bool = False
+    includes_identity: bool
+    size: int
 
-    def __post_init__(self):
-        stats = np.asarray(self.statistics, dtype=float)
-        if stats.ndim != 1 or stats.size == 0 or not np.all(np.isfinite(stats)):
+    def __init__(self, statistics, mode, includes_identity=False, *, _counts=1, _rows=None):
+        values = np.array(statistics, dtype=float)
+        if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
             raise ValueError("null distribution must be a finite nonempty vector")
-        stats = stats.copy()
-        stats.flags.writeable = False
-        object.__setattr__(self, "statistics", stats)
+        values.flags.writeable = False
+        size = _counts * values.size if isinstance(_counts, int) else int(_counts.sum())
+        # frozen: the fields are set past __setattr__
+        self.__dict__.update(
+            values=values, counts=_counts, mode=mode, includes_identity=includes_identity,
+            size=size, _rows=_rows,
+        )
 
     @property
-    def size(self):
-        return self.statistics.size
+    def statistics(self):
+        """The null as one value per row of the plan, in plan order.
+
+        A test's null reads its plan's inverse, and for t3 roots its
+        flips (_FoldedPlan.null), but not its signs, so a result that
+        outlives the cached plan does not keep the sign matrix alive.
+        """
+        if self._rows is None:
+            stats = np.repeat(self.values, self.counts)
+        else:
+            inverse, flips = self._rows
+            if flips is not None:
+                # a signed null: the negated roots follow the roots
+                inverse = np.where(flips == 1, inverse, inverse + self.values.size // 2)
+            stats = self.values[inverse]
+        stats.flags.writeable = False
+        return stats
 
     def p_value(self, t_obs):
         """Upper-tail p-value of an observed statistic; ties count in."""
-        return self._p_from_count(int(np.count_nonzero(self.statistics >= t_obs)))
+        reached = self.values >= t_obs
+        if isinstance(self.counts, int):
+            return self._p_from_count(self.counts * int(np.count_nonzero(reached)))
+        return self._p_from_count(int(self.counts[reached].sum()))
 
     def _p_from_count(self, count):
         """p-value of a statistic that count permutation values reach."""
@@ -283,9 +330,10 @@ class NullDistribution:
             return -np.inf
         # a statistic s is accepted iff its count #{t >= s} reaches the
         # smallest count c whose p-value exceeds alpha; the largest such
-        # s is the (n - c)-th order statistic (0-based). The p-value rises
-        # with the count, so a guess solved from alpha is corrected by
-        # stepping with the very expressions p_value uses
+        # s is the (n - c)-th order statistic (0-based) of the plan's
+        # values. The p-value rises with the count, so a guess solved
+        # from alpha is corrected by stepping with the very expressions
+        # p_value uses
         guess = alpha * n + 1 if self.mode == "exhaustive" else alpha * (n + 1)
         c = min(max(int(guess), 1), n)
         while c > 1 and self._p_from_count(c - 1) > alpha:
@@ -293,7 +341,15 @@ class NullDistribution:
         while not self._p_from_count(c) > alpha:
             c += 1
         k = n - c
-        return float(np.partition(self.statistics, k)[k])
+        if isinstance(self.counts, int):
+            # each value stands for the same number of rows
+            k //= self.counts
+            return float(np.partition(self.values, k)[k])
+        # the first value, in ascending order, whose cumulative count
+        # passes k; a value that stands for no row never does
+        order = np.argsort(self.values)
+        j = np.searchsorted(np.cumsum(self.counts[order]), k, side="right")
+        return float(self.values[order[j]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,9 +443,9 @@ def _observed_statistic(data, value, component, structure):
     return float(stats[0]), bool(pinv[0]), cml
 
 
-def _test_result(plan, t_obs, stats, includes_identity, **fields):
-    """TestResult of an observed statistic against its permutation values."""
-    dist = NullDistribution(statistics=stats, mode=plan.mode, includes_identity=includes_identity)
+def _test_result(plan, fold, t_obs, values, **fields):
+    """TestResult of an observed statistic against its canonical rows' values."""
+    dist = fold.null(values, plan.mode)
     return TestResult(
         statistic=float(t_obs), p_value=dist.p_value(t_obs), distribution=dist, **fields
     )
@@ -418,11 +474,11 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     if stat == "moment":
         (result,) = _moment_tests(data, [mu], plan)
         return result
-    t_obs, stats, n_failed, used_pinv, includes_identity, _ = _refit_distribution(
+    t_obs, stats, n_failed, used_pinv, fold, _ = _refit_distribution(
         data, mu, None, structure, plan
     )
     return _test_result(
-        plan, t_obs, stats, includes_identity,
+        plan, fold, t_obs, stats,
         n_failed=n_failed, stat=stat, mu_null=mu, used_pinv=used_pinv,
     )
 
@@ -465,12 +521,11 @@ def _moment_tests(data, mus, plan):
     are contiguous rows, and _quad_forms reads them without a copy.
     MOMENT_CHUNK_BYTES caps P * p rows of that product, and each
     chunk's product is released before the next is formed. The
-    complement -v gives -U_b exactly, so the canonical rows give the
-    statistic of every row of the plan; the rows that fold onto the
-    identity take the observed statistic. A chunk's means are set up
-    in order before its first result is yielded, so a setup error
-    raises at the first failing mean and no mean after it is set up.
-    Yields one TestResult per mean.
+    complement -v gives -U_b exactly, so each mean's null is its
+    canonical rows' statistics (_moment_null), counted over the plan.
+    A chunk's means are set up in order before its first result is
+    yielded, so a setup error raises at the first failing mean and no
+    mean after it is set up. Yields one TestResult per mean.
     """
     fold = _sign_plan(plan, data.n_studies)
     p = data.p
@@ -481,25 +536,22 @@ def _moment_tests(data, mus, plan):
         null = V.T @ fold.signs.T
         for k, (mu, t_obs, _, Iinv, used_pinv) in enumerate(points):
             yield _test_result(
-                plan, t_obs, _moment_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv),
-                fold.includes_identity,
+                plan, fold, t_obs, _moment_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv),
                 n_failed=0, stat="moment", mu_null=mu, used_pinv=used_pinv,
             )
         del null
 
 
 def _moment_null(fold, t_obs, U, Iinv):
-    """t2 statistic of every row of the plan from the canonical rows' scores.
-
-    U holds the score components as rows, (p, canonical rows); the rows
-    that fold onto the identity take the observed statistic t_obs. The
-    canonical statistics die on return, so only the expanded null is
-    held while the result copies it.
+    """t2 statistic of each canonical row of the plan, from the rows'
+    score components U (p, canonical rows); the identity row takes the
+    observed statistic t_obs. The statistic is even in the signs, so it
+    is also that of every plan row that folds onto the canonical row.
     """
     stats = _quad_forms(U.T, Iinv)
     np.maximum(stats, 0.0, out=stats)
     stats[fold.identity] = t_obs
-    return stats[fold.inverse]
+    return stats
 
 
 def _permuted_statistics(data, center, component, signs, structure, init, starts=None):
@@ -547,26 +599,24 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     component None tests the whole mean at value (t1); otherwise one
     component at value (t3), whose statistics are the signed marginal
     roots. The observed data are fit under the null and scored at that
-    fit, whose mean is the flip center. Every other sign row's reflected
-    sample is refit and scored the same way (_permuted_statistics),
-    once per canonical row of the folded plan (_FoldedPlan): the refit
-    center is invariant under global reflection, so a row and its
-    complement reach one refit, where the t1 statistic is the same and
-    the t3 root changes sign. A random plan that draws an assignment or
-    its complement again refits neither. The identity reproduces the
-    observed statistic exactly, and the full flip reproduces it for t1
-    and its negation for t3, so both are assigned directly. A failed
-    refit counts once for every row of the plan that folds onto it, and
-    more than MAX_FAILURE_FRACTION failed rows raise NonConvergenceError.
+    fit, whose mean is the flip center. Every other canonical row of the
+    folded plan (_FoldedPlan) is refit and scored the same way
+    (_permuted_statistics), once for all the plan rows that fold onto
+    it: the refit center is invariant under global reflection, so a row
+    and its complement reach one refit. The identity row takes the
+    observed statistic. A failed refit counts once for every plan row
+    that folds onto it, and more than MAX_FAILURE_FRACTION failed rows
+    raise NonConvergenceError.
 
     starts, when given, holds one free vector per canonical row other
     than the identity, in the plan's fixed order of canonical rows; each
     row's refit starts there (see refit_rows), and otherwise at the
     observed fit. The observed fit, its statistic and the flip center
     never depend on starts, and no argument is written to.
-    Returns (s_obs, statistics, n_failed, used_pinv, includes_identity,
-    solutions): solutions holds the refit rows' free vectors in the
-    order of starts (see _permuted_statistics).
+    Returns (s_obs, statistics, n_failed, used_pinv, fold, solutions):
+    statistics holds each canonical row's own value, for fold.null to
+    count (signed for t3 roots), and solutions the refit rows' free
+    vectors in the order of starts (see _permuted_statistics).
     """
     fold = _sign_plan(plan, data.n_studies)
     s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)
@@ -576,17 +626,14 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     stats[refit], failed[refit], used, solutions = _permuted_statistics(
         data, cml.mu, component, fold.signs[refit], structure, cml.het, starts
     )
-    stats = stats[fold.inverse]
-    if component is not None:
-        stats *= fold.flips
-    n_refit = int(np.count_nonzero(refit[fold.inverse]))
-    n_failed = int(np.count_nonzero(failed[fold.inverse]))
+    n_refit = int(np.sum(fold.counts * refit))
+    n_failed = int(np.sum(fold.counts * failed))
     if n_refit and n_failed > MAX_FAILURE_FRACTION * n_refit:
         raise NonConvergenceError(
             f"{n_failed} of {n_refit} permutation refits failed; "
             "result would not be trustworthy"
         )
-    return s_obs, stats, n_failed, used_pinv or used, fold.includes_identity, solutions
+    return s_obs, stats, n_failed, used_pinv or used, fold, solutions
 
 
 def marginal_permutation_test(data, value, component, plan=None, structure=None):
@@ -602,13 +649,13 @@ def marginal_permutation_test(data, value, component, plan=None, structure=None)
     plan = _default_plan(plan)
     value = float(value)
     # fit_marginal_null, the first fit, rejects a component out of range
-    s_obs, roots, n_failed, used_pinv, includes_identity, _ = _refit_distribution(
+    s_obs, roots, n_failed, used_pinv, fold, _ = _refit_distribution(
         data, value, component, structure, plan
     )
     mu_null = np.full(data.p, np.nan)
     mu_null[component] = value
     return _test_result(
-        plan, s_obs * s_obs, roots * roots, includes_identity,
+        plan, fold, s_obs * s_obs, roots * roots,
         n_failed=n_failed, stat="marginal", mu_null=mu_null,
         component=component, used_pinv=used_pinv,
     )

@@ -464,12 +464,15 @@ class TestRefitRows:
             assert np.array_equal(cml.sigma, between_cov(cml.het, structure))
             np.testing.assert_allclose(sigmas[b], cml.sigma, atol=1e-6)
 
-    @pytest.mark.parametrize("case", ["bivariate5-exhaustive", "unstructured-far", "cs-far"])
+    @pytest.mark.parametrize(
+        "case", ["bivariate5-exhaustive", "unstructured-far", "cs-far", "lone-row"]
+    )
     def test_ladder_is_sequential_halving_bit_for_bit(self, request, monkeypatch, case):
         # rows whose line searches halve several times: the ladder tries
         # the halvings of many rows in one evaluation, yet every accepted
         # step, iterate, mean and convergence flag is the one that
-        # halving a single step per evaluation (LADDER = 1) gives
+        # halving a single step per evaluation (LADDER = 1) gives. A lone
+        # row, with no rows beside it, still tries LADDER halvings at once
         if case == "bivariate5-exhaustive":
             data, structure = request.getfixturevalue("bivariate5"), CovStructure.cs(0.3)
             value = fit_ml(data, structure).mu[0]
@@ -480,9 +483,14 @@ class TestRefitRows:
             structure, tau = {
                 "unstructured-far": ("unstructured", [0.01] * 3),
                 "cs-far": ("cs:0.3", [3.0] * 3),
+                "lone-row": ("unstructured", [0.01] * 3),
             }[case]
             data = request.getfixturevalue("trivariate_missing")
             args = _trivariate_rows(data, structure, None, tau)
+            if case == "lone-row":
+                # the 0.6 rescaling, whose line searches halve the most
+                data, Ys, *rest = args
+                args = (data, [Y[1:2] for Y in Ys], *rest)
         calls = _counted_row_terms(monkeypatch)
         ladder = refit_rows(*args)
         n_ladder = len(calls)

@@ -251,8 +251,12 @@ class TestSearch:
         anchor, se = float(wald.estimate[0]), float(wald.se[0])
 
         def signed_p(m):
-            s_obs, roots = metaperm.permutation._refit_distribution(data, m, 0, structure, plan)[:2]
-            return NullDistribution(statistics=roots, mode=plan.mode).p_value(s_obs)
+            # the canonical rows' roots expanded to every row of the plan
+            s_obs, roots, _, _, fold, _ = metaperm.permutation._refit_distribution(
+                data, m, 0, structure, plan
+            )
+            expanded = roots[fold.inverse] * fold.flips
+            return NullDistribution(statistics=expanded, mode=plan.mode).p_value(s_obs)
 
         def bisect(inner, outer, test, holds, log):
             while abs(outer - inner) > XTOL:

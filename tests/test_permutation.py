@@ -202,6 +202,35 @@ def _null_cases(draw):
     return stats, mode, alpha
 
 
+@st.composite
+def _counted_cases(draw):
+    """(values, counts, mode, alpha): up to 60 values from a few integers
+    (many ties) or continuous, with one count for all of them or one
+    each, and levels below 1 (at 1 nothing is accepted, not even -inf).
+    A count of 0 is a value that stands for no row, as a signed null's
+    negated root does where no drawn row folds onto it flipped."""
+    n = draw(st.integers(1, 60))
+    mode = draw(st.sampled_from(["exhaustive", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(0, draw(st.integers(0, 8)) + 1, size=n).astype(float)
+    else:
+        values = rng.standard_normal(n)
+    if draw(st.booleans()):
+        counts = draw(st.integers(1, 3))
+    else:
+        counts = rng.integers(0, 4, size=n)
+        counts[rng.integers(n)] += 1
+    size = counts * n if isinstance(counts, int) else int(counts.sum())
+    k = st.integers(0, size + 1)
+    alpha = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        k.map(lambda c: c / size),
+        k.map(lambda c: (1.0 + c) / (size + 1)),
+    ).filter(lambda a: a < 1.0))
+    return values, counts, mode, alpha
+
+
 class TestNullDistribution:
     def test_rejects_bad_vectors(self):
         with pytest.raises(ValueError):
@@ -248,6 +277,22 @@ class TestNullDistribution:
         stats, mode, alpha = case
         d = NullDistribution(statistics=stats, mode=mode)
         assert d.threshold(alpha) == _sorted_threshold(stats, mode, alpha)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_counted_cases())
+    def test_counted_values_match_their_repeats(self, case):
+        # a null that counts each value as often as it occurs gives the
+        # p-values and thresholds of the vector that repeats it that often
+        values, counts, mode, alpha = case
+        d = NullDistribution(values, mode, _counts=counts)
+        repeated = NullDistribution(statistics=np.repeat(values, counts), mode=mode)
+        assert d.size == repeated.size
+        np.testing.assert_array_equal(d.statistics, repeated.statistics)
+        thr = d.threshold(alpha)
+        assert thr == repeated.threshold(alpha)
+        for t in (*values, -np.inf, np.inf):
+            assert d.p_value(t) == repeated.p_value(t)
+            assert d.accepted(t, alpha) == (t <= thr)
 
 
 
@@ -738,6 +783,7 @@ class TestFoldedRows:
             canonical.astype(float), np.arange(len(signs)), flips,
             (canonical == 1).all(axis=1),
             _sign_plan(plan, data.n_studies).includes_identity,
+            1, np.concatenate([flips == 1, flips == -1]).astype(int),
         )
         refit_counts.clear()
         with monkeypatch.context() as m:
@@ -755,17 +801,20 @@ class TestFoldedRows:
     @pytest.mark.parametrize("component", [None, 0])
     def test_complement_rows_mirror_their_partners(self, component, refit_counts):
         # exhaustive at N = 8: 127 refits per test, one per pair other
-        # than the identity; row 2^N - 1 - b is the complement of row b,
-        # with the same t1 statistic and the negated t3 root, bit for bit
+        # than the identity, and one value per canonical row; in plan
+        # order row 2^N - 1 - b is the complement of row b, with the same
+        # t1 statistic and the negated t3 root, bit for bit
         data = make_mvn(5, 8)
         structure = CovStructure.unstructured()
         mu = fit_ml(data).mu + 0.1
         value = mu if component is None else mu[component]
-        s_obs, stats, *_, solutions = _refit_distribution(
+        s_obs, canonical, _, _, fold, solutions = _refit_distribution(
             data, value, component, structure, PermutationPlan.exhaustive()
         )
-        assert sum(refit_counts) == len(solutions) == 127
+        assert sum(refit_counts) == len(solutions) == 127 and len(canonical) == 128
+        stats = fold.null(canonical, "exhaustive", signed=component is not None).statistics
         sign = 1.0 if component is None else -1.0
+        np.testing.assert_array_equal(stats[:128], canonical)
         np.testing.assert_array_equal(stats[128:], sign * stats[:128][::-1])
         assert stats[0] == s_obs and stats[-1] == sign * s_obs
 
@@ -828,6 +877,54 @@ class TestFoldedMomentNull:
             res = joint_permutation_test(data, mu, plan=plan, stat="moment")
             stats = res.distribution.statistics
             np.testing.assert_array_equal(stats, stats[first][groups.reshape(-1)])
+
+
+class TestCountedNull:
+    ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.5, 0.9)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            PermutationPlan.exhaustive(),
+            PermutationPlan.random(100, seed=1),
+            PermutationPlan.random(100, seed=2),
+        ],
+    )
+    @pytest.mark.parametrize("stat", ["t1", "t2", "t3"])
+    def test_equals_the_expanded_oracle(self, bivariate5, stat, plan):
+        # each test's null holds one value per canonical row, counted
+        # over the plan; its p-values and thresholds must be those of the
+        # values expanded to every row of the plan, bit for bit. At N = 5,
+        # 100 random draws repeat most of the 32 rows and draw most with
+        # their complements. t3 counts both forms _Probes uses: the
+        # signed root and its square
+        data, structure = bivariate5, CovStructure.unstructured()
+        mu = fit_ml(data, structure).mu
+        for shift in (0.0, 0.3):
+            if stat == "t2":
+                res = joint_permutation_test(data, mu + shift, plan=plan, stat="moment")
+                fold = _sign_plan(plan, data.n_studies)
+                forms = [(res.statistic, res.distribution.values, False)]
+                assert res.distribution.size == plan.size_for(data.n_studies)
+            else:
+                component = None if stat == "t1" else 0
+                value = mu + shift if stat == "t1" else mu[0] + shift
+                s_obs, values, _, _, fold, _ = _refit_distribution(
+                    data, value, component, structure, plan
+                )
+                forms = [(s_obs, values, stat == "t3")]
+                if stat == "t3":
+                    forms.append((s_obs * s_obs, values * values, False))
+            for t_obs, values, signed in forms:
+                expanded = values[fold.inverse] * (fold.flips if signed else 1)
+                oracle = NullDistribution(statistics=expanded, mode=plan.mode)
+                counted = fold.null(values, plan.mode, signed)
+                assert counted.size == oracle.size
+                np.testing.assert_array_equal(counted.statistics, expanded)
+                for t in (t_obs, *expanded, -np.inf, np.inf):
+                    assert counted.p_value(t) == oracle.p_value(t)
+                for alpha in self.ALPHAS:
+                    assert counted.threshold(alpha) == oracle.threshold(alpha)
 
 
 def test_refit_distribution_reads_its_starts_only(bivariate12):
