@@ -803,27 +803,32 @@ def moment_between_cov(data, mu):
     eigenvalue-clips the remainder at zero. The truncated flag reports
     whether either step altered the matrix.
 
+    mu has shape (..., p): one einsum and one batched eigh give every
+    mean's matrix, bit for bit the one it gets alone, and only matrices
+    with a negative eigenvalue are clipped.
+
     Requires a complete dataset: the estimator is undefined under
     missing outcomes.
 
-    Returns (sigma_mom, truncated).
+    Returns (sigma_mom, truncated), shapes (..., p, p) and (...); a
+    1-d mu gives one matrix and a bool.
     """
     if not data.complete:
         raise IncompleteDataError("moment between-study covariance needs complete data")
-    R = data.Y - _finite_mean(mu, data.p, "mean vector")
-    raw = (np.einsum("ni,nj->ij", R, R) - data.S.sum(axis=0)) / data.n_studies
-    raw = 0.5 * (raw + raw.T)
-    M = raw.copy()
-    bad = np.diag(raw) <= 0.0
-    if bad.any():
-        M[bad, :] = 0.0
-        M[:, bad] = 0.0
-    truncated = not np.array_equal(M, raw)
+    mu = np.atleast_1d(np.array(mu, dtype=float))
+    if mu.shape[-1] != data.p or not np.all(np.isfinite(mu)):
+        raise ValueError(f"mean vector must be a finite vector of length {data.p}")
+    R = data.Y - mu[..., None, :]
+    raw = (np.einsum("...ni,...nj->...ij", R, R) - data.S.sum(axis=0)) / data.n_studies
+    raw = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    bad = np.diagonal(raw, axis1=-2, axis2=-1) <= 0.0
+    M = np.where(bad[..., :, None] | bad[..., None, :], 0.0, raw)
+    truncated = (M != raw).any(axis=(-2, -1))
     w, Q = np.linalg.eigh(M)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if w[0] < -EPS_PSD * scale:
-        truncated = True
-    if w[0] < 0.0:
-        M = (Q * np.maximum(w, 0.0)) @ Q.T
-        M = 0.5 * (M + M.T)
-    return M, bool(truncated)
+    truncated |= w[..., 0] < -EPS_PSD * np.maximum(1.0, np.abs(w).max(axis=-1))
+    clip = w[..., 0] < 0.0
+    if clip.any():
+        Q = Q[clip]
+        C = (Q * np.maximum(w[clip], 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        M[clip] = 0.5 * (C + np.swapaxes(C, -1, -2))
+    return M, truncated if truncated.ndim else bool(truncated)

@@ -24,6 +24,7 @@ from .estimators import fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
 from .model import RCOND, _check_component, _finite_mean, _require_structure
 from .permutation import (
+    _check_alpha,
     _default_plan,
     _moment_tests,
     # a module binding that perfbench's traced run wraps as the test span
@@ -54,11 +55,6 @@ MAX_STEPS = 64
 # widened by this factor
 REGION_ELLIPSE_LEVEL = 0.999
 REGION_INFLATE = 1.5
-
-
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
 
 
 # chi-square quantile and upper tail through the scipy.special ufuncs that
@@ -507,10 +503,12 @@ def _default_region_bounds(fit, components):
 def _lattice_tests(data, mus, plan, stat, structure):
     """The joint test at each null mean, row of mus, in order, as an iterator.
 
-    t2 tests share one product with the sign plan per chunk of means
-    (permutation._moment_tests). t1 tests run one joint_permutation_test
-    each, when the next result is asked for, so a mean whose test fails
-    raises before the next one is tested.
+    t2 tests are set up a block of means at a time and share one product
+    with the sign plan per chunk of means (permutation._moment_tests); a
+    mean whose setup fails raises after the earlier means' results. t1
+    tests run one joint_permutation_test each, when the next result is
+    asked for, so a mean whose test fails raises before the next one is
+    tested.
     """
     if stat == "moment":
         return _moment_tests(data, mus, plan)
@@ -542,7 +540,8 @@ def confidence_region(
     accepted rather than aborting the scan.
 
     The points are tested in row-major order. With stat="moment" (t2) a
-    chunk of points shares one product with the sign plan
+    block of points is set up in one batched likelihood pass and a chunk
+    of them shares one product with the sign plan
     (permutation._moment_tests), and each point's statistic, p-value and
     threshold are those of its own joint_permutation_test: bit for bit
     under an exhaustive plan; under a random plan a threshold can move

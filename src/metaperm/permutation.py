@@ -23,9 +23,10 @@ fit or where the caller says: inference.py decides the starts of an
 inversion's tests, and this module keeps nothing between tests and
 writes to no argument. t2 (the joint moment test) needs no refit: its
 covariance is sign-invariant, so one product of the canonical rows
-with the studies' weighted residuals gives the whole null, and the
-points of a region's lattice share that product chunk by chunk
-(_moment_tests); a single test is a chunk of one.
+with the studies' weighted residuals gives the whole null. A region's
+lattice points are set up a block at a time, in one likelihood pass
+with a row per null mean, and share that product chunk by chunk
+(_moment_tests); a single test is a block of one.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
@@ -50,6 +51,7 @@ from .exceptions import NonConvergenceError, UninformativeComponentError
 from .model import (
     _finite_mean,
     _quad_forms,
+    _readonly,
     _require_definite,
     _require_structure,
     _scatter,
@@ -136,6 +138,11 @@ class PermutationPlan:
                 )
             return size
         return self.n_draws
+
+
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
 
 
 def _default_plan(plan):
@@ -313,21 +320,23 @@ class NullDistribution:
         return (1 + count) / (self.size + 1)
 
     def accepted(self, t_obs, alpha):
-        """True when the test at level alpha does not reject."""
+        """True when the test at level alpha, in (0, 1), does not reject."""
+        _check_alpha(alpha)
         return self.p_value(t_obs) > alpha
 
     def threshold(self, alpha):
-        """Largest statistic value still accepted at level alpha.
+        """Largest statistic value still accepted at level alpha, in (0, 1).
 
         Dual to p_value by construction: accepted(t, alpha) iff
         t <= threshold(alpha). Returns +inf when even a statistic above
-        every permutation value is accepted, -inf when nothing is.
+        every permutation value is accepted. Every statistic reaches
+        itself, so the one below every permutation value has p-value 1
+        and is accepted at every level.
         """
+        _check_alpha(alpha)
         n = self.size
         if self._p_from_count(0) > alpha:
             return np.inf
-        if not self._p_from_count(n) > alpha:
-            return -np.inf
         # a statistic s is accepted iff its count #{t >= s} reaches the
         # smallest count c whose p-value exceeds alpha; the largest such
         # s is the (n - c)-th order statistic (0-based) of the plan's
@@ -483,29 +492,23 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     )
 
 
-def _moment_point(data, mu):
-    """One null mean's setup for the moment plug-in test (t2).
+def _moment_setup(data, mus):
+    """Setup of the moment plug-in test (t2) at null means mus (P, p).
 
-    The moment covariance at mu, then one likelihood pass at a single
-    row: it inverts the weights once and gives the information, the
-    observed score and each study's weighted residuals W_i r_i. The
-    observed statistic is summed as _statistics sums the t1 statistic,
-    so at the same Sigma the two agree bit for bit. Raises DataError if
-    a marginal covariance or the information is indefinite, and
-    IncompleteDataError when outcomes are missing. Returns (mu as a
-    read-only copy, t_obs, the residuals W_i r_i as study rows (N, p),
-    I^{-1} (p, p), used_pinv).
+    One moment_between_cov call (through this module's binding) and one
+    likelihood pass with a row per mean give every mean's weights,
+    information, observed score and weighted residuals W_i r_i, each row
+    bit for bit that of its mean alone. Raises IncompleteDataError when
+    outcomes are missing; an indefinite weight set or information is
+    flagged, not raised. Returns (U_obs (P, p), the residuals as study
+    rows (P, N, p), I^{-1} (P, p, p), used_pinv (P,), indefinite (P,)).
     """
-    mu = _finite_mean(mu, data.p, "null mean")
-    sigma, _ = moment_between_cov(data, mu)
-    blocks, indefinite, pinv_w = _weights(data, sigma[None], _own_outcomes(data))
-    _require_definite(indefinite)
-    info, U_obs = _scatter(blocks, data.p, mu[None])
-    s = [_weighted_residuals(block, mu[None])[1] for block in blocks]
-    Iinv, _, indefinite, pinv = _sym_inverse_flags(info)
-    _require_definite(indefinite)
-    t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
-    return mu, t_obs, _study_rows(data, s)[0], Iinv[0], bool(pinv_w[0] or pinv[0])
+    sigmas, _ = moment_between_cov(data, mus)
+    blocks, indefinite, pinv_w = _weights(data, sigmas)
+    info, U_obs = _scatter(blocks, data.p, mus)
+    s = [_weighted_residuals(block, mus)[1] for block in blocks]
+    Iinv, _, indefinite_info, pinv = _sym_inverse_flags(info)
+    return U_obs, _study_rows(data, s), Iinv, pinv_w | pinv, indefinite | indefinite_info
 
 
 def _moment_tests(data, mus, plan):
@@ -513,33 +516,43 @@ def _moment_tests(data, mus, plan):
 
     The moment covariance is sign-invariant, so every assignment of one
     null mean shares one weight set: U_b = sum_i v_bi W_i r_i and
-    T_b = U_b' I^{-1} U_b. Each mean is set up alone (_moment_point);
-    the means of a chunk then share one product with the folded plan's
-    canonical rows, so a region reads the plan once per chunk, not once
-    per mean. Their residuals, stacked as the columns of V (N, P * p),
-    give V' signs' (P * p, canonical rows): each mean's score components
-    are contiguous rows, and _quad_forms reads them without a copy.
-    MOMENT_CHUNK_BYTES caps P * p rows of that product, and each
-    chunk's product is released before the next is formed. The
-    complement -v gives -U_b exactly, so each mean's null is its
-    canonical rows' statistics (_moment_null), counted over the plan.
-    A chunk's means are set up in order before its first result is
-    yielded, so a setup error raises at the first failing mean and no
-    mean after it is set up. Yields one TestResult per mean.
+    T_b = U_b' I^{-1} U_b. All means are validated first, then set up a
+    block at a time (_moment_setup), a block's (P, N, p, p) weights
+    taking at most an eighth of MOMENT_CHUNK_BYTES. The means of a chunk
+    share one product with the folded plan's canonical rows: their
+    residuals, stacked as the columns of V (N, P * p), give V' signs'
+    (P * p, canonical rows), each mean's score components as contiguous
+    rows that _quad_forms reads without a copy. MOMENT_CHUNK_BYTES caps
+    that product, a block holds whole chunks, and each product is
+    released before the next is formed. The complement -v gives -U_b
+    exactly, so each mean's null is its canonical rows' statistics
+    (_moment_null), counted over the plan. Each observed statistic is
+    summed from its mean's row alone, as a single test sums it. A mean
+    whose weights or information is indefinite raises DataError in its
+    turn, after the earlier means' results. Yields one TestResult per
+    mean.
     """
-    fold = _sign_plan(plan, data.n_studies)
-    p = data.p
+    n, p = data.n_studies, data.p
+    mus = _readonly(np.array([_finite_mean(mu, p, "null mean") for mu in mus]).reshape(-1, p))
+    fold = _sign_plan(plan, n)
     per_chunk = max(1, MOMENT_CHUNK_BYTES // (8 * p * fold.signs.shape[0]))
-    for start in range(0, len(mus), per_chunk):
-        points = [_moment_point(data, mu) for mu in mus[start : start + per_chunk]]
-        V = np.concatenate([point[2] for point in points], axis=1)
-        null = V.T @ fold.signs.T
-        for k, (mu, t_obs, _, Iinv, used_pinv) in enumerate(points):
-            yield _test_result(
-                plan, fold, t_obs, _moment_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv),
-                n_failed=0, stat="moment", mu_null=mu, used_pinv=used_pinv,
-            )
-        del null
+    per_block = per_chunk * max(1, MOMENT_CHUNK_BYTES // (64 * n * p * p * per_chunk))
+    for start in range(0, len(mus), per_block):
+        block = mus[start : start + per_block]
+        U_obs, rows, Iinv, used_pinv, indefinite = _moment_setup(data, block)
+        for first in range(0, len(block), per_chunk):
+            V = rows[first : first + per_chunk].transpose(1, 0, 2).reshape(n, -1)
+            null = V.T @ fold.signs.T
+            for j in range(len(null) // p):
+                k = first + j
+                _require_definite(indefinite[k])
+                t_obs = float(np.maximum(_quad_forms(U_obs[k : k + 1], Iinv[k : k + 1]), 0.0)[0])
+                yield _test_result(
+                    plan, fold, t_obs,
+                    _moment_null(fold, t_obs, null[j * p : (j + 1) * p], Iinv[k]),
+                    n_failed=0, stat="moment", mu_null=block[k], used_pinv=bool(used_pinv[k]),
+                )
+            del null
 
 
 def _moment_null(fold, t_obs, U, Iinv):

@@ -18,12 +18,13 @@ from scipy.special import expit, logit
 
 from .estimators import fit_ml, fit_reml
 from .exceptions import DataError, NonConvergenceError, SingularInformationError
-from .inference import _check_alpha, wald_inference
+from .inference import wald_inference
 from .io import CONTINUITY_CORRECTION
 from .model import Dataset, _check_component
 from .permutation import (
     DEFAULT_SEED,
     PermutationPlan,
+    _check_alpha,
     joint_permutation_test,
     marginal_permutation_test,
 )

@@ -1,5 +1,7 @@
 """ML, REML, constrained fits, and the moment covariance estimator."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -562,6 +564,35 @@ class TestMomentBetweenCov:
     def test_output_is_psd(self, bivariate12):
         sigma, _ = moment_between_cov(bivariate12, np.zeros(2))
         assert np.all(np.linalg.eigvalsh(sigma) >= -1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_stack_equals_single_calls_bitwise(self, p):
+        # outcomes at the corners of a cube about zero have sample
+        # covariance 4 I, so the raw matrix is diag(-0.1, 1, ...) + d d'
+        # for d the distance from the mean: zero gives a negative first
+        # diagonal entry, d = e_1 a PSD matrix and d = (0.35, -2, 0, ...)
+        # a negative eigenvalue. One stack mixes the three kinds of rows
+        Y = 2.0 * np.array(list(itertools.product([-1.0, 1.0], repeat=p)))
+        S = np.tile(np.diag([4.1] + [3.0] * (p - 1)), (len(Y), 1, 1))
+        data = Dataset.from_arrays(Y, S)
+        rng = np.random.default_rng(p)
+        kinds = np.zeros((3, p))
+        kinds[1, 0] = 1.0
+        kinds[2, :2] = (0.35, -2.0)
+        mus = np.concatenate([kinds, kinds + rng.normal(scale=0.05, size=(3, p))])
+        mus = mus[rng.permutation(6)]
+        singles = [moment_between_cov(data, mu) for mu in mus]
+        zeroed = [bool((np.diag(sigma) == 0.0).any()) for sigma, _ in singles]
+        truncated = [t for _, t in singles]
+        assert all(type(t) is bool for t in truncated)
+        assert not all(truncated) and any(zeroed)
+        assert any(t and not z for t, z in zip(truncated, zeroed))
+        for shape in ((6, p), (2, 3, p)):
+            sigma, flags = moment_between_cov(data, mus.reshape(shape))
+            assert sigma.shape == shape + (p,) and flags.shape == shape[:-1]
+            for k, (one, flag) in enumerate(singles):
+                assert np.array_equal(sigma.reshape(-1, p, p)[k], one)
+                assert flags.reshape(-1)[k] == flag
 
 
 class TestStructures:

@@ -31,7 +31,7 @@ from metaperm import (
     wald_inference,
 )
 from metaperm.inference import XTOL, _chi2_ppf, _chi2_sf, ndtri
-from metaperm.permutation import MOMENT_CHUNK_BYTES, NullDistribution, _sign_plan
+from metaperm.permutation import MOMENT_CHUNK_BYTES, NullDistribution, _moment_tests, _sign_plan
 
 from conftest import make_mvn
 
@@ -684,27 +684,66 @@ class TestMomentRegionChunks:
             )
 
     def test_first_failing_point_raises(self, bivariate12, monkeypatch):
-        # two neighbouring points of the second chunk fail; the first of
-        # them raises, and no point after it is set up
+        # two neighbouring points of the second chunk get an indefinite
+        # setup: the points before them are yielded as they are without
+        # the fault, and the first of them raises
         plan = PermutationPlan.exhaustive()
         per_chunk = MOMENT_CHUNK_BYTES // (8 * 2 * 2 ** 11)
         first = per_chunk + 3
-        real = metaperm.permutation.moment_between_cov
-        calls = []
-
-        def spy(data, mu):
-            calls.append(np.array(mu))
-            if len(calls) - 1 in (first, first + 1):
-                raise DataError(f"point {len(calls) - 1}")
-            return real(data, mu)
-
-        monkeypatch.setattr(metaperm.permutation, "moment_between_cov", spy)
         kwargs = dict(bounds=[(-0.5, 1.0), (-1.0, 0.5)], resolution=20, stat="moment", plan=plan)
-        with pytest.raises(DataError, match=f"^point {first}$"):
-            confidence_region(bivariate12, **kwargs)
-        monkeypatch.setattr(metaperm.permutation, "moment_between_cov", real)
         mus = _lattice_means(confidence_region(bivariate12, **kwargs), 2)
-        np.testing.assert_array_equal(np.array(calls), mus[: first + 1])
+        expected = list(_moment_tests(bivariate12, mus[:first], plan))
+        real = metaperm.permutation.moment_between_cov
+
+        def indefinite_at_two_points(data, block):
+            sigma, truncated = real(data, block)
+            bad = (block[:, None, :] == mus[None, first : first + 2]).all(axis=2).any(axis=1)
+            assert bad.sum() == 2
+            sigma[bad] = -10.0 * np.eye(2)
+            return sigma, truncated
+
+        monkeypatch.setattr(metaperm.permutation, "moment_between_cov", indefinite_at_two_points)
+        tests = _moment_tests(bivariate12, mus, plan)
+        for want in expected:
+            got = next(tests)
+            np.testing.assert_array_equal(got.mu_null, want.mu_null)
+            assert got.statistic == want.statistic and got.p_value == want.p_value
+        with pytest.raises(DataError):
+            next(tests)
+        with pytest.raises(DataError):
+            confidence_region(bivariate12, **kwargs)
+
+    def test_blocks_of_the_lattice_equal_one_block(self, bivariate12, monkeypatch):
+        # a smaller cap sets the lattice up in 20 blocks of two-point
+        # chunks; every point must read as it does in one block
+        plan = PermutationPlan.exhaustive()
+        kwargs = dict(bounds=[(-0.5, 1.0), (-1.0, 0.5)], resolution=20, stat="moment", plan=plan)
+        whole = confidence_region(bivariate12, **kwargs)
+        monkeypatch.setattr(metaperm.permutation, "MOMENT_CHUNK_BYTES", 2 ** 16)
+        blocks = confidence_region(bivariate12, **kwargs)
+        for field in ("statistic", "p_value", "threshold", "accepted", "failed"):
+            np.testing.assert_array_equal(getattr(blocks, field), getattr(whole, field))
+
+    @staticmethod
+    def _region_peak(resolution):
+        """Peak traced bytes above the held sign plan of an exhaustive
+        t2 region at N = 16 with resolution points per axis."""
+        data = make_mvn(1, 16)
+        plan = PermutationPlan.exhaustive()
+        _sign_plan.cache_clear()
+        _sign_plan(plan, 16)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            confidence_region(
+                data, bounds=[(-0.5, 1.0), (-1.0, 0.5)], resolution=resolution, stat="moment",
+                plan=plan,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _sign_plan.cache_clear()
+        return peak - base
 
     def test_memory_within_the_chunk_cap(self):
         # above the held sign plan, a 20 x 20 exhaustive region at N = 16
@@ -713,19 +752,12 @@ class TestMomentRegionChunks:
         # test's null expanded to every row and the NullDistribution's
         # copy of it. A chunk's product must be released before the next
         # one is formed, and a point's null before the next point's
-        data = make_mvn(1, 16)
-        plan = PermutationPlan.exhaustive()
         vector = 8 * 2 ** 16
-        _sign_plan.cache_clear()
-        _sign_plan(plan, 16)
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            confidence_region(
-                data, bounds=[(-0.5, 1.0), (-1.0, 0.5)], resolution=20, stat="moment", plan=plan
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            _sign_plan.cache_clear()
-        assert peak - base < MOMENT_CHUNK_BYTES + 3 * vector
+        assert self._region_peak(20) < MOMENT_CHUNK_BYTES + 3 * vector
+
+    def test_memory_of_a_large_lattice_within_the_chunk_cap(self):
+        # 3,600 points are set up a block at a time: setting the whole
+        # lattice up at once would hold every point's weights and
+        # residuals beside a chunk's product
+        vector = 8 * 2 ** 16
+        assert self._region_peak(60) < MOMENT_CHUNK_BYTES + 3 * vector

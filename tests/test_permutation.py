@@ -40,7 +40,7 @@ from metaperm.permutation import (
     _observed_statistic,
     _own_outcomes,
     _FoldedPlan,
-    _moment_point,
+    _moment_setup,
     _permuted_statistics,
     _refit_distribution,
     _sign_plan,
@@ -183,8 +183,8 @@ def _sorted_threshold(stats, mode, alpha):
 @st.composite
 def _null_cases(draw):
     """(statistics, mode, alpha): sizes 1 to 300 and powers of two, values
-    from a few integers (many ties) or continuous, and alphas on the
-    p-value grids of both counting rules."""
+    from a few integers (many ties) or continuous, and alphas in (0, 1),
+    many on the p-value grids of both counting rules."""
     n = draw(st.one_of(st.integers(1, 300), st.sampled_from([2 ** k for k in range(17)])))
     mode = draw(st.sampled_from(["exhaustive", "random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -198,7 +198,7 @@ def _null_cases(draw):
         k.map(lambda c: c / n),
         k.map(lambda c: c / (n + 1)),
         k.map(lambda c: (1.0 + c) / (n + 1)),
-    ))
+    ).filter(lambda a: 0.0 < a < 1.0))
     return stats, mode, alpha
 
 
@@ -206,8 +206,7 @@ def _null_cases(draw):
 def _counted_cases(draw):
     """(values, counts, mode, alpha): up to 60 values from a few integers
     (many ties) or continuous, with one count for all of them or one
-    each, and levels below 1 (at 1 nothing is accepted, not even -inf).
-    A count of 0 is a value that stands for no row, as a signed null's
+    each, and levels in (0, 1). A count of 0 is a value that stands for no row, as a signed null's
     negated root does where no drawn row folds onto it flipped."""
     n = draw(st.integers(1, 60))
     mode = draw(st.sampled_from(["exhaustive", "random"]))
@@ -227,7 +226,7 @@ def _counted_cases(draw):
         st.floats(0.0, 1.0),
         k.map(lambda c: c / size),
         k.map(lambda c: (1.0 + c) / (size + 1)),
-    ).filter(lambda a: a < 1.0))
+    ).filter(lambda a: 0.0 < a < 1.0))
     return values, counts, mode, alpha
 
 
@@ -264,6 +263,14 @@ class TestNullDistribution:
                 thr = d.threshold(alpha)
                 for t in probes:
                     assert d.accepted(t, alpha) == (t <= thr)
+
+    def test_levels_outside_the_unit_interval_rejected(self):
+        d = NullDistribution(statistics=np.array([5.0, 3.0, 1.0, 1.0]), mode="exhaustive")
+        for alpha in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                d.threshold(alpha)
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                d.accepted(1.0, alpha)
 
     def test_threshold_open_when_sample_too_small(self):
         # 9 draws cannot reject at the 5% level: (1+0)/10 > 0.05
@@ -845,8 +852,9 @@ class TestFoldedMomentNull:
         ends = np.abs(signs.sum(axis=1)) == n
         for mu in self.NULLS:
             res = joint_permutation_test(data, mu, plan=plan, stat="moment")
-            _, t_obs, V, Iinv, _ = _moment_point(data, mu)
-            full = np.maximum(_quad_forms(signs.astype(float) @ V, Iinv), 0.0)
+            U_obs, rows, Iinv, _, _ = _moment_setup(data, np.array([mu]))
+            t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
+            full = np.maximum(_quad_forms(signs.astype(float) @ rows[0], Iinv[0]), 0.0)
             full[ends] = t_obs
             assert res.statistic == t_obs
             if plan.mode == "exhaustive":
