@@ -503,12 +503,12 @@ def _default_region_bounds(fit, components):
 def _lattice_tests(data, mus, plan, stat, structure):
     """The joint test at each null mean, row of mus, in order, as an iterator.
 
-    t2 tests are set up a block of means at a time and share one product
-    with the sign plan per chunk of means (permutation._moment_tests); a
-    mean whose setup fails raises after the earlier means' results. t1
-    tests run one joint_permutation_test each, when the next result is
-    asked for, so a mean whose test fails raises before the next one is
-    tested.
+    t2 tests are taken a chunk of means at a time: each chunk is set up
+    in one batched pass and shares one product with the sign plan
+    (permutation._moment_tests); a mean whose setup fails raises after
+    the earlier means' results. t1 tests run one joint_permutation_test
+    each, when the next result is asked for, so a mean whose test fails
+    raises before the next one is tested.
     """
     if stat == "moment":
         return _moment_tests(data, mus, plan)
@@ -540,12 +540,12 @@ def confidence_region(
     accepted rather than aborting the scan.
 
     The points are tested in row-major order. With stat="moment" (t2) a
-    block of points is set up in one batched likelihood pass and a chunk
-    of them shares one product with the sign plan
-    (permutation._moment_tests), and each point's statistic, p-value and
-    threshold are those of its own joint_permutation_test: bit for bit
-    under an exhaustive plan; under a random plan a threshold can move
-    in its last bits, where BLAS sums a row's product in another order.
+    chunk of points is set up in one batched likelihood pass and shares
+    one product with the sign plan (permutation._moment_tests), and each
+    point's statistic, p-value and threshold are those of its own
+    joint_permutation_test: bit for bit under an exhaustive plan; under
+    a random plan a threshold can move in its last bits, where BLAS
+    sums a row's product in another order.
     With stat="cml" (t1) each point runs its own joint_permutation_test.
     An error other than a failed test raises at the first point in
     order that meets it.

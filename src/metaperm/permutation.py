@@ -24,9 +24,9 @@ inversion's tests, and this module keeps nothing between tests and
 writes to no argument. t2 (the joint moment test) needs no refit: its
 covariance is sign-invariant, so one product of the canonical rows
 with the studies' weighted residuals gives the whole null. A region's
-lattice points are set up a block at a time, in one likelihood pass
-with a row per null mean, and share that product chunk by chunk
-(_moment_tests); a single test is a block of one.
+lattice points are taken a chunk at a time: one likelihood pass with
+a row per null mean sets the chunk up, and its means share one product
+(_moment_tests); a single test is a chunk of one.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
@@ -516,14 +516,13 @@ def _moment_tests(data, mus, plan):
 
     The moment covariance is sign-invariant, so every assignment of one
     null mean shares one weight set: U_b = sum_i v_bi W_i r_i and
-    T_b = U_b' I^{-1} U_b. All means are validated first, then set up a
-    block at a time (_moment_setup), a block's (P, N, p, p) weights
-    taking at most an eighth of MOMENT_CHUNK_BYTES. The means of a chunk
-    share one product with the folded plan's canonical rows: their
-    residuals, stacked as the columns of V (N, P * p), give V' signs'
-    (P * p, canonical rows), each mean's score components as contiguous
-    rows that _quad_forms reads without a copy. MOMENT_CHUNK_BYTES caps
-    that product, a block holds whole chunks, and each product is
+    T_b = U_b' I^{-1} U_b. All means are validated first, then taken a
+    chunk at a time. A chunk is set up in one batched pass
+    (_moment_setup), and its means share one product with the folded
+    plan's canonical rows: their residuals, stacked as the columns of
+    V (N, P * p), give V' signs' (P * p, canonical rows), each mean's
+    score components as contiguous rows that _quad_forms reads without
+    a copy. MOMENT_CHUNK_BYTES caps that product, and each product is
     released before the next is formed. The complement -v gives -U_b
     exactly, so each mean's null is its canonical rows' statistics
     (_moment_null), counted over the plan. Each observed statistic is
@@ -536,23 +535,19 @@ def _moment_tests(data, mus, plan):
     mus = _readonly(np.array([_finite_mean(mu, p, "null mean") for mu in mus]).reshape(-1, p))
     fold = _sign_plan(plan, n)
     per_chunk = max(1, MOMENT_CHUNK_BYTES // (8 * p * fold.signs.shape[0]))
-    per_block = per_chunk * max(1, MOMENT_CHUNK_BYTES // (64 * n * p * p * per_chunk))
-    for start in range(0, len(mus), per_block):
-        block = mus[start : start + per_block]
-        U_obs, rows, Iinv, used_pinv, indefinite = _moment_setup(data, block)
-        for first in range(0, len(block), per_chunk):
-            V = rows[first : first + per_chunk].transpose(1, 0, 2).reshape(n, -1)
-            null = V.T @ fold.signs.T
-            for j in range(len(null) // p):
-                k = first + j
-                _require_definite(indefinite[k])
-                t_obs = float(np.maximum(_quad_forms(U_obs[k : k + 1], Iinv[k : k + 1]), 0.0)[0])
-                yield _test_result(
-                    plan, fold, t_obs,
-                    _moment_null(fold, t_obs, null[j * p : (j + 1) * p], Iinv[k]),
-                    n_failed=0, stat="moment", mu_null=block[k], used_pinv=bool(used_pinv[k]),
-                )
-            del null
+    for start in range(0, len(mus), per_chunk):
+        chunk = mus[start : start + per_chunk]
+        U_obs, rows, Iinv, used_pinv, indefinite = _moment_setup(data, chunk)
+        null = rows.transpose(1, 0, 2).reshape(n, -1).T @ fold.signs.T
+        for k, mu in enumerate(chunk):
+            _require_definite(indefinite[k])
+            t_obs = float(np.maximum(_quad_forms(U_obs[k : k + 1], Iinv[k : k + 1]), 0.0)[0])
+            yield _test_result(
+                plan, fold, t_obs,
+                _moment_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv[k]),
+                n_failed=0, stat="moment", mu_null=mu, used_pinv=bool(used_pinv[k]),
+            )
+        del null
 
 
 def _moment_null(fold, t_obs, U, Iinv):
