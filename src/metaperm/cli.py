@@ -42,6 +42,7 @@ from .permutation import (
     DEFAULT_B,
     DEFAULT_SEED,
     PermutationPlan,
+    _default_plan,
     joint_permutation_test,
     marginal_permutation_test,
 )
@@ -94,12 +95,11 @@ def _add_structure_option(sub):
     )
 
 
-def _add_perm_option(sub, default=str(DEFAULT_B), default_help=str(DEFAULT_B)):
+def _add_perm_option(sub):
     sub.add_argument(
         "--perm",
-        default=default,
-        help="'exhaustive' or the number of random sign assignments "
-        f"(default {default_help})",
+        help="'exhaustive' or the number of random sign assignments (default "
+        f"exhaustive up to 12 studies, else {DEFAULT_B} draws seeded by --seed)",
     )
 
 
@@ -198,11 +198,7 @@ def _build_parser():
         "--component", type=int, default=1, help="1-based component (marginal methods)"
     )
     _add_structure_option(sub)
-    _add_perm_option(
-        sub,
-        default=None,
-        default_help="exhaustive up to 10 studies, else 500 draws seeded by --seed",
-    )
+    _add_perm_option(sub)
     sub.set_defaults(func=_cmd_simulate)
 
     sub = subs.add_parser("ingest-check", help="validate an input file", parents=[common])
@@ -229,7 +225,9 @@ def _parse_structure(args):
         raise _UsageError(str(exc)) from exc
 
 
-def _parse_plan(args):
+def _parse_plan(args, n_studies):
+    if args.perm is None:
+        return _default_plan(None, n_studies, args.seed)
     token = args.perm.strip().lower()
     if token == "exhaustive":
         return PermutationPlan.exhaustive()
@@ -310,11 +308,6 @@ def _kv_rows(payload):
     return rows
 
 
-def _seed_echo(args, plan):
-    """The seed a random plan was drawn from; None for an exhaustive plan."""
-    return args.seed if plan.mode == "random" else None
-
-
 def _reported_scale_extras(data, component, values):
     scale = data.scales[component]
     if scale == "identity":
@@ -353,13 +346,13 @@ def _cmd_fit(args):
 def _cmd_test_joint(args):
     data = _load_dataset(args)
     structure = _parse_structure(args)
-    plan = _parse_plan(args)
+    plan = _parse_plan(args, data.n_studies)
     mu0 = _parse_mu(args.mu_null, data.p)
     res = joint_permutation_test(
         data, mu0, plan=plan, stat=_STATS[args.stat], structure=structure
     )
     reject = res.p_value <= args.alpha
-    extra = {"alpha": args.alpha, "reject": reject, "seed": _seed_echo(args, plan)}
+    extra = {"alpha": args.alpha, "reject": reject, "seed": plan.seed}
     return res, extra, _kv_rows(
         {
             "stat": args.stat,
@@ -375,7 +368,7 @@ def _cmd_test_joint(args):
 def _cmd_test_marginal(args):
     data = _load_dataset(args)
     structure = _parse_structure(args)
-    plan = _parse_plan(args)
+    plan = _parse_plan(args, data.n_studies)
     component = _resolve_component(data, args.component)
     res = marginal_permutation_test(
         data, args.mu1_null, component, plan=plan, structure=structure
@@ -385,7 +378,7 @@ def _cmd_test_marginal(args):
         "alpha": args.alpha,
         "reject": reject,
         "label": data.labels[component],
-        "seed": _seed_echo(args, plan),
+        "seed": plan.seed,
     }
     extra.update(
         _reported_scale_extras(data, component, {"value_reported": args.mu1_null})
@@ -406,12 +399,12 @@ def _cmd_test_marginal(args):
 def _cmd_ci(args):
     data = _load_dataset(args)
     structure = _parse_structure(args)
-    plan = _parse_plan(args)
+    plan = _parse_plan(args, data.n_studies)
     component = _resolve_component(data, args.component)
     interval = confidence_interval(
         data, component, alpha=args.alpha, plan=plan, structure=structure
     )
-    extra = {"label": data.labels[component], "seed": _seed_echo(args, plan)}
+    extra = {"label": data.labels[component], "seed": plan.seed}
     extra.update(
         _reported_scale_extras(
             data,
@@ -437,7 +430,7 @@ def _cmd_ci(args):
 def _cmd_region(args):
     data = _load_dataset(args)
     structure = _parse_structure(args)
-    plan = _parse_plan(args)
+    plan = _parse_plan(args, data.n_studies)
     axes = _parse_axes(data, args.axes)
     bounds = _parse_bounds(args.bounds, len(axes)) if args.bounds else None
     grid = confidence_region(
@@ -462,7 +455,7 @@ def _cmd_simulate(args):
         )
     scenario = scenarios[args.scenario]
     structure = _parse_structure(args)
-    plan = None if args.perm is None else _parse_plan(args)
+    plan = _parse_plan(args, scenario.n_studies)
     report = coverage_experiment(
         scenario,
         args.method,

@@ -105,6 +105,7 @@ class PermutationPlan:
     mode "exhaustive" visits all 2^N assignments, for N up to 20:
     size_for refuses more than EXHAUSTIVE_CAP (2^20) rows. Mode
     "random" draws n_draws iid uniform assignments from the seed.
+    plan=None means exhaustive up to N = 12, else random() (_default_plan).
     """
 
     mode: str
@@ -145,8 +146,13 @@ def _check_alpha(alpha):
         raise ValueError("alpha must be in (0, 1)")
 
 
-def _default_plan(plan):
-    return plan if plan is not None else PermutationPlan.random()
+def _default_plan(plan, n_studies, seed=DEFAULT_SEED):
+    """plan, else exhaustive while 2^(N-1) <= DEFAULT_B (N <= 12), else DEFAULT_B draws."""
+    if plan is not None:
+        return plan
+    if 2 ** (n_studies - 1) <= DEFAULT_B:
+        return PermutationPlan.exhaustive()
+    return PermutationPlan.random(DEFAULT_B, seed)
 
 
 def generate_signs(plan, n_studies):
@@ -473,12 +479,13 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     Sign assignments that flip nothing (or everything) reproduce the
     observed statistic exactly and are assigned it directly. Either
     statistic is even in the signs, so each complementary pair of
-    assignments is computed once (see _FoldedPlan).
+    assignments is computed once (see _FoldedPlan). Without a plan it
+    is exhaustive, hence exact, up to 12 studies (_default_plan).
     """
     if stat not in ("cml", "moment"):
         raise ValueError(f"unknown joint statistic {stat!r}")
     structure = _require_structure(structure)
-    plan = _default_plan(plan)
+    plan = _default_plan(plan, data.n_studies)
     mu = _finite_mean(mu_null, data.p, "null mean")
     if stat == "moment":
         (result,) = _moment_tests(data, [mu], plan)
@@ -654,7 +661,7 @@ def marginal_permutation_test(data, value, component, plan=None, structure=None)
     mirroring how the observed statistic is built from the data.
     """
     structure = _require_structure(structure)
-    plan = _default_plan(plan)
+    plan = _default_plan(plan, data.n_studies)
     value = float(value)
     # fit_marginal_null, the first fit, rejects a component out of range
     s_obs, roots, n_failed, used_pinv, fold, _ = _refit_distribution(

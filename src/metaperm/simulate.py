@@ -23,8 +23,8 @@ from .io import CONTINUITY_CORRECTION
 from .model import Dataset, _check_component
 from .permutation import (
     DEFAULT_SEED,
-    PermutationPlan,
     _check_alpha,
+    _default_plan,
     joint_permutation_test,
     marginal_permutation_test,
 )
@@ -340,13 +340,6 @@ def _normalize_method(method):
     return token
 
 
-def _default_plan_for(scenario, seed):
-    """Exhaustive flips when feasible at small N, else 500 random draws."""
-    if scenario.n_studies <= 10:
-        return PermutationPlan.exhaustive()
-    return PermutationPlan.random(n_draws=500, seed=int(seed))
-
-
 def _accepts_truth(data, scenario, method, target, component, plan, alpha, structure):
     mu_true = np.asarray(scenario.mu)
     if method in ("perm-t1", "perm-t2"):
@@ -385,9 +378,10 @@ def coverage_experiment(
     statistic targets the chosen component, as do Wald intervals when
     target="marginal" is requested for a Wald method; component must
     then index the scenario's outcomes. alpha must lie in (0, 1).
-    Replicates where the method fails to converge are excluded from the
-    tally and counted, so comparator failures cannot masquerade as
-    coverage. Results do not depend on evaluation order.
+    plan=None means exhaustive up to 12 studies, else DEFAULT_B draws
+    from seed. Replicates where the method fails to converge are
+    excluded from the tally and counted, so comparator failures cannot
+    masquerade as coverage. Results do not depend on evaluation order.
     """
     method = _normalize_method(method)
     if reps < 100:
@@ -403,8 +397,8 @@ def coverage_experiment(
         raise ValueError("joint statistics cannot target a single component")
     if target == "marginal":
         _check_component(component, scenario.p)
-    if plan is None and method.startswith("perm"):
-        plan = _default_plan_for(scenario, seed)
+    if method.startswith("perm"):
+        plan = _default_plan(plan, scenario.n_studies, seed)
     children = np.random.SeedSequence(seed).spawn(reps)
     hits = 0
     valid = 0

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from importlib import resources
 
 import pytest
 
@@ -18,6 +19,7 @@ from metaperm import (
     write_wide,
 )
 from metaperm.cli import main
+from metaperm.permutation import DEFAULT_B
 
 from conftest import make_mvn, make_univariate
 
@@ -133,6 +135,21 @@ class TestJoint:
         assert doc["mode"] == "random"
         assert doc["n_permutations"] == 120
         assert doc["seed"] == 9
+
+    @pytest.mark.parametrize("n, perm, seed", [(12, "exhaustive", None), (13, str(DEFAULT_B), 5)])
+    def test_default_perm_follows_study_count(self, capsys, tmp_path, n, perm, seed):
+        # without --perm, 12 studies are enumerated and report no seed;
+        # 13 draw DEFAULT_B assignments from --seed. Either run's bytes
+        # are those of the plan given explicitly
+        path = tmp_path / "studies.csv"
+        write_wide(make_mvn(n, n), path)
+        argv = ["test-joint", str(path), "--mu-null", "0,0", "--stat", "t2", "--seed", "5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["seed"] == seed
+        assert doc["n_permutations"] == (2 ** n if seed is None else DEFAULT_B)
+        assert run(capsys, [*argv, "--perm", perm]) == (0, out, "")
 
     def test_wrong_null_length(self, capsys, wide_csv):
         code, _, err = run(capsys, ["test-joint", wide_csv, "--mu-null", "0,0,0"])
@@ -297,17 +314,29 @@ class TestSimulate:
         assert rows[1][0] == "gauss2-s1"
 
     @pytest.mark.parametrize(
-        "extra, expected",
+        "scenario, extra, expected",
         [
-            ([], None),
-            (["--perm", "2400"], ("random", 2400, 11)),
-            (["--perm", "300"], ("random", 300, 11)),
-            (["--perm", "exhaustive"], ("exhaustive", None, None)),
+            # no --perm: exhaustive up to 12 studies, else DEFAULT_B
+            # draws from --seed
+            ("gauss2-s1", [], ("exhaustive", None, None)),
+            ("gauss2-s2", [], ("exhaustive", None, None)),
+            ("gauss2-n13", [], ("random", DEFAULT_B, 11)),
+            ("gauss2-s1", ["--perm", "2400"], ("random", 2400, 11)),
+            ("gauss2-s1", ["--perm", "300"], ("random", 300, 11)),
+            ("gauss2-s1", ["--perm", "exhaustive"], ("exhaustive", None, None)),
         ],
     )
-    def test_explicit_perm_reaches_experiment(self, capsys, monkeypatch, extra, expected):
+    def test_explicit_perm_reaches_experiment(
+        self, capsys, monkeypatch, tmp_path, scenario, extra, expected
+    ):
         # an explicit --perm equal to the default draw count used to be
         # dropped in favour of the scenario's own plan
+        manifest = tmp_path / "scenarios.csv"
+        manifest.write_text(
+            (resources.files("metaperm") / "data/scenarios.csv").read_text(encoding="utf-8")
+            + "gauss2-n13,gaussian_bivariate,13,,,,,0.024,0.7,0.0,,,,,\n",
+            encoding="utf-8",
+        )
         seen = {}
         real = metaperm.cli.coverage_experiment
 
@@ -318,15 +347,12 @@ class TestSimulate:
         monkeypatch.setattr(metaperm.cli, "coverage_experiment", spy)
         code, _, _ = run(
             capsys,
-            ["simulate", "--scenario", "gauss2-s1", "--method", "t2",
-             "--reps", "100", "--seed", "11", *extra],
+            ["simulate", "--scenario", scenario, "--manifest", str(manifest),
+             "--method", "t2", "--reps", "100", "--seed", "11", *extra],
         )
         assert code == 0
         plan = seen["plan"]
-        if expected is None:
-            assert plan is None
-        else:
-            assert (plan.mode, plan.n_draws, plan.seed) == expected
+        assert (plan.mode, plan.n_draws, plan.seed) == expected
 
     def test_unknown_scenario(self, capsys):
         code, _, err = run(

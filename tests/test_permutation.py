@@ -36,6 +36,8 @@ from metaperm.estimators import (
 )
 from metaperm.model import _quad_forms, between_cov
 from metaperm.permutation import (
+    DEFAULT_B,
+    DEFAULT_SEED,
     _flipped_outcomes,
     _observed_statistic,
     _own_outcomes,
@@ -837,6 +839,9 @@ class TestFoldedMomentNull:
             (5, PermutationPlan.random(100, seed=4)),
             (2, PermutationPlan.exhaustive()),
             (3, PermutationPlan.exhaustive()),
+            # no plan: 12 studies are enumerated, 13 draw DEFAULT_B rows
+            (12, None),
+            (13, None),
         ],
     )
     def test_equals_the_unfolded_pass_bitwise(self, n, plan):
@@ -846,18 +851,31 @@ class TestFoldedMomentNull:
         # null values: bit for bit for an exhaustive plan. A random plan's
         # canonical rows sit elsewhere in the matrix than its draws, and
         # BLAS may sum a row's product in another order there, so its
-        # null matches to rounding and its p-value exactly
+        # null matches to rounding and its p-value exactly. Without a
+        # plan the test is bit for bit that of the plan the rule names
         data = make_mvn(n, n)
-        signs = generate_signs(plan, n)
+        used = plan or (
+            PermutationPlan.exhaustive() if n <= 12
+            else PermutationPlan.random(DEFAULT_B, DEFAULT_SEED)
+        )
+        signs = generate_signs(used, n)
         ends = np.abs(signs.sum(axis=1)) == n
         for mu in self.NULLS:
             res = joint_permutation_test(data, mu, plan=plan, stat="moment")
+            if plan is None:
+                named = joint_permutation_test(data, mu, plan=used, stat="moment")
+                assert res.distribution.mode == used.mode
+                assert res.n_permutations == (4096 if n == 12 else DEFAULT_B)
+                np.testing.assert_array_equal(
+                    res.distribution.statistics, named.distribution.statistics
+                )
+                assert res.p_value == named.p_value
             U_obs, rows, Iinv, _, _ = _moment_setup(data, np.array([mu]))
             t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
             full = np.maximum(_quad_forms(signs.astype(float) @ rows[0], Iinv[0]), 0.0)
             full[ends] = t_obs
             assert res.statistic == t_obs
-            if plan.mode == "exhaustive":
+            if used.mode == "exhaustive":
                 np.testing.assert_array_equal(res.distribution.statistics, full)
             else:
                 np.testing.assert_allclose(res.distribution.statistics, full, rtol=1e-13)
@@ -1008,6 +1026,16 @@ class TestMarginal:
     def test_component_out_of_range(self, bivariate5):
         with pytest.raises(ValueError, match="component"):
             marginal_permutation_test(bivariate5, 0.0, 2)
+
+    def test_default_plan_enumerates_eight_studies(self):
+        # without a plan, eight studies are enumerated: the t3 test is
+        # the explicit exhaustive one bit for bit
+        data = make_mvn(5, 8)
+        res = marginal_permutation_test(data, 0.1, 0)
+        named = marginal_permutation_test(data, 0.1, 0, plan=PermutationPlan.exhaustive())
+        assert (res.distribution.mode, res.n_permutations) == ("exhaustive", 256)
+        assert res.statistic == named.statistic and res.p_value == named.p_value
+        np.testing.assert_array_equal(res.distribution.statistics, named.distribution.statistics)
 
     def test_random_plan_deterministic(self, bivariate5):
         plan = PermutationPlan.random(n_draws=150, seed=21)
