@@ -11,7 +11,6 @@ regions obtained by inverting those tests.
 
 from .exceptions import (
     DataError,
-    IncompleteDataError,
     MetapermError,
     NonConvergenceError,
     SingularInformationError,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MetapermError",
     "DataError",
-    "IncompleteDataError",
     "NonConvergenceError",
     "SingularInformationError",
     "UninformativeComponentError",

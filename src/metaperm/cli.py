@@ -139,7 +139,7 @@ def _build_parser():
         choices=tuple(_STATS),
         default="t1",
         help="t1 refits the heterogeneity per permutation; t2 uses the "
-        "sign-invariant moment plug-in (complete data only)",
+        "sign-invariant moment plug-in",
     )
     sub.set_defaults(func=_cmd_test_joint)
 

@@ -30,7 +30,6 @@ from scipy.optimize import minimize
 
 from .exceptions import (
     DataError,
-    IncompleteDataError,
     NonConvergenceError,
     SingularInformationError,
 )
@@ -282,11 +281,7 @@ def _gls_mean(data, sigma):
 
 
 def _naive_mean(data):
-    p = data.p
-    total = np.zeros(p)
-    for y, mask in zip(data.Y, data.observed):
-        total[mask] += y[mask]
-    return total / data.observed.sum(axis=0)
+    return np.where(data.observed, data.Y, 0.0).sum(axis=0) / data.observed.sum(axis=0)
 
 
 def _default_init(data, mu, structure):
@@ -798,28 +793,33 @@ def _newton_rows(data, Ys, fixed, values, structure, x0, starts):
 def moment_between_cov(data, mu):
     """Sign-invariant moment estimator of the between-study covariance.
 
-    Computes (1/N) (sum of residual outer products - sum of S_i), zeroes
-    any row/column whose diagonal entry is nonpositive, then
-    eigenvalue-clips the remainder at zero. The truncated flag reports
-    whether either step altered the matrix.
+    Entry (j, k) is taken over the studies O_jk that observe both
+    outcomes j and k: (sum of r_ij r_ik - sum of S_ijk) / max(|O_jk|, 1)
+    with r_i = y_i - mu, so a pair that no study observes reads 0. On
+    complete data that is (1/N) (sum of residual outer products - sum
+    of S_i). Unobserved outcomes and covariance entries are read as
+    zero, whatever they hold. Reflecting a study about mu changes no
+    product r_ij r_ik and no mask, so the matrix is sign-invariant on
+    any dataset. Any row/column whose diagonal entry is nonpositive is
+    zeroed, then the remainder is eigenvalue-clipped at zero. The
+    truncated flag reports whether either step altered the matrix.
 
     mu has shape (..., p): one einsum and one batched eigh give every
     mean's matrix, bit for bit the one it gets alone, and only matrices
     with a negative eigenvalue are clipped.
 
-    Requires a complete dataset: the estimator is undefined under
-    missing outcomes.
-
     Returns (sigma_mom, truncated), shapes (..., p, p) and (...); a
     1-d mu gives one matrix and a bool.
     """
-    if not data.complete:
-        raise IncompleteDataError("moment between-study covariance needs complete data")
     mu = np.atleast_1d(np.array(mu, dtype=float))
     if mu.shape[-1] != data.p or not np.all(np.isfinite(mu)):
         raise ValueError(f"mean vector must be a finite vector of length {data.p}")
-    R = data.Y - mu[..., None, :]
-    raw = (np.einsum("...ni,...nj->...ij", R, R) - data.S.sum(axis=0)) / data.n_studies
+    observed = data.observed
+    pairs = observed[:, :, None] & observed[:, None, :]
+    R = np.where(observed, data.Y - mu[..., None, :], 0.0)
+    raw = (
+        np.einsum("...ni,...nj->...ij", R, R) - np.where(pairs, data.S, 0.0).sum(axis=0)
+    ) / np.maximum(pairs.sum(axis=0), 1)
     raw = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     bad = np.diagonal(raw, axis1=-2, axis2=-1) <= 0.0
     M = np.where(bad[..., :, None] | bad[..., None, :], 0.0, raw)

@@ -14,14 +14,6 @@ class DataError(MetapermError):
     """
 
 
-class IncompleteDataError(DataError):
-    """Raised when an operation requires complete data but outcomes are missing.
-
-    The moment between-study covariance, and hence the moment-based test
-    statistic, is undefined for datasets with missing outcomes.
-    """
-
-
 class SingularInformationError(MetapermError):
     """Raised when the summed information carries no mass for the mean."""
 

@@ -22,11 +22,13 @@ is scored once (_permuted_statistics). A refit starts at the observed
 fit or where the caller says: inference.py decides the starts of an
 inversion's tests, and this module keeps nothing between tests and
 writes to no argument. t2 (the joint moment test) needs no refit: its
-covariance is sign-invariant, so one product of the canonical rows
-with the studies' weighted residuals gives the whole null. A region's
-lattice points are taken a chunk at a time: one likelihood pass with
-a row per null mean sets the chunk up, and its means share one product
-(_moment_tests); a single test is a chunk of one.
+covariance, taken pair by pair over the studies that observe both
+outcomes, is sign-invariant on complete and incomplete data alike, so
+one product of the canonical rows with the studies' weighted residuals
+gives the whole null. A region's lattice points are taken a chunk at a
+time: one likelihood pass with a row per null mean sets the chunk up,
+and its means share one product (_moment_tests); a single test is a
+chunk of one.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
 and scatter give the score and information of many rows at once
@@ -505,10 +507,12 @@ def _moment_setup(data, mus):
     One moment_between_cov call (through this module's binding) and one
     likelihood pass with a row per mean give every mean's weights,
     information, observed score and weighted residuals W_i r_i, each row
-    bit for bit that of its mean alone. Raises IncompleteDataError when
-    outcomes are missing; an indefinite weight set or information is
-    flagged, not raised. Returns (U_obs (P, p), the residuals as study
-    rows (P, N, p), I^{-1} (P, p, p), used_pinv (P,), indefinite (P,)).
+    bit for bit that of its mean alone. Missing outcomes need no special
+    case: the moment covariance is taken pair by pair over the studies
+    that observe both outcomes, and the pass runs by mask group. An
+    indefinite weight set or information is flagged, not raised.
+    Returns (U_obs (P, p), the residuals as study rows (P, N, p),
+    I^{-1} (P, p, p), used_pinv (P,), indefinite (P,)).
     """
     sigmas, _ = moment_between_cov(data, mus)
     blocks, indefinite, pinv_w = _weights(data, sigmas)

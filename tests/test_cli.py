@@ -123,6 +123,19 @@ class TestJoint:
         assert abs(doc["p_value"] * 32 - round(doc["p_value"] * 32)) < 1e-12
         assert isinstance(doc["reject"], bool)
 
+    def test_moment_on_network(self, capsys, nma_csv):
+        # a network has missing outcomes by construction: each study
+        # observes only its own arms' contrasts with the reference
+        code, out, _ = run(
+            capsys,
+            ["test-joint", nma_csv, "--input-format", "nma", "--reference", "control",
+             "--mu-null", "0,0", "--stat", "t2"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stat"] == "moment"
+        assert (doc["mode"], doc["n_permutations"], doc["n_failed"]) == ("exhaustive", 8, 0)
+
     def test_random_cml(self, capsys, wide_csv):
         code, out, _ = run(
             capsys,

@@ -11,7 +11,6 @@ from metaperm import (
     CovStructure,
     Dataset,
     HetParams,
-    IncompleteDataError,
     NonConvergenceError,
     PermutationPlan,
     between_cov,
@@ -557,9 +556,44 @@ class TestMomentBetweenCov:
             sigma, _ = moment_between_cov(flipped, mu)
             assert np.array_equal(sigma, base)
 
-    def test_incomplete_data_refused(self, trivariate_missing):
-        with pytest.raises(IncompleteDataError):
-            moment_between_cov(trivariate_missing, np.zeros(3))
+    def test_missing_outcomes_match_pair_loop(self):
+        # half the studies miss outcome 3 and the other half outcome 1,
+        # two more miss outcome 2: each entry averages over the studies
+        # that observe both of its outcomes, and outcomes 1 and 3, never
+        # observed together, have no terms and read 0. Large residuals
+        # keep the matrix away from truncation, so it is the raw average
+        rng = np.random.default_rng(8)
+        n = 12
+        Y = rng.normal(scale=2.0, size=(n, 3))
+        S = np.tile(np.diag([0.1, 0.2, 0.15]), (n, 1, 1))
+        observed = np.ones((n, 3), dtype=bool)
+        observed[: n // 2, 2] = False
+        observed[n // 2 :, 0] = False
+        observed[[0, 7], 1] = False
+        mu = np.array([0.1, -0.2, 0.3])
+        sigma, truncated = moment_between_cov(Dataset.from_arrays(Y, S, observed=observed), mu)
+        oracle = np.zeros((3, 3))
+        for j, k in itertools.product(range(3), repeat=2):
+            both = [i for i in range(n) if observed[i, j] and observed[i, k]]
+            terms = [(Y[i, j] - mu[j]) * (Y[i, k] - mu[k]) - S[i, j, k] for i in both]
+            oracle[j, k] = sum(terms) / max(len(both), 1)
+        assert not truncated
+        assert sigma[0, 2] == sigma[2, 0] == 0.0
+        np.testing.assert_allclose(sigma, oracle, rtol=1e-13, atol=0.0)
+
+    def test_unobserved_cells_are_ignored(self, trivariate_missing):
+        # NaN in every unobserved outcome and covariance entry gives the
+        # same bits as the finite values the fixture holds there
+        data = trivariate_missing
+        pairs = data.observed[:, :, None] & data.observed[:, None, :]
+        filled = Dataset.from_arrays(
+            np.where(data.observed, data.Y, np.nan),
+            np.where(pairs, data.S, np.nan),
+            observed=data.observed,
+        )
+        mus = np.array([[0.2, 0.0, -0.3], [0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
+        for got, want in zip(moment_between_cov(filled, mus), moment_between_cov(data, mus)):
+            assert got.tobytes() == want.tobytes()
 
     def test_output_is_psd(self, bivariate12):
         sigma, _ = moment_between_cov(bivariate12, np.zeros(2))

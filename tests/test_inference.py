@@ -17,7 +17,6 @@ from metaperm import (
     CovStructure,
     DataError,
     Dataset,
-    IncompleteDataError,
     NonConvergenceError,
     PermutationPlan,
     SingularInformationError,
@@ -644,6 +643,9 @@ class TestMomentRegionChunks:
             ("mvn16", PermutationPlan.random(257), {"resolution": 21}),
             # p = 3, component 1 fixed at its ML estimate
             ("trivariate10", PermutationPlan.exhaustive(), {"components": (0, 2)}),
+            # the same studies with outcomes missing: the moment covariance
+            # of each chunk is taken pair by pair over the observing studies
+            ("trivariate_missing", PermutationPlan.exhaustive(), {"components": (0, 2)}),
         ],
     )
     def test_equals_one_test_per_point(self, request, name, plan, kwargs):
@@ -672,16 +674,6 @@ class TestMomentRegionChunks:
             # BLAS may sum a canonical row's product in another order when
             # more points share it, so a threshold can move in its last bits
             np.testing.assert_allclose(grid.threshold, threshold, rtol=1e-13, atol=0.0)
-
-    def test_missing_data_raises(self, trivariate_missing):
-        with pytest.raises(IncompleteDataError):
-            confidence_region(
-                trivariate_missing,
-                bounds=[(-1.0, 1.0)] * 3,
-                resolution=20,
-                stat="moment",
-                plan=PermutationPlan.exhaustive(),
-            )
 
     def test_first_failing_point_raises(self, bivariate12, monkeypatch):
         # two neighbouring points of the second chunk get an indefinite

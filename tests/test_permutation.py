@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from metaperm import (
     CovStructure,
     Dataset,
-    IncompleteDataError,
     NonConvergenceError,
     NullDistribution,
     PermutationPlan,
@@ -484,14 +483,31 @@ class TestJointMoment:
             base.p_value, abs=1e-12
         )
 
-    def test_missing_data_rejected(self, trivariate_missing):
-        with pytest.raises(IncompleteDataError):
-            joint_permutation_test(
-                trivariate_missing,
-                [0.0, 0.0, 0.0],
-                plan=PermutationPlan.exhaustive(),
-                stat="moment",
-            )
+    def test_missing_outcomes_keep_sigma_and_null(self, trivariate_missing):
+        # with outcomes missing, each entry of Sigma is taken over the
+        # studies that observe both of its outcomes; a reflection about
+        # mu flips residuals and changes no mask, so Sigma keeps its bits
+        # and the exhaustive null is unchanged as a multiset. Residuals
+        # about mu are formed once, as moment_between_cov forms them, and
+        # reflected about zero, where negation is exact
+        data = trivariate_missing
+        plan = PermutationPlan.exhaustive()
+        zero = np.zeros(3)
+        rng = np.random.default_rng(4)
+        for mu in ([0.2, 0.0, -0.3], [0.35, 0.15, -0.15], [0.8, 0.6, 0.3]):
+            sigma, _ = moment_between_cov(data, mu)
+            centered = replace(data, Y=data.Y - np.array(mu))
+            base = joint_permutation_test(centered, zero, plan=plan, stat="moment")
+            for _ in range(4):
+                v = rng.choice([-1.0, 1.0], size=data.n_studies)
+                flipped = _flip_dataset(centered, zero, v)
+                assert moment_between_cov(flipped, zero)[0].tobytes() == sigma.tobytes()
+                other = joint_permutation_test(flipped, zero, plan=plan, stat="moment")
+                np.testing.assert_allclose(
+                    np.sort(base.distribution.statistics),
+                    np.sort(other.distribution.statistics),
+                    rtol=1e-10,
+                )
 
 
 class TestQuadForms:
@@ -747,6 +763,23 @@ def test_t1_exact_size_over_whole_orbits(seed, n, offset, structure):
     ])
     for a in np.unique(p):
         assert np.count_nonzero(p <= a) <= a * 2 ** n, f"size above {a} at p <= {a}"
+
+
+@pytest.mark.parametrize("offset", [0.15, -0.3, 0.6])
+def test_t2_exact_size_over_whole_orbits(trivariate_missing, offset):
+    # the same guarantee for t2 with outcomes missing: a reflection
+    # about mu0 changes no mask and no product of residuals, so every
+    # reflection of the data has the same moment covariance, and
+    # exhaustive p-values over the 2^10 reflections keep the size
+    data = trivariate_missing
+    mu0 = np.array([0.2, 0.0, -0.3]) + offset
+    plan = PermutationPlan.exhaustive()
+    p = np.array([
+        joint_permutation_test(_flip_dataset(data, mu0, g), mu0, plan=plan, stat="moment").p_value
+        for g in generate_signs(plan, data.n_studies).astype(float)
+    ])
+    for a in np.unique(p):
+        assert np.count_nonzero(p <= a) <= a * p.size, f"size above {a} at p <= {a}"
 
 
 class TestFoldedRows:

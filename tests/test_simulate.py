@@ -318,6 +318,17 @@ class TestCoverageExperiment:
             np.sqrt(rep.coverage * (1 - rep.coverage) / 100), rel=1e-12
         )
 
+    def test_joint_moment_with_missing_outcomes(self):
+        # gauss3m-s1 masks outcomes at random; the moment covariance is
+        # taken pair by pair over the studies that observe both outcomes,
+        # so every replicate runs, and t2 coverage lies within 3 SE of
+        # 0.95, [0.917, 0.983] at 400 replicates
+        rep = coverage_experiment(load_scenarios()["gauss3m-s1"], "t2", reps=400)
+        band = 3 * monte_carlo_se(0.95, 400)
+        assert (round(0.95 - band, 3), round(0.95 + band, 3)) == (0.917, 0.983)
+        assert rep.non_convergence == 0 and rep.replications == 400
+        assert 0.95 - band <= rep.coverage <= 0.95 + band
+
     def test_wald_marginal_target(self, gauss_small):
         rep = coverage_experiment(
             gauss_small, "ml", reps=100, seed=11, target="marginal", component=1
