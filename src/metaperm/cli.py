@@ -91,7 +91,8 @@ def _add_structure_option(sub):
     sub.add_argument(
         "--structure",
         default="unstructured",
-        help="between-study covariance: unstructured, cs:<kappa0>, or cs1:<kappa0>",
+        help="between-study covariance: unstructured, cs:<kappa0>, or cs1:<kappa0> "
+        "(t2 takes only unstructured)",
     )
 
 

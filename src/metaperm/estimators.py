@@ -38,6 +38,7 @@ from .model import (
     HetParams,
     _assemble_cov,
     _check_component,
+    _clip_psd,
     _finite_mean,
     _gls_profile,
     _loglik_terms,
@@ -801,7 +802,7 @@ def moment_between_cov(data, mu):
     zero, whatever they hold. Reflecting a study about mu changes no
     product r_ij r_ik and no mask, so the matrix is sign-invariant on
     any dataset. Any row/column whose diagonal entry is nonpositive is
-    zeroed, then the remainder is eigenvalue-clipped at zero. The
+    zeroed, then the remainder is clipped at zero by _clip_psd. The
     truncated flag reports whether either step altered the matrix.
 
     mu has shape (..., p): one einsum and one batched eigh give every
@@ -824,11 +825,6 @@ def moment_between_cov(data, mu):
     bad = np.diagonal(raw, axis1=-2, axis2=-1) <= 0.0
     M = np.where(bad[..., :, None] | bad[..., None, :], 0.0, raw)
     truncated = (M != raw).any(axis=(-2, -1))
-    w, Q = np.linalg.eigh(M)
+    w = _clip_psd(M)
     truncated |= w[..., 0] < -EPS_PSD * np.maximum(1.0, np.abs(w).max(axis=-1))
-    clip = w[..., 0] < 0.0
-    if clip.any():
-        Q = Q[clip]
-        C = (Q * np.maximum(w[clip], 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
-        M[clip] = 0.5 * (C + np.swapaxes(C, -1, -2))
     return M, truncated if truncated.ndim else bool(truncated)

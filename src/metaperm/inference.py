@@ -22,10 +22,11 @@ from scipy.special import chdtrc, gammaincinv, ndtri
 
 from .estimators import fit_ml
 from .exceptions import NonConvergenceError, SingularInformationError
-from .model import RCOND, _check_component, _finite_mean, _require_structure
+from .model import _check_component, _finite_mean, _require_structure, _sym_inverse_flags
 from .permutation import (
     _check_alpha,
     _default_plan,
+    _joint_structure,
     _moment_tests,
     # a module binding that perfbench's traced run wraps as the test span
     # of every probe of an inversion
@@ -181,14 +182,14 @@ class RegionGrid:
 
 
 def _checked_information_inverse(info):
-    """Inverse of the mean information; singular matrices are an error."""
-    info = np.asarray(info, dtype=float)
-    w, Q = np.linalg.eigh(info)
-    if w[0] <= RCOND * max(w[-1], 0.0) or w[-1] <= 0.0:
+    """Inverse of the mean information by _sym_inverse_flags; one that
+    would take its pseudoinverse (singular or indefinite) is an error."""
+    Iinv, _, _, pinv = _sym_inverse_flags(np.asarray(info, dtype=float))
+    if pinv:
         raise SingularInformationError(
             "mean information matrix is singular; Wald quantities undefined"
         )
-    return (Q / w) @ Q.T
+    return Iinv
 
 
 def wald_inference(fit, alpha=0.05, mu_null=None):
@@ -563,8 +564,10 @@ def confidence_region(
         One finite pair per listed component.
     resolution : int
         Lattice points per axis, at least 20.
+    structure : CovStructure, optional
+        Unstructured when None; t2 takes no other (ValueError).
     """
-    structure = _require_structure(structure)
+    structure = _joint_structure(stat, structure)
     plan = _default_plan(plan, data.n_studies)
     _check_alpha(alpha)
     p = data.p

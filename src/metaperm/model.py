@@ -12,11 +12,11 @@ one mean and Sigma, and the fitters and statistics call the steps they
 need. Every study contributes only through its observed subvector and
 submatrices; unobserved components contribute exactly zero.
 
-Symmetric blocks are inverted by eigendecomposition with the
-pseudoinverse and indefinite flags of _sym_inverse_flags, except that
-1x1 blocks are inverted directly (with the same bits) and, in passes
-with a leading row axis, well-conditioned 2x2 blocks in closed form
-(_sym_inverse_rows).
+Every symmetric matrix is inverted by one rule, _sym_inverse_flags:
+1x1 blocks directly, well-conditioned 2x2 blocks in closed form and the
+rest by eigendecomposition with pseudoinverse and indefinite flags, at
+any leading shape, so a pass at one Sigma is row 0 of a row-batched
+pass bit for bit. _clip_psd is the one eigenvalue clip at zero.
 """
 
 from collections import namedtuple
@@ -356,19 +356,29 @@ def _correlation_matrix(het, structure, p):
     return K
 
 
+def _clip_psd(M):
+    """Clip at zero, in place, each matrix of M (..., p, p) with a negative eigenvalue.
+
+    Returns the eigenvalues of M as it was, (..., p) in ascending order.
+    """
+    w, Q = np.linalg.eigh(M)
+    clip = w[..., 0] < 0.0
+    if clip.any():
+        Q = Q[clip]
+        C = (Q * np.maximum(w[clip], 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        M[clip] = 0.5 * (C + np.swapaxes(C, -1, -2))
+    return w
+
+
 def _assemble_cov(tau, K):
     """Sigma = K * tau tau' for SDs (..., p) and correlations (..., p, p).
 
     Sigma[j, j] = tau_j**2 and Sigma[j, k] = K_jk tau_j tau_k. An
     indefinite assembly (possible because pairwise correlations need not
-    form a PSD matrix) is eigenvalue-clipped at zero, row by row.
+    form a PSD matrix) is clipped at zero, row by row, by _clip_psd.
     """
     sigma = K * (tau[..., :, None] * tau[..., None, :])
-    neg = np.linalg.eigvalsh(sigma)[..., 0] < 0.0
-    if neg.any():
-        w, Q = np.linalg.eigh(sigma[neg])
-        clipped = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
-        sigma[neg] = 0.5 * (clipped + np.swapaxes(clipped, -1, -2))
+    _clip_psd(sigma)
     return sigma
 
 
@@ -387,24 +397,56 @@ def _require_definite(indefinite):
         raise DataError(_INDEFINITE)
 
 
+# A 2x2 block with a > 0 and det > _DET_MARGIN * RCOND * tr^2 has an
+# eigenvalue ratio above det / tr^2, so the margin absorbs the rounding
+# of det and of eigh's eigenvalues: eigh would keep it whole and
+# unflagged. A det below the smallest normal float carries too few
+# digits, so such a block goes to eigh as well.
+_DET_MARGIN = 4.0
+
+
 def _sym_inverse_flags(V):
-    """Invert a batch of symmetric matrices by eigendecomposition.
+    """Invert symmetric matrices V (..., k, k), at any leading shape or none.
 
-    Eigenvalues below RCOND times the largest are dropped, which
-    realizes the Moore-Penrose pseudoinverse on the numerically singular
-    subspace; the log-determinant then refers to the retained spectrum.
-    V has shape (..., k, k). Returns (W, logdet, indefinite, pinv): the
-    (pseudo)inverses, their log (pseudo)determinants, and boolean flags
-    of shape V.shape[:-2] for a meaningfully negative eigenvalue and for
-    the pseudoinverse path. W and logdet of an indefinite matrix are
-    finite but meaningless.
+    Returns (W, logdet, indefinite, pinv): the (pseudo)inverses, their
+    log (pseudo)determinants, and flags of shape V.shape[:-2] for a
+    meaningfully negative eigenvalue and for the pseudoinverse path (W
+    and logdet of an indefinite matrix are finite but meaningless). Each
+    matrix's results depend on it alone, in whatever stack it comes.
 
-    A 1x1 matrix is its own eigenvalue with eigenvector 1, so at k = 1
-    the spectrum is V itself and no eigh runs; the result equals eigh's
-    bit for bit, flags and non-finite entries included. When every
-    eigenvalue is kept, the common case, the masked expressions reduce
-    to 1 / w and the sum of log w, so those are taken directly.
+    A 2x2 block [[a, b], [b, c]] with a > 0 and det = ac - b^2 above the
+    _DET_MARGIN bound gets W = [[c, -b], [-b, a]] / det, logdet = log det
+    and both flags False, which agree with eigh's to rounding. Any other
+    matrix is inverted by eigendecomposition, dropping eigenvalues at or
+    below RCOND times the largest: the Moore-Penrose pseudoinverse, with
+    logdet over the retained spectrum. At k = 1 the spectrum is V itself,
+    so no eigh runs and the result is eigh's bit for bit, flags and
+    non-finite entries included. When every eigenvalue is kept, the
+    masked expressions reduce to 1 / w and the sum of log w, which are
+    taken directly.
     """
+    if V.ndim == 2:
+        return tuple(part[0] for part in _sym_inverse_flags(V[None]))
+    if V.shape[-1] == 2:
+        a, b, c = V[..., 0, 0], V[..., 1, 0], V[..., 1, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # overflowing or non-finite blocks fail the test and go to
+            # eigh, which warns about none of them
+            det = a * c - b * b
+            tr = a + c
+            bound = np.maximum(_DET_MARGIN * RCOND * tr * tr, np.finfo(float).tiny)
+        closed = (a > 0.0) & (det > bound)
+        if closed.any():
+            det = np.where(closed, det, 1.0)
+            W = np.stack([c, -b, -b, a], axis=-1).reshape(V.shape) / det[..., None, None]
+            logdet = np.log(det)
+            indefinite = np.zeros(closed.shape, dtype=bool)
+            pinv = np.zeros(closed.shape, dtype=bool)
+            if not closed.all():
+                # none of these passes the test again, so they go to eigh
+                rest = ~closed
+                W[rest], logdet[rest], indefinite[rest], pinv[rest] = _sym_inverse_flags(V[rest])
+            return W, logdet, indefinite, pinv
     if V.shape[-1] == 1:
         w, Q = V[..., 0], None
     else:
@@ -424,51 +466,6 @@ def _sym_inverse_flags(V):
         W = winv[..., None]
     else:
         W = (Q * winv[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    return W, logdet, indefinite, pinv
-
-
-# A 2x2 block takes the closed-form inverse when det > _DET_MARGIN *
-# RCOND * tr^2. With a > 0 that bounds its eigenvalue ratio below by
-# det / tr^2, so the margin absorbs the rounding of det and of eigh's
-# eigenvalues and the block is one eigh would keep whole and unflagged.
-# A det below the smallest normal float would carry too few digits, so
-# such a block goes to eigh as well.
-_DET_MARGIN = 4.0
-_TINY = np.finfo(float).tiny
-
-
-def _sym_inverse_rows(V):
-    """_sym_inverse_flags with 2x2 blocks inverted in closed form.
-
-    For V of shape (..., 2, 2) with entries a, b (lower) and c, a block
-    with a > 0 and det = ac - b^2 > _DET_MARGIN * RCOND * (a + c)^2, det
-    a normal float, is positive definite and well inside the
-    pseudoinverse cutoff. It gets W = [[c, -b], [-b, a]] / det, logdet =
-    log det and both flags False, which agree with eigh's to rounding.
-    Every other block (near-singular, indefinite or non-finite) goes
-    through _sym_inverse_flags alone, so its W, logdet and flags are
-    eigh's bit for bit. Other k go through _sym_inverse_flags unchanged.
-    """
-    if V.shape[-1] != 2:
-        return _sym_inverse_flags(V)
-    a = V[..., 0, 0]
-    b = V[..., 1, 0]
-    c = V[..., 1, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # overflowing or non-finite blocks fail the test and go to eigh,
-        # which warns about none of them
-        det = a * c - b * b
-        tr = a + c
-        bound = np.maximum(_DET_MARGIN * RCOND * tr * tr, _TINY)
-    closed = (a > 0.0) & (det > bound)
-    det = np.where(closed, det, 1.0)
-    W = np.stack([c, -b, -b, a], axis=-1).reshape(V.shape) / det[..., None, None]
-    logdet = np.log(det)
-    indefinite = np.zeros(closed.shape, dtype=bool)
-    pinv = np.zeros(closed.shape, dtype=bool)
-    if not closed.all():
-        rest = ~closed
-        W[rest], logdet[rest], indefinite[rest], pinv[rest] = _sym_inverse_flags(V[rest])
     return W, logdet, indefinite, pinv
 
 
@@ -499,22 +496,15 @@ def _weights(data, sigma, Ys=None):
     dimensions stops at the first indefinite group: no caller uses the
     blocks of an indefinite row.
 
-    A pass with a leading row axis (the batched refit kernel and the
-    t1, t2 and t3 statistics) inverts 2x2 blocks in closed form
-    (_sym_inverse_rows). A pass at one Sigma (the L-BFGS-B objective,
-    model_terms and the GLS means of the scalar fits) keeps eigh's bits
-    (_sym_inverse_flags). 1x1 blocks get eigh's bits on both sides.
+    Every block goes through _sym_inverse_flags, whatever the leading
+    dimensions, so the blocks of a pass at one Sigma equal row 0 of a
+    pass at sigma[None] bit for bit.
     """
-    # The seam keeps the scalar fits on eigh's bits: the closed form
-    # there moved ML and REML convergence on the gauss3m-s2 coverage
-    # rows (ROADMAP item 3). The fitter changes of ROADMAP items 3 and 9
-    # re-record those rows and can then remove it.
-    invert = _sym_inverse_rows if sigma.ndim > 2 else _sym_inverse_flags
     indefinite = pinv = False
     blocks = []
     for i, g in enumerate(data._groups):
         sigma_g = sigma.take(g.idx, -2).take(g.idx, -1)[..., None, :, :]
-        W, logdet, ind, pv = invert(g.S + sigma_g)
+        W, logdet, ind, pv = _sym_inverse_flags(g.S + sigma_g)
         indefinite = indefinite | ind.any(axis=-1)
         pinv = pinv | pv.any(axis=-1)
         blocks.append(_Block(g, g.Y if Ys is None else Ys[i], W, logdet))

@@ -148,6 +148,14 @@ def _check_alpha(alpha):
         raise ValueError("alpha must be in (0, 1)")
 
 
+def _joint_structure(stat, structure):
+    """structure, unstructured when None; t2's moment Sigma takes no other."""
+    structure = _require_structure(structure)
+    if stat == "moment" and structure.kind != "unstructured":
+        raise ValueError(f"t2 takes no covariance structure, got {structure.kind!r}")
+    return structure
+
+
 def _default_plan(plan, n_studies, seed=DEFAULT_SEED):
     """plan, else exhaustive while 2^(N-1) <= DEFAULT_B (N <= 12), else DEFAULT_B draws."""
     if plan is not None:
@@ -476,7 +484,8 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     sample (started at the observed constrained fit) before the
     score statistic is evaluated; with stat="moment" the sign-invariant
     moment plug-in makes any refit unnecessary, so the whole
-    distribution is computed in one vectorized pass.
+    distribution is computed in one vectorized pass; it raises
+    ValueError on a structure other than unstructured.
 
     Sign assignments that flip nothing (or everything) reproduce the
     observed statistic exactly and are assigned it directly. Either
@@ -486,7 +495,7 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     """
     if stat not in ("cml", "moment"):
         raise ValueError(f"unknown joint statistic {stat!r}")
-    structure = _require_structure(structure)
+    structure = _joint_structure(stat, structure)
     plan = _default_plan(plan, data.n_studies)
     mu = _finite_mean(mu_null, data.p, "null mean")
     if stat == "moment":

@@ -472,6 +472,24 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test-joint", "{wide}", "--mu-null", "0,0", "--stat", "t2"],
+            ["region", "{wide}", "--axes", "1,2", "--stat", "t2"],
+            ["simulate", "--scenario", "diag-n8-d1-h2", "--method", "perm-t2", "--reps", "100"],
+        ],
+    )
+    def test_t2_refuses_a_structure(self, capsys, wide_csv, argv):
+        argv = [a.format(wide=wide_csv) for a in argv]
+        code, out, err = run(capsys, argv + ["--structure", "cs:0.5"])
+        assert (code, out) == (1, "")
+        assert "t2 takes no covariance structure" in err
+        # unstructured is the default, and naming it changes no byte
+        default = run(capsys, argv)
+        assert default[0] == 0
+        assert run(capsys, argv + ["--structure", "unstructured"]) == default
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["transmogrify"])
         assert code == 1

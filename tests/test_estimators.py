@@ -1,6 +1,7 @@
 """ML, REML, constrained fits, and the moment covariance estimator."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from metaperm.estimators import (
     _neg_profiled_free,
     _pack,
     _row_terms,
+    _unpack,
     _unpack_rows,
     refit_rows,
     sigma_rows,
@@ -311,8 +313,11 @@ class TestProfiledObjective:
     def test_fixed_all_value_is_the_model_terms_loglik(self, trivariate_missing):
         mu0 = np.array([0.2, 0.0, -0.3])
         start = HetParams(tau=[0.3, 0.35, 0.4], kappa=np.full((3, 3), 0.3) + 0.7 * np.eye(3))
-        f, _ = _neg_profiled_free(trivariate_missing, UNSTR, [0, 1, 2], mu0)(_pack(start, UNSTR))
-        sigma = between_cov(start, UNSTR)
+        x = _pack(start, UNSTR)
+        f, _ = _neg_profiled_free(trivariate_missing, UNSTR, [0, 1, 2], mu0)(x)
+        # the Sigma the objective sees: between_cov(start) differs from it
+        # in the last bits after the log/atanh round trip of _pack
+        sigma = _unpack(x, UNSTR, 3)[2]
         assert f == -model_terms(trivariate_missing, mu0, sigma).loglik
 
 
@@ -545,16 +550,24 @@ class TestMomentBetweenCov:
         assert not truncated
         assert np.allclose(sigma, sample, atol=1e-3)
 
-    def test_exact_sign_invariance(self, bivariate6):
-        mu = np.array([0.3, -0.1])
-        base, _ = moment_between_cov(bivariate6, mu)
-        Y, S = bivariate6.Y, bivariate6.S
+    @pytest.mark.parametrize(
+        "fixture, mu",
+        [("bivariate6", [0.3, -0.1]), ("trivariate_missing", [0.8, 0.6, 0.3])],
+    )
+    def test_exact_sign_invariance(self, request, fixture, mu):
+        # residuals about mu are formed once, as moment_between_cov forms
+        # them, and reflected about zero, where negation is exact; a
+        # reflection about mu itself rounds, so it is not a test of Sigma
+        data = request.getfixturevalue(fixture)
+        mu = np.array(mu)
+        base, base_truncated = moment_between_cov(data, mu)
+        zero = np.zeros(data.p)
         rng = np.random.default_rng(5)
-        for _ in range(8):
-            v = rng.choice([-1.0, 1.0], size=6)
-            flipped = Dataset.from_arrays(mu + v[:, None] * (Y - mu), S)
-            sigma, _ = moment_between_cov(flipped, mu)
-            assert np.array_equal(sigma, base)
+        for _ in range(20):
+            v = rng.choice([-1.0, 1.0], size=data.n_studies)
+            flipped = replace(data, Y=v[:, None] * (data.Y - mu))
+            sigma, truncated = moment_between_cov(flipped, zero)
+            assert sigma.tobytes() == base.tobytes() and truncated == base_truncated
 
     def test_missing_outcomes_match_pair_loop(self):
         # half the studies miss outcome 3 and the other half outcome 1,

@@ -99,11 +99,23 @@ class TestWaldInference:
         with pytest.raises(ValueError, match="length"):
             wald_inference(equal_var_fit, mu_null=[0.0, 0.0])
 
-    def test_singular_information_rejected(self, bivariate5):
+    @pytest.mark.parametrize(
+        "information",
+        [
+            np.ones((2, 2)),                        # rank 1
+            [[1.0, 2.0], [2.0, 1.0]],               # indefinite
+            np.diag([1.0, 1e-11]),                  # below the pseudoinverse cutoff
+            np.diag([1.0, 0.0, 2.0]),               # p = 3, eigh
+        ],
+    )
+    def test_singular_information_rejected(self, bivariate5, information):
         fit = fit_ml(bivariate5)
-        rank1 = dataclasses.replace(fit, information=np.ones((2, 2)))
+        information = np.asarray(information)
+        singular = dataclasses.replace(
+            fit, mu=np.zeros(information.shape[0]), information=information
+        )
         with pytest.raises(SingularInformationError):
-            wald_inference(rank1)
+            wald_inference(singular)
 
 
 class TestWithoutScipyStats:
@@ -507,6 +519,22 @@ class TestConfidenceRegion:
     # joint exhaustive tests at N=5 cannot reject at the 5% level (the
     # global reflection always ties the identity, so min p = 2/32), so
     # region tests that need both outcomes use the six-study fixture
+    def test_t2_refuses_a_structure(self, bivariate6):
+        bounds = [(-0.5, 1.2), (-1.0, 0.6)]
+        plan = PermutationPlan.exhaustive()
+        with pytest.raises(ValueError, match="t2 takes no covariance structure"):
+            confidence_region(
+                bivariate6, bounds=bounds, stat="moment", plan=plan,
+                structure=CovStructure.cs(0.5),
+            )
+        base = confidence_region(bivariate6, bounds=bounds, stat="moment", plan=plan)
+        named = confidence_region(
+            bivariate6, bounds=bounds, stat="moment", plan=plan,
+            structure=CovStructure.unstructured(),
+        )
+        assert named.p_value.tobytes() == base.p_value.tobytes()
+        assert named.threshold.tobytes() == base.threshold.tobytes()
+
     def test_lattice_contract(self, bivariate6):
         bounds = [(-0.5, 1.2), (-1.0, 0.6)]
         grid = confidence_region(

@@ -16,8 +16,8 @@ from metaperm import (
 from metaperm.model import (
     EPS_PSD,
     RCOND,
+    _clip_psd,
     _sym_inverse_flags,
-    _sym_inverse_rows,
     _weights,
 )
 
@@ -238,13 +238,14 @@ class TestSymInverse:
         values = [2.0, 1.0, 0.37, 1e-300, 0.0, -0.0, -1e-12, -1.0, -3e5, 1e300,
                   np.nan, np.inf, -np.inf, 1e-11]
         V = np.array(values).reshape(2, 7, 1, 1)
-        for invert in (_sym_inverse_flags, _sym_inverse_rows):
-            assert_same_results(invert(V), eigh_inverse(V))
-            assert_same_results(invert(V[0, 0]), eigh_inverse(V[0, 0]))
+        assert_same_results(_sym_inverse_flags(V), eigh_inverse(V))
+        assert_same_results(_sym_inverse_flags(V[0, 0]), eigh_inverse(V[0, 0]))
+        for v in V.reshape(14, 1, 1):
+            assert_same_results(_sym_inverse_flags(v), eigh_inverse(v))
 
     def test_closed_form_agrees_with_eigh(self):
         V = spd_batch(3, (40, 7))
-        W, logdet, indefinite, pinv = _sym_inverse_rows(V)
+        W, logdet, indefinite, pinv = _sym_inverse_flags(V)
         W0, logdet0, indefinite0, pinv0 = eigh_inverse(V)
         size = np.abs(W0).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(W - W0) <= 1e-12 * size)
@@ -257,14 +258,17 @@ class TestSymInverse:
         V = hard_blocks()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             want = eigh_inverse(V)
-            assert_same_results(_sym_inverse_rows(V), want)
+            assert_same_results(_sym_inverse_flags(V), want)
+            # a single (2, 2) matrix, with no leading axis, takes the same path
+            for v in V:
+                assert_same_results(_sym_inverse_flags(v), eigh_inverse(v))
         indefinite, pinv = want[2], want[3]
         assert indefinite[[2, 3, 4, 5]].all() and not indefinite[6]
         assert pinv[[0, 1, 7, 9, 11]].all() and not pinv[[8, 10, 12]].any()
 
     def test_just_past_the_test_takes_the_closed_form(self):
         V = np.stack([np.diag([1.0, 4.1 * RCOND]), rotated([4.1 * RCOND, 1.0], 0.7)])
-        W, logdet, indefinite, pinv = _sym_inverse_rows(V)
+        W, logdet, indefinite, pinv = _sym_inverse_flags(V)
         W0, logdet0, indefinite0, pinv0 = eigh_inverse(V)
         assert not same_bits(W, W0)
         assert same_bits(indefinite, indefinite0) and same_bits(pinv, pinv0)
@@ -276,39 +280,64 @@ class TestSymInverse:
         V = np.concatenate([hard_blocks(), spd_batch(8, (20,))])[rng.permutation(40)]
         V = V.reshape(4, 10, 2, 2)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            batch = _sym_inverse_rows(V)
+            batch = _sym_inverse_flags(V)
             for i, j in np.ndindex(4, 10):
-                alone = _sym_inverse_rows(V[i, j][None])
-                assert_same_results([part[i, j][None] for part in batch], alone)
+                alone = _sym_inverse_flags(V[i, j])
+                assert_same_results([part[i, j] for part in batch], alone)
 
 
-class TestWeightsSeam:
-    # a pass at one Sigma keeps eigh's bits (the scalar fits and the
-    # gated ML/REML coverage rows rest on them); a row-batched pass may
-    # take the closed form
-    def test_scalar_pass_is_eigh_and_row_pass_agrees(self, trivariate_missing):
+class TestClipPsd:
+    def test_each_matrix_is_clipped_alone(self):
+        M = np.stack([
+            rotated([0.5, 2.0], 0.4),                    # PSD
+            [[1.0, 2.0], [2.0, 1.0]],                    # indefinite
+            np.zeros((2, 2)),                            # zero
+            rotated([-1e-3, 1.0], 1.1),                  # indefinite, slightly
+            np.diag([0.0, 1.0]),                         # PSD, singular
+            [[-1.0, 0.0], [0.0, -2.0]],                  # negative definite
+        ]).reshape(2, 3, 2, 2)
+        before = M.copy()
+        w = _clip_psd(M)
+        assert same_bits(w, np.linalg.eigh(before)[0])
+        for i, j in np.ndindex(2, 3):
+            alone = before[i, j].copy()
+            assert same_bits(_clip_psd(alone), w[i, j])
+            assert same_bits(alone, M[i, j])
+        negative = w[..., 0] < 0.0
+        assert negative.tolist() == [[False, True, False], [True, False, True]]
+        # matrices without a negative eigenvalue are left as they are
+        assert same_bits(M[~negative], before[~negative])
+        assert np.allclose(M[0, 1], [[1.5, 1.5], [1.5, 1.5]], rtol=0, atol=1e-15)
+        assert np.allclose(M[1, 0], rotated([0.0, 1.0], 1.1), rtol=0, atol=1e-15)
+        assert np.allclose(M[1, 2], 0.0, rtol=0, atol=0)
+        assert (np.linalg.eigvalsh(M) >= -1e-15).all()
+
+
+class TestWeightsOneRule:
+    # a pass at one Sigma (the scalar fits, model_terms) and a row-batched
+    # pass (the refit kernel and the statistics) invert each block by the
+    # one rule of _sym_inverse_flags
+    def test_scalar_pass_is_row_zero_of_a_row_pass(self, trivariate_missing):
         data = trivariate_missing
         kappa = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
         sigma = between_cov(het([0.3, 0.25, 0.35], kappa), UNSTR)
         blocks, indefinite, pinv = _weights(data, sigma)
         assert {g.idx.size for g in data._groups} == {1, 2, 3}
         assert not indefinite and not pinv
-        for g, Y, W, logdet in blocks:
-            W0, logdet0, _, _ = eigh_inverse(g.S + sigma[np.ix_(g.idx, g.idx)])
-            assert same_bits(W, W0) and same_bits(logdet, logdet0)
         Ys = [g.Y[None] for g in data._groups]
         rows, indefinite, pinv = _weights(data, sigma[None], Ys)
         assert indefinite.shape == (1,) and not indefinite[0] and not pinv[0]
-        closed = []
         for (g, _, W, logdet), (_, _, W_row, logdet_row) in zip(blocks, rows):
-            size = np.abs(W).max()
-            assert np.all(np.abs(W_row[0] - W) <= 1e-12 * size)
-            assert np.all(np.abs(logdet_row[0] - logdet) <= 1e-12)
+            assert same_bits(W_row[0], W) and same_bits(logdet_row[0], logdet)
+            V = g.S + sigma[np.ix_(g.idx, g.idx)]
             if g.idx.size == 2:
-                closed.append(not same_bits(W_row[0], W))
+                a, b, c = V[:, 0, 0], V[:, 1, 0], V[:, 1, 1]
+                det = a * c - b * b
+                closed = np.stack([c, -b, -b, a], axis=-1).reshape(V.shape) / det[:, None, None]
+                assert same_bits(W, closed) and same_bits(logdet, np.log(det))
             else:
-                assert same_bits(W_row[0], W) and same_bits(logdet_row[0], logdet)
-        assert any(closed)
+                W0, logdet0, _, _ = eigh_inverse(V)
+                assert same_bits(W, W0) and same_bits(logdet, logdet0)
 
 
 class TestLogLikelihood:

@@ -464,6 +464,21 @@ class TestJointMoment:
         )
         assert res.p_value == np.mean(expected >= expected[0])
 
+    def test_refuses_a_structure(self, bivariate5):
+        # the moment Sigma has no structure to impose; unstructured, named
+        # or by default, gives the same bits
+        mu = np.array([0.1, -0.1])
+        plan = PermutationPlan.exhaustive()
+        for structure in (CovStructure.cs(0.5), CovStructure.cs1(0.3)):
+            with pytest.raises(ValueError, match="t2 takes no covariance structure"):
+                joint_permutation_test(bivariate5, mu, plan=plan, stat="moment", structure=structure)
+        base = joint_permutation_test(bivariate5, mu, plan=plan, stat="moment")
+        named = joint_permutation_test(
+            bivariate5, mu, plan=plan, stat="moment", structure=CovStructure.unstructured()
+        )
+        assert named.distribution.statistics.tobytes() == base.distribution.statistics.tobytes()
+        assert (named.statistic, named.p_value) == (base.statistic, base.p_value)
+
     def test_orbit_invariance(self, bivariate5):
         # reflecting some studies around the null permutes the orbit, so
         # the exhaustive distribution is unchanged as a multiset
