@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Joint sign-flip permutation tests of the whole mean vector.
 
-Runs the refitting statistic and the moment plug-in statistic at the
-true mean and at a displaced null under the library's default plan,
-exhaustive up to 12 studies. The exhaustive p-value is an exact count
-over all sign assignments; the moment statistic computes its whole null
-distribution in one vectorized pass, so it is dramatically faster.
+Runs the constrained-fit statistic (t1) and the moment plug-in
+statistic (t2) at the true mean and at a displaced null under the
+library's default plan, exhaustive up to 12 studies. The exhaustive
+p-value is an exact count over all sign assignments; both statistics
+compute their whole null distribution in one vectorized pass at one
+between-study covariance, which t1 fits once under the null.
 """
 
 import argparse

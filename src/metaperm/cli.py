@@ -139,8 +139,9 @@ def _build_parser():
         "--stat",
         choices=tuple(_STATS),
         default="t1",
-        help="t1 refits the heterogeneity per permutation; t2 uses the "
-        "sign-invariant moment plug-in",
+        help="t1 scores every permutation at the constrained ML "
+        "heterogeneity fit of the observed data; t2 at the sign-invariant "
+        "moment plug-in",
     )
     sub.set_defaults(func=_cmd_test_joint)
 

@@ -640,9 +640,11 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     covariances; row b's outcomes are Ys[g][b] for each mask group g of
     data._groups (arrays of shape (R, n, k)). The mean components listed
     in fixed are held at values; the others are profiled out by
-    generalized least squares at every trial point. All components fixed
-    is the joint null of fit_eta_given_mu; one fixed is the marginal null
-    of fit_marginal_null. The free vector, bounds and objective are the
+    generalized least squares at every trial point. One fixed is the
+    marginal null of fit_marginal_null, which the t3 test refits for
+    each sign row; all fixed is the joint null of fit_eta_given_mu,
+    which no test refits, since reflection about the null leaves its
+    objective unchanged. The free vector, bounds and objective are the
     scalar fitters'.
 
     The rows are first refit together by the batched kernel

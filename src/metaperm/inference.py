@@ -31,9 +31,9 @@ from .permutation import (
     # a module binding that perfbench's traced run wraps as the test span
     # of every probe of an inversion
     _refit_distribution as _marginal_signed_distribution,
-    joint_permutation_test,
-    # not called here; perfbench's traced run wraps this module's binding,
-    # so it stays importable
+    # not called here; perfbench's traced run wraps these module bindings,
+    # so they stay importable
+    joint_permutation_test,  # noqa: F401
     marginal_permutation_test,  # noqa: F401
 )
 
@@ -503,24 +503,6 @@ def _default_region_bounds(fit, components):
     return out
 
 
-def _lattice_tests(data, mus, plan, stat, structure):
-    """The joint test at each null mean, row of mus, in order, as an iterator.
-
-    t2 tests are taken a chunk of means at a time: each chunk is set up
-    in one batched pass and shares one product with the sign plan
-    (permutation._moment_tests); a mean whose setup fails raises after
-    the earlier means' results. t1 tests run one joint_permutation_test
-    each, when the next result is asked for, so a mean whose test fails
-    raises before the next one is tested.
-    """
-    if stat == "moment":
-        return _moment_tests(data, mus, plan)
-    return (
-        joint_permutation_test(data, mu, plan=plan, stat=stat, structure=structure)
-        for mu in mus
-    )
-
-
 def confidence_region(
     data,
     components=None,
@@ -542,16 +524,15 @@ def confidence_region(
     again). Lattice points whose test fails are marked failed and not
     accepted rather than aborting the scan.
 
-    The points are tested in row-major order. With stat="moment" (t2) a
-    chunk of points is set up in one batched likelihood pass and shares
-    one product with the sign plan (permutation._moment_tests), and each
-    point's statistic, p-value and threshold are those of its own
-    joint_permutation_test: bit for bit under an exhaustive plan; under
-    a random plan a threshold can move in its last bits, where BLAS
-    sums a row's product in another order.
-    With stat="cml" (t1) each point runs its own joint_permutation_test.
-    An error other than a failed test raises at the first point in
-    order that meets it.
+    The points are tested in row-major order by the path of
+    joint_permutation_test (permutation._moment_tests), and each point's
+    statistic, p-value and threshold are those of its own test. t2
+    chunks of points share one batched setup and one product with the
+    sign plan: bit for bit under an exhaustive plan; under a random plan
+    a threshold can move in its last bits, where BLAS sums a row's
+    product in another order. A t1 point fits its own Sigma, so a fit
+    that fails marks that point alone. An error other than a failed test
+    raises at the first point in order that meets it.
 
     Parameters
     ----------
@@ -612,7 +593,7 @@ def confidence_region(
     done = 0
     while done < size:
         try:
-            for res in _lattice_tests(data, mus[done:], plan, stat, structure):
+            for res in _moment_tests(data, mus[done:], plan, stat, structure):
                 statistic[done] = res.statistic
                 threshold[done] = res.distribution.threshold(alpha)
                 p_value[done] = res.p_value

@@ -10,30 +10,34 @@ value per canonical row, one row of each complementary pair the plan
 draws; its null counts each value once for every plan row that folds
 onto it (NullDistribution), so no test expands its values to the plan.
 
-t1 (the joint cml test) and t3 (the marginal test) take one refit path,
-_refit_distribution, and differ only in which mean components the null
-fixes: all of them for t1, one for t3. The observed data are fit under
-the null and scored there (_observed_statistic); the fitted mean is
-the flip center, which for t3 plugs constrained estimates in for the
-nuisance components (a local Monte Carlo test). Each canonical row's
+t1 (the joint cml test) and t2 (the joint moment test) differ only in
+their between-study covariance. Both fix the whole mean at the null and
+reflect every study about it, which changes no residual product
+r_i r_i' and no mask. t2 takes the moment covariance, pair by pair over
+the studies that observe both outcomes; t1 the constrained fit with the
+mean fixed (fit_eta_given_mu), whose objective reads the data only
+through those products. Either Sigma is a function of the sign orbit, so
+the test stays exact with nothing refit: one likelihood pass and one
+product of the canonical rows with the studies' weighted residuals give
+the whole null (_moment_tests), for a chunk of t2 null means at once.
+
+t3 (the marginal test) fixes one component and profiles the rest, so
+its fit does move with the signs (_refit_distribution). The observed
+data are fit under the null and scored there (_observed_statistic); the
+fitted mean is the flip center, which plugs constrained estimates in for
+the nuisance components (a local Monte Carlo test). Each canonical row's
 reflected sample is refit by estimators.refit_rows, which chooses its
 batched kernel or the scalar fitter row by row, and each chunk of rows
 is scored once (_permuted_statistics). A refit starts at the observed
 fit or where the caller says: inference.py decides the starts of an
 inversion's tests, and this module keeps nothing between tests and
-writes to no argument. t2 (the joint moment test) needs no refit: its
-covariance, taken pair by pair over the studies that observe both
-outcomes, is sign-invariant on complete and incomplete data alike, so
-one product of the canonical rows with the studies' weighted residuals
-gives the whole null. A region's lattice points are taken a chunk at a
-time: one likelihood pass with a row per null mean sets the chunk up,
-and its means share one product (_moment_tests); a single test is a
-chunk of one.
+writes to no argument.
 
 Every statistic evaluates the likelihood pass of model.py: its weights
-and scatter give the score and information of many rows at once
-(_statistics), its quadratic forms and Schur complements give the
-statistics, and the t2 null adds each study's weighted residuals.
+and scatter give the score and information of many rows at once, its
+quadratic forms give the joint statistics and its Schur complements the
+marginal roots (_statistics), and a joint null adds each study's
+weighted residuals.
 """
 
 import functools
@@ -396,27 +400,21 @@ class TestResult:
 
 
 def _statistics(data, Ys, mus, sigmas, component):
-    """t1 or t3 statistic of many rows, each at its own mean and Sigma.
+    """t3 root of many rows, each at its own mean and Sigma.
 
     Row b has outcomes Ys[g][b] per mask group, mean mus[b] and
     between-study covariance sigmas[b]; one likelihood pass gives every
-    row's score U and information. With component None it is the joint
-    score statistic U' I^{-1} U, clamped at zero (t1); J is +inf and
-    pinv flags a pseudoinverse in the weights or the information.
-    Otherwise it is the signed marginal root U_c / sqrt(J) of that
-    component (t3), J its Schur information; at a row's own constrained
-    fit the nuisance components of U vanish, so U_c is the efficient
-    score. Roots are nan where J < MIN_MARGINAL_INFO, and pinv flags a
-    pseudoinverse in the Schur complement. Returns (statistics, J,
-    pinv). Raises DataError if any marginal covariance is indefinite.
+    row's score U and information. The statistic is the signed marginal
+    root U_c / sqrt(J) of the component, J its Schur information; at a
+    row's own constrained fit the nuisance components of U vanish, so
+    U_c is the efficient score. Roots are nan where J <
+    MIN_MARGINAL_INFO, and pinv flags a pseudoinverse in the Schur
+    complement. Returns (roots, J, pinv). Raises DataError if any
+    marginal covariance is indefinite.
     """
-    blocks, indefinite, pinv_w = _weights(data, sigmas, Ys)
+    blocks, indefinite, _ = _weights(data, sigmas, Ys)
     _require_definite(indefinite)
     info, U = _scatter(blocks, mus.shape[1], mus)
-    if component is None:
-        Iinv, _, _, pinv = _sym_inverse_flags(info)
-        stats = np.maximum(_quad_forms(U, Iinv), 0.0)
-        return stats, np.full(stats.shape, np.inf), pinv_w | pinv
     J, _, pinv = _schur_information(info, component)
     informative = J >= MIN_MARGINAL_INFO
     roots = np.full(J.shape, np.nan)
@@ -446,21 +444,17 @@ def _require_information(J, component):
 
 
 def _observed_statistic(data, value, component, structure):
-    """Fit the null on the data and evaluate the statistic at that fit.
+    """Fit the t3 null on the data and evaluate the root at that fit.
 
-    The constrained fit fixes the whole mean at value when component is
-    None (t1), else that one component (t3). It calls the fitters
-    through this module's bindings, so perfbench's traced run sees every
-    observed fit; the sign rows' refits run inside refit_rows.
-    Returns (statistic, used_pinv, cml): the joint score statistic for
-    component None, else the signed marginal root (see _statistics),
-    and the constrained fit. Raises UninformativeComponentError when the
-    tested component carries no information at the fit.
+    The constrained fit fixes the component at value. It calls the
+    fitter through this module's binding, so perfbench's traced run
+    sees every observed fit; the sign rows' refits run inside
+    refit_rows. Returns (root, used_pinv, cml): the signed marginal root
+    (see _statistics) and the constrained fit. Raises
+    UninformativeComponentError when the tested component carries no
+    information at the fit.
     """
-    if component is None:
-        cml = fit_eta_given_mu(data, value, structure)
-    else:
-        cml = fit_marginal_null(data, value, component, structure)
+    cml = fit_marginal_null(data, value, component, structure)
     stats, J, pinv = _statistics(
         data, _own_outcomes(data), cml.mu[None], cml.sigma[None], component
     )
@@ -480,12 +474,14 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     """Sign-flip permutation test of a joint null on the whole mean.
 
     For each sign assignment the outcomes are reflected around the null
-    mean. With stat="cml" the heterogeneity is refit on each permuted
-    sample (started at the observed constrained fit) before the
-    score statistic is evaluated; with stat="moment" the sign-invariant
-    moment plug-in makes any refit unnecessary, so the whole
-    distribution is computed in one vectorized pass; it raises
-    ValueError on a structure other than unstructured.
+    mean, and the score statistic U' I^{-1} U is evaluated at one
+    between-study covariance for every assignment: with stat="cml" (t1)
+    the constrained ML fit of the observed data with the whole mean at
+    the null, with stat="moment" (t2) the moment plug-in, which takes no
+    structure other than unstructured (ValueError). Reflection leaves
+    either covariance as it is, so nothing is refit and the whole
+    distribution is computed in one vectorized pass (_moment_tests); a
+    t1 fit that does not converge raises NonConvergenceError.
 
     Sign assignments that flip nothing (or everything) reproduce the
     observed statistic exactly and are assigned it directly. Either
@@ -498,32 +494,21 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     structure = _joint_structure(stat, structure)
     plan = _default_plan(plan, data.n_studies)
     mu = _finite_mean(mu_null, data.p, "null mean")
-    if stat == "moment":
-        (result,) = _moment_tests(data, [mu], plan)
-        return result
-    t_obs, stats, n_failed, used_pinv, fold, _ = _refit_distribution(
-        data, mu, None, structure, plan
-    )
-    return _test_result(
-        plan, fold, t_obs, stats,
-        n_failed=n_failed, stat=stat, mu_null=mu, used_pinv=used_pinv,
-    )
+    (result,) = _moment_tests(data, [mu], plan, stat, structure)
+    return result
 
 
-def _moment_setup(data, mus):
-    """Setup of the moment plug-in test (t2) at null means mus (P, p).
+def _moment_setup(data, mus, sigmas):
+    """Setup of a joint test (t1 or t2) at null means mus (P, p) and Sigmas (P, p, p).
 
-    One moment_between_cov call (through this module's binding) and one
-    likelihood pass with a row per mean give every mean's weights,
+    One likelihood pass with a row per mean gives every mean's weights,
     information, observed score and weighted residuals W_i r_i, each row
-    bit for bit that of its mean alone. Missing outcomes need no special
-    case: the moment covariance is taken pair by pair over the studies
-    that observe both outcomes, and the pass runs by mask group. An
-    indefinite weight set or information is flagged, not raised.
-    Returns (U_obs (P, p), the residuals as study rows (P, N, p),
-    I^{-1} (P, p, p), used_pinv (P,), indefinite (P,)).
+    bit for bit that of its mean alone; it runs by mask group, so missing
+    outcomes need no special case. An indefinite weight set or
+    information is flagged, not raised. Returns (U_obs (P, p), the
+    residuals as study rows (P, N, p), I^{-1} (P, p, p), used_pinv (P,),
+    indefinite (P,)).
     """
-    sigmas, _ = moment_between_cov(data, mus)
     blocks, indefinite, pinv_w = _weights(data, sigmas)
     info, U_obs = _scatter(blocks, data.p, mus)
     s = [_weighted_residuals(block, mus)[1] for block in blocks]
@@ -531,33 +516,42 @@ def _moment_setup(data, mus):
     return U_obs, _study_rows(data, s), Iinv, pinv_w | pinv, indefinite | indefinite_info
 
 
-def _moment_tests(data, mus, plan):
-    """The moment plug-in test (t2) at each null mean of mus, yielded in order.
+def _moment_tests(data, mus, plan, stat="moment", structure=None):
+    """The joint test, t1 ("cml") or t2 ("moment"), at each null mean of mus, in order.
 
-    The moment covariance is sign-invariant, so every assignment of one
-    null mean shares one weight set: U_b = sum_i v_bi W_i r_i and
-    T_b = U_b' I^{-1} U_b. All means are validated first, then taken a
-    chunk at a time. A chunk is set up in one batched pass
-    (_moment_setup), and its means share one product with the folded
-    plan's canonical rows: their residuals, stacked as the columns of
-    V (N, P * p), give V' signs' (P * p, canonical rows), each mean's
-    score components as contiguous rows that _quad_forms reads without
-    a copy. MOMENT_CHUNK_BYTES caps that product, and each product is
-    released before the next is formed. The complement -v gives -U_b
-    exactly, so each mean's null is its canonical rows' statistics
-    (_moment_null), counted over the plan. Each observed statistic is
-    summed from its mean's row alone, as a single test sums it. A mean
-    whose weights or information is indefinite raises DataError in its
-    turn, after the earlier means' results. Yields one TestResult per
-    mean.
+    Each mean's Sigma is sign-invariant: moment_between_cov's for t2,
+    fit_eta_given_mu's under structure for t1, both called through this
+    module's bindings. So every assignment of one null mean shares one
+    weight set: U_b = sum_i v_bi W_i r_i and T_b = U_b' I^{-1} U_b. All
+    means are validated first, then taken a chunk at a time. A chunk is
+    set up in one batched pass (_moment_setup), and its means share one
+    product with the folded plan's canonical rows: their residuals,
+    stacked as the columns of V (N, P * p), give V' signs' (P * p,
+    canonical rows), each mean's score components as contiguous rows
+    that _quad_forms reads without a copy. MOMENT_CHUNK_BYTES caps that
+    product, and each product is released before the next is formed.
+    The complement -v gives -U_b exactly, so each mean's null is its
+    canonical rows' statistics (_moment_null), counted over the plan.
+    Each observed statistic is summed from its mean's row alone, as a
+    single test sums it. A mean whose weights or information is
+    indefinite raises DataError in its turn, after the earlier means'
+    results; a t1 chunk holds one mean, so a fit that does not converge
+    raises NonConvergenceError in its turn too. Yields one TestResult
+    per mean.
     """
     n, p = data.n_studies, data.p
     mus = _readonly(np.array([_finite_mean(mu, p, "null mean") for mu in mus]).reshape(-1, p))
     fold = _sign_plan(plan, n)
     per_chunk = max(1, MOMENT_CHUNK_BYTES // (8 * p * fold.signs.shape[0]))
+    if stat == "cml":
+        per_chunk = 1
     for start in range(0, len(mus), per_chunk):
         chunk = mus[start : start + per_chunk]
-        U_obs, rows, Iinv, used_pinv, indefinite = _moment_setup(data, chunk)
+        if stat == "moment":
+            sigmas, _ = moment_between_cov(data, chunk)
+        else:
+            sigmas = fit_eta_given_mu(data, chunk[0], structure).sigma[None]
+        U_obs, rows, Iinv, used_pinv, indefinite = _moment_setup(data, chunk, sigmas)
         null = rows.transpose(1, 0, 2).reshape(n, -1).T @ fold.signs.T
         for k, mu in enumerate(chunk):
             _require_definite(indefinite[k])
@@ -565,13 +559,13 @@ def _moment_tests(data, mus, plan):
             yield _test_result(
                 plan, fold, t_obs,
                 _moment_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv[k]),
-                n_failed=0, stat="moment", mu_null=mu, used_pinv=bool(used_pinv[k]),
+                n_failed=0, stat=stat, mu_null=mu, used_pinv=bool(used_pinv[k]),
             )
         del null
 
 
 def _moment_null(fold, t_obs, U, Iinv):
-    """t2 statistic of each canonical row of the plan, from the rows'
+    """Joint statistic of each canonical row of the plan, from the rows'
     score components U (p, canonical rows); the identity row takes the
     observed statistic t_obs. The statistic is even in the signs, so it
     is also that of every plan row that folds onto the canonical row.
@@ -583,24 +577,22 @@ def _moment_null(fold, t_obs, U, Iinv):
 
 
 def _permuted_statistics(data, center, component, signs, structure, init, starts=None):
-    """Statistic of each sign row's reflected sample at its own refit.
+    """t3 root of each sign row's reflected sample at its own refit.
 
-    With component None the whole mean is fixed at the center and the
-    statistic is the joint score statistic (t1); otherwise that one
-    component is fixed, the rest are profiled, and the statistic is the
-    signed marginal root (t3). Each chunk of REFIT_CHUNK rows is refit
-    in one refit_rows call, started at init, the observed constrained
-    fit, or at the rows' free vectors in starts, and scored in one
-    _statistics call. Raises UninformativeComponentError where a row's
-    tested component carries no information at its refit.
-    Returns (statistics, failed, used_pinv, solutions): failed marks
-    the rows whose scalar refit failed, and solutions holds the free
-    vector of each row the batched kernel converged, nan where the
-    scalar fitter took over or a tau reads as zero (tau_reads_zero): the
-    objective is flat in log tau there, so such a vector says nothing
-    about where the row's solution moves with the null.
+    The component is fixed at the center and the rest are profiled.
+    Each chunk of REFIT_CHUNK rows is refit in one refit_rows call,
+    started at init, the observed constrained fit, or at the rows' free
+    vectors in starts, and scored in one _statistics call. Raises
+    UninformativeComponentError where a row's tested component carries
+    no information at its refit. Returns (roots, failed, used_pinv,
+    solutions): failed marks the rows whose scalar refit failed, and
+    solutions holds the free vector of each row the batched kernel
+    converged, nan where the scalar fitter took over or a tau reads as
+    zero (tau_reads_zero): the objective is flat in log tau there, so
+    such a vector says nothing about where the row's solution moves with
+    the null.
     """
-    fixed = np.arange(data.p) if component is None else np.array([component])
+    fixed = np.array([component])
     out = np.empty(signs.shape[0])
     failed = np.empty(signs.shape[0], dtype=bool)
     solutions = np.empty((signs.shape[0], structure.n_free(data.p)))
@@ -622,12 +614,10 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
 
 
 def _refit_distribution(data, value, component, structure, plan, starts=None):
-    """Observed and permuted statistics of a refit test, t1 or t3.
+    """Observed and permuted signed roots of the t3 test of component at value.
 
-    component None tests the whole mean at value (t1); otherwise one
-    component at value (t3), whose statistics are the signed marginal
-    roots. The observed data are fit under the null and scored at that
-    fit, whose mean is the flip center. Every other canonical row of the
+    The observed data are fit under the null and scored at that fit,
+    whose mean is the flip center. Every other canonical row of the
     folded plan (_FoldedPlan) is refit and scored the same way
     (_permuted_statistics), once for all the plan rows that fold onto
     it: the refit center is invariant under global reflection, so a row
@@ -641,10 +631,10 @@ def _refit_distribution(data, value, component, structure, plan, starts=None):
     row's refit starts there (see refit_rows), and otherwise at the
     observed fit. The observed fit, its statistic and the flip center
     never depend on starts, and no argument is written to.
-    Returns (s_obs, statistics, n_failed, used_pinv, fold, solutions):
-    statistics holds each canonical row's own value, for fold.null to
-    count (signed for t3 roots), and solutions the refit rows' free
-    vectors in the order of starts (see _permuted_statistics).
+    Returns (s_obs, roots, n_failed, used_pinv, fold, solutions): roots
+    holds each canonical row's own root, for fold.null to count signed,
+    and solutions the refit rows' free vectors in the order of starts
+    (see _permuted_statistics).
     """
     fold = _sign_plan(plan, data.n_studies)
     s_obs, used_pinv, cml = _observed_statistic(data, value, component, structure)

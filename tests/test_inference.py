@@ -583,20 +583,33 @@ class TestConfidenceRegion:
             assert grid.axis_values[axis][0] < fit.mu[j] < grid.axis_values[axis][-1]
         assert grid.accepted.any()
 
-    def test_failed_points_are_not_accepted(self, bivariate5, monkeypatch):
-        def boom(*args, **kwargs):
-            raise NonConvergenceError("forced failure")
+    def test_failed_points_are_not_accepted(self, bivariate6, monkeypatch):
+        # the t1 fit fails at two accepted lattice means only: those two
+        # points are failed and not accepted, and every other point reads
+        # as it does without the failures, bit for bit
+        kwargs = dict(bounds=[(-0.5, 1.2), (-1.0, 0.6)], plan=PermutationPlan.exhaustive())
+        base = confidence_region(bivariate6, **kwargs)
+        mus = _lattice_means(base, 2)
+        accepted = np.flatnonzero(base.accepted.ravel())
+        chosen = accepted[[0, len(accepted) // 2]]
+        real = metaperm.permutation.fit_eta_given_mu
 
-        monkeypatch.setattr(metaperm.inference, "joint_permutation_test", boom)
-        grid = confidence_region(
-            bivariate5,
-            bounds=[(-0.5, 0.5), (-0.5, 0.5)],
-            resolution=20,
-            plan=PermutationPlan.exhaustive(),
-        )
-        assert grid.failed.all()
-        assert not grid.accepted.any()
-        assert np.isnan(grid.statistic).all()
+        def failing_at_two_means(data, mu, *args, **kw):
+            if (mus[chosen] == mu).all(axis=1).any():
+                raise NonConvergenceError("forced failure")
+            return real(data, mu, *args, **kw)
+
+        monkeypatch.setattr(metaperm.permutation, "fit_eta_given_mu", failing_at_two_means)
+        grid = confidence_region(bivariate6, **kwargs)
+        failed = np.zeros(base.p_value.size, dtype=bool)
+        failed[chosen] = True
+        np.testing.assert_array_equal(grid.failed.ravel(), failed)
+        assert not grid.accepted.ravel()[chosen].any()
+        for name in ("statistic", "threshold", "p_value", "accepted"):
+            got, want = getattr(grid, name).ravel(), getattr(base, name).ravel()
+            np.testing.assert_array_equal(got[~failed], want[~failed])
+            if name != "accepted":
+                assert np.isnan(got[chosen]).all()
 
     @pytest.mark.parametrize("fixture", ["bivariate5", "bivariate12"])
     def test_explicit_bounds_over_every_axis_need_no_fit(self, fixture, request, monkeypatch):

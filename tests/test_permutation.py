@@ -14,6 +14,7 @@ from metaperm import (
     NonConvergenceError,
     NullDistribution,
     PermutationPlan,
+    confidence_region,
     fit_ml,
     joint_permutation_test,
     marginal_permutation_test,
@@ -33,7 +34,7 @@ from metaperm.estimators import (
     refit_rows,
     sigma_rows,
 )
-from metaperm.model import _quad_forms, between_cov
+from metaperm.model import _quad_forms, between_cov, model_terms
 from metaperm.permutation import (
     DEFAULT_B,
     DEFAULT_SEED,
@@ -63,9 +64,11 @@ def _flip_dataset(data, center, v):
 
 def _stat_at(data, mu, sigma, component=None):
     """The t1 statistic (component None) or signed t3 root of the data at mu and Sigma."""
-    stats, _, _ = _statistics(
-        data, _own_outcomes(data), np.asarray(mu, dtype=float)[None], sigma[None], component
-    )
+    mu = np.asarray(mu, dtype=float)[None]
+    if component is None:
+        U, _, Iinv, _, _ = _moment_setup(data, mu, sigma[None])
+        return float(np.maximum(_quad_forms(U, Iinv), 0.0)[0])
+    stats, _, _ = _statistics(data, _own_outcomes(data), mu, sigma[None], component)
     return float(stats[0])
 
 
@@ -395,19 +398,19 @@ class TestJointCml:
 
     def test_statistic_zero_at_ml(self, bivariate5):
         fit = fit_ml(bivariate5)
-        value, _, _ = _observed_statistic(bivariate5, fit.mu, None, None)
+        value = joint_permutation_test(bivariate5, fit.mu).statistic
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_statistic_nonnegative(self, bivariate5):
         for mu in ([0.0, 0.0], [1.0, -1.0], [0.4, -0.2]):
-            value, _, _ = _observed_statistic(bivariate5, mu, None, None)
-            assert value >= 0.0
+            assert joint_permutation_test(bivariate5, mu).statistic >= 0.0
 
     def test_scalar_case_rederived(self, univariate10):
         # for one outcome the statistic collapses to U^2 / I with
         # weights at the constrained heterogeneity fit
         mu0 = 0.1
-        value, _, cml = _observed_statistic(univariate10, [mu0], None, None)
+        value = joint_permutation_test(univariate10, [mu0]).statistic
+        cml = fit_eta_given_mu(univariate10, [mu0])
         y = univariate10.Y[:, 0]
         s2 = univariate10.S[:, 0, 0]
         w = 1.0 / (s2 + cml.het.tau[0] ** 2)
@@ -662,32 +665,92 @@ class TestRefitOracle:
         assert np.flatnonzero(ties).tolist() == [0, stats.size - 1]
         assert res.p_value == np.count_nonzero((stats >= stats[0]) | ties) / stats.size
 
-    # the oracle refits each reflected dataset with the scalar fitter; the
-    # batched kernel reaches other maxima than it does near tau = 0 under
-    # compound symmetry, higher or lower, and on bivariate5's |kappa| -> 1
-    # ridge, higher (test_ridge_rows_no_worse_than_scalar_fitter)
+    # the oracle refits each reflected dataset with the scalar fitter; t1
+    # scores every row at the observed fit, which each refit can only
+    # repeat, as the objective is the same for every reflection
+    @pytest.mark.parametrize("name", ["bivariate5", "bivariate6"])
+    @pytest.mark.parametrize("structure", ["unstructured", "cs:0.3"])
+    def test_joint_matches_enumeration(self, request, name, structure):
+        data = request.getfixturevalue(name)
+        structure = CovStructure.parse(structure)
+        ml = fit_ml(data).mu
+        plan = PermutationPlan.exhaustive()
+        for offset in (0.15, -0.3):
+            mu = ml + offset
+            res = joint_permutation_test(data, mu, plan=plan, structure=structure)
+            self._check(res, _enumerated_joint_null(data, mu, structure))
+
+    # the batched kernel reaches other maxima than the oracle's scalar
+    # fitter near tau = 0 under compound symmetry, higher or lower, and on
+    # bivariate5's |kappa| -> 1 ridge, higher
+    # (test_ridge_rows_no_worse_than_scalar_fitter)
     @pytest.mark.parametrize("name, structure", [
         ("bivariate6", "unstructured"),
         pytest.param("bivariate5", "cs:0.3", marks=pytest.mark.xfail(
             strict=True, reason="batched and scalar t3 refits disagree near tau = 0",
         )),
     ])
-    def test_exhaustive_matches_enumeration(self, request, name, structure):
+    def test_marginal_matches_enumeration(self, request, name, structure):
         data = request.getfixturevalue(name)
         structure = CovStructure.parse(structure)
         ml = fit_ml(data).mu
         plan = PermutationPlan.exhaustive()
         p_values = set()
         for offset in (0.15, -0.3):
-            mu = ml + offset
-            res = joint_permutation_test(data, mu, plan=plan, structure=structure)
-            self._check(res, _enumerated_joint_null(data, mu, structure))
-            p_values.add(res.p_value)
             for c in range(data.p):
-                res = marginal_permutation_test(data, mu[c], c, plan, structure)
-                self._check(res, _enumerated_marginal_null(data, mu[c], c, structure))
+                value = ml[c] + offset
+                res = marginal_permutation_test(data, value, c, plan, structure)
+                self._check(res, _enumerated_marginal_null(data, value, c, structure))
                 p_values.add(res.p_value)
-        assert len(p_values) >= 4
+        assert len(p_values) >= 3
+
+
+class TestJointCmlOneSigma:
+    """t1 scores every sign row at the one Sigma of the observed constrained fit."""
+
+    @pytest.mark.parametrize(
+        "name, structure", [("trivariate_missing", "cs:0.3"), ("bivariate6", "unstructured")]
+    )
+    def test_rows_match_model_terms(self, request, name, structure):
+        # each plan row's value is U' I^{-1} U of its reflected dataset at
+        # mu0 and the observed fit's Sigma, from model_terms: an oracle
+        # that runs no fitter on any reflected dataset
+        data = request.getfixturevalue(name)
+        structure = CovStructure.parse(structure)
+        mu0 = fit_ml(data, structure).mu + 0.2
+        plan = PermutationPlan.exhaustive()
+        res = joint_permutation_test(data, mu0, plan=plan, structure=structure)
+        sigma = fit_eta_given_mu(data, mu0, structure).sigma
+        expected = []
+        for v in generate_signs(plan, data.n_studies).astype(float):
+            terms = model_terms(_flip_dataset(data, mu0, v), mu0, sigma)
+            expected.append(terms.score @ np.linalg.solve(terms.information, terms.score))
+        np.testing.assert_allclose(res.distribution.statistics, expected, rtol=1e-10)
+        assert res.n_failed == 0
+
+    @pytest.mark.parametrize("call", ["test", "region"])
+    def test_no_sign_row_is_refit(self, bivariate6, monkeypatch, call):
+        # one observed fit per null mean, and no refit of any sign row
+        real = metaperm.permutation.fit_eta_given_mu
+        fits = []
+
+        def fit(*args, **kwargs):
+            fits.append(args[1])
+            return real(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("t1 refit a sign row")
+
+        monkeypatch.setattr(metaperm.permutation, "fit_eta_given_mu", fit)
+        monkeypatch.setattr(metaperm.permutation, "refit_rows", refused)
+        monkeypatch.setattr(metaperm.permutation, "_refit_distribution", refused)
+        plan = PermutationPlan.exhaustive()
+        if call == "test":
+            joint_permutation_test(bivariate6, [0.3, -0.1], plan=plan, stat="cml")
+            assert len(fits) == 1
+        else:
+            grid = confidence_region(bivariate6, bounds=[(-0.5, 1.2), (-1.0, 0.6)], plan=plan)
+            assert len(fits) == grid.p_value.size and not grid.failed.any()
 
 
 @st.composite
@@ -728,8 +791,8 @@ def test_moment_null_invariant_to_study_order(case):
     _assert_same_null(base, other, 1e-12)
 
 
-# t1 and t3 refit every sign row, so their statistics agree across study
-# orders only to the refits' tolerance
+# t1 fits its Sigma and t3 refits every sign row, so their statistics
+# agree across study orders only to the fitter's tolerance
 @settings(max_examples=25, deadline=None)
 @given(case=_study_orders(7))
 def test_cml_null_invariant_to_study_order(case):
@@ -811,20 +874,17 @@ class TestFoldedRows:
         monkeypatch.setattr(metaperm.permutation, "refit_rows", counted)
         return rows
 
-    @pytest.mark.parametrize("stat", ["t1", "t3"])
-    def test_each_row_pair_refit_once(self, stat, monkeypatch, refit_counts):
+    def test_each_row_pair_refit_once(self, monkeypatch, refit_counts):
         # 2,400 draws at N = 8 repeat most of the 254 refit rows, and
-        # draw most rows with their complements; one refit per pair (127
-        # rows) gives what refitting every drawn row gives: the observed
-        # statistic and the p-value exactly, the null statistics to
-        # optimizer tolerance, as v and -v are refit apart there
+        # draw most rows with their complements; one t3 refit per pair
+        # (127 rows) gives what refitting every drawn row gives: the
+        # observed statistic and the p-value exactly, the null statistics
+        # to optimizer tolerance, as v and -v are refit apart there
         data = make_mvn(5, 8)
         plan = PermutationPlan.random(2400, seed=7)
         mu = fit_ml(data).mu + 0.1
 
         def run():
-            if stat == "t1":
-                return joint_permutation_test(data, mu, plan=plan)
             return marginal_permutation_test(data, mu[0], 0, plan=plan)
 
         folded = run()
@@ -855,25 +915,22 @@ class TestFoldedRows:
         assert folded.n_failed == every.n_failed == 0
         assert folded.used_pinv == every.used_pinv
 
-    @pytest.mark.parametrize("component", [None, 0])
-    def test_complement_rows_mirror_their_partners(self, component, refit_counts):
-        # exhaustive at N = 8: 127 refits per test, one per pair other
-        # than the identity, and one value per canonical row; in plan
-        # order row 2^N - 1 - b is the complement of row b, with the same
-        # t1 statistic and the negated t3 root, bit for bit
+    def test_complement_rows_mirror_their_partners(self, refit_counts):
+        # exhaustive at N = 8: 127 t3 refits per test, one per pair other
+        # than the identity, and one root per canonical row; in plan
+        # order row 2^N - 1 - b is the complement of row b, with the
+        # negated root, bit for bit
         data = make_mvn(5, 8)
         structure = CovStructure.unstructured()
-        mu = fit_ml(data).mu + 0.1
-        value = mu if component is None else mu[component]
+        value = fit_ml(data).mu[0] + 0.1
         s_obs, canonical, _, _, fold, solutions = _refit_distribution(
-            data, value, component, structure, PermutationPlan.exhaustive()
+            data, value, 0, structure, PermutationPlan.exhaustive()
         )
         assert sum(refit_counts) == len(solutions) == 127 and len(canonical) == 128
-        stats = fold.null(canonical, "exhaustive", signed=component is not None).statistics
-        sign = 1.0 if component is None else -1.0
+        stats = fold.null(canonical, "exhaustive", signed=True).statistics
         np.testing.assert_array_equal(stats[:128], canonical)
-        np.testing.assert_array_equal(stats[128:], sign * stats[:128][::-1])
-        assert stats[0] == s_obs and stats[-1] == sign * s_obs
+        np.testing.assert_array_equal(stats[128:], -stats[:128][::-1])
+        assert stats[0] == s_obs and stats[-1] == -s_obs
 
 
 class TestFoldedMomentNull:
@@ -918,7 +975,8 @@ class TestFoldedMomentNull:
                     res.distribution.statistics, named.distribution.statistics
                 )
                 assert res.p_value == named.p_value
-            U_obs, rows, Iinv, _, _ = _moment_setup(data, np.array([mu]))
+            mus = np.array([mu])
+            U_obs, rows, Iinv, _, _ = _moment_setup(data, mus, moment_between_cov(data, mus)[0])
             t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
             full = np.maximum(_quad_forms(signs.astype(float) @ rows[0], Iinv[0]), 0.0)
             full[ends] = t_obs
@@ -975,20 +1033,18 @@ class TestCountedNull:
         data, structure = bivariate5, CovStructure.unstructured()
         mu = fit_ml(data, structure).mu
         for shift in (0.0, 0.3):
-            if stat == "t2":
-                res = joint_permutation_test(data, mu + shift, plan=plan, stat="moment")
+            if stat == "t3":
+                s_obs, values, _, _, fold, _ = _refit_distribution(
+                    data, mu[0] + shift, 0, structure, plan
+                )
+                forms = [(s_obs, values, True), (s_obs * s_obs, values * values, False)]
+            else:
+                res = joint_permutation_test(
+                    data, mu + shift, plan=plan, stat="cml" if stat == "t1" else "moment"
+                )
                 fold = _sign_plan(plan, data.n_studies)
                 forms = [(res.statistic, res.distribution.values, False)]
                 assert res.distribution.size == plan.size_for(data.n_studies)
-            else:
-                component = None if stat == "t1" else 0
-                value = mu + shift if stat == "t1" else mu[0] + shift
-                s_obs, values, _, _, fold, _ = _refit_distribution(
-                    data, value, component, structure, plan
-                )
-                forms = [(s_obs, values, stat == "t3")]
-                if stat == "t3":
-                    forms.append((s_obs * s_obs, values * values, False))
             for t_obs, values, signed in forms:
                 expanded = values[fold.inverse] * (fold.flips if signed else 1)
                 oracle = NullDistribution(statistics=expanded, mode=plan.mode)
@@ -1118,28 +1174,15 @@ def _force_refit_failures(monkeypatch):
     monkeypatch.setattr(metaperm.estimators, "_optimize_eta", flaky)
 
 
-def test_joint_refit_failure_budget(bivariate12, monkeypatch):
-    _force_refit_failures(monkeypatch)
-    with pytest.raises(NonConvergenceError, match="trustworthy"):
-        joint_permutation_test(
-            bivariate12, [0.4, -0.2], plan=PermutationPlan.random(n_draws=100, seed=3)
-        )
-
-
-# (fixture, structure, statistic, tested component, offset from the ML
-# mean, plan); each case sends rows through the batched kernel
+# (fixture, structure, tested component, offset from the ML mean, plan);
+# each t3 case sends rows through the batched kernel
 BATCHED_CASES = [
-    ("bivariate5", "unstructured", "t1", None, 0.2, "exhaustive"),
-    ("bivariate6", "cs:0.3", "t1", None, -0.2, "exhaustive"),
-    ("bivariate6", "cs:0.3", "t3", 0, 0.2, "exhaustive"),
-    ("bivariate6", "cs1:0.3", "t3", 1, -0.2, "exhaustive"),
-    ("bivariate12", "unstructured", "t1", None, 0.2, "random"),
-    ("bivariate12", "unstructured", "t3", 0, -0.2, "random"),
-    ("bivariate12", "unstructured", "t3", 1, 0.2, "random"),
-    ("trivariate_missing", "cs:0.3", "t1", None, 0.2, "random"),
-    ("trivariate_missing", "cs1:0.3", "t3", 2, -0.2, "random"),
-    ("univariate10", "unstructured", "t1", None, 0.2, "exhaustive"),
-    ("univariate10", "unstructured", "t3", 0, -0.2, "exhaustive"),
+    ("bivariate6", "cs:0.3", 0, 0.2, "exhaustive"),
+    ("bivariate6", "cs1:0.3", 1, -0.2, "exhaustive"),
+    ("bivariate12", "unstructured", 0, -0.2, "random"),
+    ("bivariate12", "unstructured", 1, 0.2, "random"),
+    ("trivariate_missing", "cs1:0.3", 2, -0.2, "random"),
+    ("univariate10", "unstructured", 0, -0.2, "exhaustive"),
 ]
 
 
@@ -1155,8 +1198,8 @@ def _spy(m, name, log):
     m.setattr(metaperm.permutation, name, spy)
 
 
-def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypatch):
-    """Run one test as shipped and once with every row on the scalar fitter.
+def _batched_and_scalar(data, structure, component, offset, plan, monkeypatch):
+    """Run one t3 test as shipped and once with every row on the scalar fitter.
 
     Returns a record of both results, the permuted rows' statistics of
     each run, the batched run's flip center, sign rows and refit start
@@ -1172,8 +1215,6 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
     mu = fit_ml(data, structure).mu + offset
 
     def run():
-        if stat == "t1":
-            return joint_permutation_test(data, mu, plan=plan, stat="cml", structure=structure)
         return marginal_permutation_test(data, mu[component], component, plan=plan, structure=structure)
 
     kernel, permuted, scalar_permuted = [], [], []
@@ -1191,7 +1232,7 @@ def _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypa
     return SimpleNamespace(
         data=data,
         structure=structure,
-        component=None if stat == "t1" else component,
+        component=component,
         batched=batched,
         scalar=scalar,
         batched_rows=batched_rows,
@@ -1214,15 +1255,10 @@ def _assert_kernel_row_no_worse(run, i, x_kernel, mu_kernel, statistic):
     at_kernel = _stat_at(flipped, mu_kernel, between_cov(kernel_het, structure), component)
     assert at_kernel == pytest.approx(statistic, rel=1e-9, abs=1e-12)
 
-    fixed = list(range(data.p)) if component is None else [component]
-    fun = _neg_profiled_free(flipped, structure, fixed, run.center[fixed])
-    if component is None:
-        fit = lambda d, s, init: fit_eta_given_mu(d, run.center, s, init=init)
-    else:
-        value = run.center[component]
-        fit = lambda d, s, init: fit_marginal_null(d, value, component, s, init=init)
+    value = run.center[component]
+    fun = _neg_profiled_free(flipped, structure, [component], [value])
     try:
-        scalar_het = fit(flipped, structure, init=run.init).het
+        scalar_het = fit_marginal_null(flipped, value, component, structure, init=run.init).het
     except NonConvergenceError as exc:
         scalar_het = exc.last_result.het
     f_kernel = fun(_pack(kernel_het, structure))[0]
@@ -1246,12 +1282,12 @@ def _assert_close_to_scalar(run):
 
 
 class TestBatchedRefits:
-    @pytest.mark.parametrize("name, structure, stat, component, offset, plan", BATCHED_CASES)
+    @pytest.mark.parametrize("name, structure, component, offset, plan", BATCHED_CASES)
     def test_matches_scalar_refits(
-        self, request, monkeypatch, name, structure, stat, component, offset, plan
+        self, request, monkeypatch, name, structure, component, offset, plan
     ):
         data = request.getfixturevalue(name)
-        run = _batched_and_scalar(data, structure, stat, component, offset, plan, monkeypatch)
+        run = _batched_and_scalar(data, structure, component, offset, plan, monkeypatch)
         assert sum(int(ok.sum()) for _, _, ok, _ in run.kernel) > 0
         _assert_close_to_scalar(run)
         assert run.batched.statistic == run.scalar.statistic
@@ -1261,9 +1297,7 @@ class TestBatchedRefits:
 
     def test_boundary_rows_match_scalar_refits(self, trivariate_missing, monkeypatch):
         # refits that land on the tau -> 0 boundary from an interior start
-        run = _batched_and_scalar(
-            trivariate_missing, "cs:0.3", "t3", 0, 0.2, "random", monkeypatch
-        )
+        run = _batched_and_scalar(trivariate_missing, "cs:0.3", 0, 0.2, "random", monkeypatch)
         X, _, ok, _ = (np.concatenate(a) for a in zip(*run.kernel))
         at_floor = (X[:, :3] <= np.log(TAU_MIN) + 1e-9).any(axis=1)
         assert (ok & at_floor).sum() >= 5
@@ -1294,9 +1328,9 @@ class TestBatchedRefits:
 
     def test_rows_processed_in_chunks(self, bivariate12, monkeypatch):
         plan = PermutationPlan.random(n_draws=150, seed=8)
-        whole = joint_permutation_test(bivariate12, [0.6, -0.2], plan=plan)
+        whole = marginal_permutation_test(bivariate12, 0.6, 0, plan=plan)
         monkeypatch.setattr(metaperm.permutation, "REFIT_CHUNK", 16)
-        chunked = joint_permutation_test(bivariate12, [0.6, -0.2], plan=plan)
+        chunked = marginal_permutation_test(bivariate12, 0.6, 0, plan=plan)
         np.testing.assert_array_equal(
             whole.distribution.statistics, chunked.distribution.statistics
         )
@@ -1365,7 +1399,8 @@ def test_fallback_rows_are_scalar_fits_of_reflected_data(
 ):
     # a row the kernel leaves unconverged gets the fit fit_eta_given_mu or
     # fit_marginal_null makes on the reflected dataset, bit for bit, and
-    # a failed row is scored at its last iterate
+    # a failed t3 row is scored at its last iterate; no test scores a
+    # joint refit, so the joint case checks refit_rows alone
     data = request.getfixturevalue(name)
     structure = CovStructure.parse(structure)
     mu = fit_ml(data, structure).mu + 0.2
@@ -1387,12 +1422,13 @@ def test_fallback_rows_are_scalar_fits_of_reflected_data(
         observed.het,
     )
     sigmas = sigma_rows(X, structure, data.p)
-    stats, failed_rows, _, solutions = _permuted_statistics(
-        data, center, component, signs, structure, observed.het
-    )
+    if component is not None:
+        stats, failed_rows, _, solutions = _permuted_statistics(
+            data, center, component, signs, structure, observed.het
+        )
+        assert np.isnan(solutions).all()
+        np.testing.assert_array_equal(failed_rows, failed)
     assert not by_kernel.any()
-    assert np.isnan(solutions).all()
-    np.testing.assert_array_equal(failed_rows, failed)
     assert failed.all() == (how == "failure")
     for b, v in enumerate(signs):
         flipped = _flip_dataset(data, center, v)
@@ -1400,7 +1436,7 @@ def test_fallback_rows_are_scalar_fits_of_reflected_data(
         np.testing.assert_array_equal(sigmas[b], fit.sigma)
         np.testing.assert_array_equal(mus[b], fit.mu)
         assert failed[b] == fit_failed
-        # scored in a chunk, where _quad_forms may sum in another order
-        assert stats[b] == pytest.approx(
-            _stat_at(flipped, fit.mu, fit.sigma, component), rel=1e-12, abs=1e-15
-        )
+        if component is not None:
+            assert stats[b] == pytest.approx(
+                _stat_at(flipped, fit.mu, fit.sigma, component), rel=1e-12, abs=1e-15
+            )
