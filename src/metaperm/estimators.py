@@ -423,10 +423,10 @@ def _lbfgs_refit(data, fixed, values, structure, x0, Ys=None):
     return x, mu, ll, ok, nit
 
 
-def _fit_constrained(data, fixed, values, structure, init):
+def _fit_constrained(data, fixed, values, structure):
     """Constrained ML of the heterogeneity with the fixed mean components at values.
 
-    One _lbfgs_refit from init, or from the moment-based start. Returns
+    One _lbfgs_refit from the moment-based start. Returns
     a CmlResult whose mu is the whole mean, its free components profiled
     at the fit; raises NonConvergenceError carrying it when the
     optimizer does not converge.
@@ -434,12 +434,9 @@ def _fit_constrained(data, fixed, values, structure, init):
     structure = _require_structure(structure)
     fixed = np.asarray(fixed, dtype=np.intp)
     values = np.asarray(values, dtype=float)
-    if init is not None:
-        x0 = _pack(init, structure)
-    else:
-        mu0 = _naive_mean(data)
-        mu0[fixed] = values
-        x0 = _default_init(data, mu0, structure)
+    mu0 = _naive_mean(data)
+    mu0[fixed] = values
+    x0 = _default_init(data, mu0, structure)
     x, mu, ll, ok, nit = _lbfgs_refit(data, fixed, values, structure, x0)
     het = _het_from_free(x, structure, data.p)
     result = CmlResult(
@@ -455,13 +452,8 @@ def _fit_constrained(data, fixed, values, structure, init):
     return result
 
 
-def fit_eta_given_mu(data, mu_null, structure=None, *, init=None):
+def fit_eta_given_mu(data, mu_null, structure=None):
     """Constrained ML of the heterogeneity with the whole mean fixed.
-
-    Parameters
-    ----------
-    init : HetParams, optional
-        Warm start; defaults to the moment-based initialization.
 
     Raises
     ------
@@ -469,10 +461,10 @@ def fit_eta_given_mu(data, mu_null, structure=None, *, init=None):
         Carries the last iterate in ``last_result``.
     """
     mu = _finite_mean(mu_null, data.p, "null mean")
-    return _fit_constrained(data, np.arange(data.p), mu, structure, init)
+    return _fit_constrained(data, np.arange(data.p), mu, structure)
 
 
-def fit_marginal_null(data, value, component, structure=None, *, init=None):
+def fit_marginal_null(data, value, component, structure=None):
     """Constrained ML with one mean component fixed, the rest free.
 
     The heterogeneity maximizes the likelihood with the other mean
@@ -490,7 +482,7 @@ def fit_marginal_null(data, value, component, structure=None, *, init=None):
     _check_component(component, data.p)
     if not np.isfinite(value):
         raise ValueError("null value must be finite")
-    return _fit_constrained(data, [component], [value], structure, init)
+    return _fit_constrained(data, [component], [value], structure)
 
 
 def sigma_rows(X, structure, p):
@@ -642,10 +634,11 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     in fixed are held at values; the others are profiled out by
     generalized least squares at every trial point. One fixed is the
     marginal null of fit_marginal_null, which the t3 test refits for
-    each sign row; all fixed is the joint null of fit_eta_given_mu,
-    which no test refits, since reflection about the null leaves its
-    objective unchanged. The free vector, bounds and objective are the
-    scalar fitters'.
+    each sign row (permutation._permuted_statistics, the one caller).
+    All fixed, the joint null of fit_eta_given_mu, is accepted, but no
+    test refits it: reflection about the null leaves its objective
+    unchanged, so a joint test fits the observed data once. The free
+    vector, bounds and objective are the scalar fitters'.
 
     The rows are first refit together by the batched kernel
     (_newton_rows). Each row starts from init, or from its own free
@@ -659,8 +652,8 @@ def refit_rows(data, Ys, fixed, values, structure, init, starts=None):
     Every row the kernel leaves unconverged (iteration budget, failed
     line search, singular or indefinite covariance) gets one scalar
     L-BFGS-B run (_lbfgs_refit) on its own outcomes, started from init:
-    the run fit_eta_given_mu or fit_marginal_null makes on the reflected
-    dataset, bit for bit. One rule sends every row there: a non-finite
+    the scalar fitters' run on the reflected dataset from that start,
+    bit for bit. One rule sends every row there: a non-finite
     objective at init, which only init decides. So a row started from
     init takes the same steps with or without starts.
 

@@ -27,7 +27,7 @@ from .permutation import (
     _check_alpha,
     _default_plan,
     _joint_structure,
-    _moment_tests,
+    _joint_tests,
     # a module binding that perfbench's traced run wraps as the test span
     # of every probe of an inversion
     _refit_distribution as _marginal_signed_distribution,
@@ -524,15 +524,15 @@ def confidence_region(
     again). Lattice points whose test fails are marked failed and not
     accepted rather than aborting the scan.
 
-    The points are tested in row-major order by the path of
-    joint_permutation_test (permutation._moment_tests), and each point's
+    The points are tested in row-major order, in one pass of the path of
+    joint_permutation_test (permutation._joint_tests), and each point's
     statistic, p-value and threshold are those of its own test. t2
     chunks of points share one batched setup and one product with the
     sign plan: bit for bit under an exhaustive plan; under a random plan
     a threshold can move in its last bits, where BLAS sums a row's
     product in another order. A t1 point fits its own Sigma, so a fit
-    that fails marks that point alone. An error other than a failed test
-    raises at the first point in order that meets it.
+    that fails marks that point alone; an indefinite weight set or any
+    other error raises at the first point in order that meets it.
 
     Parameters
     ----------
@@ -585,25 +585,20 @@ def confidence_region(
         mus[:, j] = v
     for j, values in zip(components, np.meshgrid(*axis_values, indexing="ij")):
         mus[:, j] = values.ravel()
-    statistic = np.full(size, np.nan)
-    threshold = np.full(size, np.nan)
-    p_value = np.full(size, np.nan)
+    statistic, threshold, p_value = np.full((3, size), np.nan)
     failed = np.zeros(size, dtype=bool)
 
-    done = 0
-    while done < size:
-        try:
-            for res in _moment_tests(data, mus[done:], plan, stat, structure):
-                statistic[done] = res.statistic
-                threshold[done] = res.distribution.threshold(alpha)
-                p_value[done] = res.p_value
-                done += 1
-                # free this point's null before the next point forms its own
-                del res
-        except (NonConvergenceError, SingularInformationError):
-            # the point under test failed; the scan goes on after it
-            failed[done] = True
-            done += 1
+    for k, res in enumerate(_joint_tests(data, mus, plan, stat, structure)):
+        if isinstance(res, NonConvergenceError):
+            # the point's t1 fit failed; the scan goes on after it
+            failed[k] = True
+        elif isinstance(res, Exception):
+            raise res
+        else:
+            statistic[k], p_value[k] = res.statistic, res.p_value
+            threshold[k] = res.distribution.threshold(alpha)
+        # free this point's null before the next point forms its own
+        del res
     return RegionGrid(
         axis_components=components,
         axis_values=axis_values,

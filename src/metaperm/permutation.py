@@ -19,7 +19,7 @@ mean fixed (fit_eta_given_mu), whose objective reads the data only
 through those products. Either Sigma is a function of the sign orbit, so
 the test stays exact with nothing refit: one likelihood pass and one
 product of the canonical rows with the studies' weighted residuals give
-the whole null (_moment_tests), for a chunk of t2 null means at once.
+the whole null (_joint_tests), for a chunk of t2 null means at once.
 
 t3 (the marginal test) fixes one component and profiles the rest, so
 its fit does move with the signs (_refit_distribution). The observed
@@ -53,8 +53,9 @@ from .estimators import (
     sigma_rows,
     tau_reads_zero,
 )
-from .exceptions import NonConvergenceError, UninformativeComponentError
+from .exceptions import DataError, NonConvergenceError, UninformativeComponentError
 from .model import (
+    _INDEFINITE,
     _finite_mean,
     _quad_forms,
     _readonly,
@@ -92,16 +93,11 @@ MAX_FAILURE_FRACTION = 0.2
 # Schur information below this signals an uninformative component
 MIN_MARGINAL_INFO = 1e-12
 
-# sign rows refit together in one refit_rows call; bounds its largest
-# arrays, the (rows, studies, k, k) weights of the likelihood pass,
-# under exhaustive plans (an Armijo ladder evaluates no more rows)
-REFIT_CHUNK = 256
-
-# t2 tests at several null means share one product with the folded
-# plan (_moment_tests); this caps that product, (means * p, canonical
-# rows) of float64, in bytes: four bivariate means of an exhaustive plan
-# at N = 16
-MOMENT_CHUNK_BYTES = 2 ** 21
+# bytes of float64 in one batch of work: a t2 chunk's product of its null
+# means with the folded plan, (means * p, canonical rows) (_joint_tests),
+# or the (rows, studies, p, p) weights of one t3 refit_rows call
+# (_permuted_statistics)
+CHUNK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -241,7 +237,7 @@ def _sign_plan(plan, n_studies):
     so no sort runs; a random plan's canonical rows are np.unique's, so
     its repeats fold too. The canonical signs are kept as float64 in
     column-major order, so that signs.T is the study-major matrix a t2
-    product reads as it is (_moment_tests). Between tests an exhaustive
+    product reads as it is (_joint_tests). Between tests an exhaustive
     plan holds 8 bytes per study and 1 more per canonical row, and 9
     bytes per row of the plan (4.6 MiB at N = 16); a random plan also
     holds 24 bytes of counts per canonical row. The README's
@@ -480,8 +476,9 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     the null, with stat="moment" (t2) the moment plug-in, which takes no
     structure other than unstructured (ValueError). Reflection leaves
     either covariance as it is, so nothing is refit and the whole
-    distribution is computed in one vectorized pass (_moment_tests); a
-    t1 fit that does not converge raises NonConvergenceError.
+    distribution is computed in one vectorized pass (_joint_tests); a
+    t1 fit that does not converge raises NonConvergenceError, and an
+    indefinite weight set or information DataError.
 
     Sign assignments that flip nothing (or everything) reproduce the
     observed statistic exactly and are assigned it directly. Either
@@ -494,11 +491,13 @@ def joint_permutation_test(data, mu_null, plan=None, stat="cml", structure=None)
     structure = _joint_structure(stat, structure)
     plan = _default_plan(plan, data.n_studies)
     mu = _finite_mean(mu_null, data.p, "null mean")
-    (result,) = _moment_tests(data, [mu], plan, stat, structure)
+    (result,) = _joint_tests(data, [mu], plan, stat, structure)
+    if isinstance(result, Exception):
+        raise result
     return result
 
 
-def _moment_setup(data, mus, sigmas):
+def _joint_setup(data, mus, sigmas):
     """Setup of a joint test (t1 or t2) at null means mus (P, p) and Sigmas (P, p, p).
 
     One likelihood pass with a row per mean gives every mean's weights,
@@ -516,7 +515,7 @@ def _moment_setup(data, mus, sigmas):
     return U_obs, _study_rows(data, s), Iinv, pinv_w | pinv, indefinite | indefinite_info
 
 
-def _moment_tests(data, mus, plan, stat="moment", structure=None):
+def _joint_tests(data, mus, plan, stat="moment", structure=None):
     """The joint test, t1 ("cml") or t2 ("moment"), at each null mean of mus, in order.
 
     Each mean's Sigma is sign-invariant: moment_between_cov's for t2,
@@ -524,47 +523,48 @@ def _moment_tests(data, mus, plan, stat="moment", structure=None):
     module's bindings. So every assignment of one null mean shares one
     weight set: U_b = sum_i v_bi W_i r_i and T_b = U_b' I^{-1} U_b. All
     means are validated first, then taken a chunk at a time. A chunk is
-    set up in one batched pass (_moment_setup), and its means share one
+    set up in one batched pass (_joint_setup), and its means share one
     product with the folded plan's canonical rows: their residuals,
     stacked as the columns of V (N, P * p), give V' signs' (P * p,
     canonical rows), each mean's score components as contiguous rows
-    that _quad_forms reads without a copy. MOMENT_CHUNK_BYTES caps that
+    that _quad_forms reads without a copy. CHUNK_BYTES caps that
     product, and each product is released before the next is formed.
     The complement -v gives -U_b exactly, so each mean's null is its
-    canonical rows' statistics (_moment_null), counted over the plan.
+    canonical rows' statistics (_joint_null), counted over the plan.
     Each observed statistic is summed from its mean's row alone, as a
-    single test sums it. A mean whose weights or information is
-    indefinite raises DataError in its turn, after the earlier means'
-    results; a t1 chunk holds one mean, so a fit that does not converge
-    raises NonConvergenceError in its turn too. Yields one TestResult
-    per mean.
+    single test sums it. Yields one item per mean: its TestResult, or
+    the failure that ends its test, which the caller raises or records.
+    A failure is a DataError where the mean's weights or information is
+    indefinite, or the NonConvergenceError of a t1 fit; a t1 chunk holds
+    one mean, so either fails that mean alone, and the pass goes on.
     """
     n, p = data.n_studies, data.p
     mus = _readonly(np.array([_finite_mean(mu, p, "null mean") for mu in mus]).reshape(-1, p))
     fold = _sign_plan(plan, n)
-    per_chunk = max(1, MOMENT_CHUNK_BYTES // (8 * p * fold.signs.shape[0]))
-    if stat == "cml":
-        per_chunk = 1
+    per_chunk = 1 if stat == "cml" else max(1, CHUNK_BYTES // (8 * p * fold.signs.shape[0]))
     for start in range(0, len(mus), per_chunk):
         chunk = mus[start : start + per_chunk]
         if stat == "moment":
             sigmas, _ = moment_between_cov(data, chunk)
         else:
-            sigmas = fit_eta_given_mu(data, chunk[0], structure).sigma[None]
-        U_obs, rows, Iinv, used_pinv, indefinite = _moment_setup(data, chunk, sigmas)
+            try:
+                sigmas = fit_eta_given_mu(data, chunk[0], structure).sigma[None]
+            except NonConvergenceError as exc:
+                yield exc
+                continue
+        U_obs, rows, Iinv, used_pinv, indefinite = _joint_setup(data, chunk, sigmas)
         null = rows.transpose(1, 0, 2).reshape(n, -1).T @ fold.signs.T
         for k, mu in enumerate(chunk):
-            _require_definite(indefinite[k])
             t_obs = float(np.maximum(_quad_forms(U_obs[k : k + 1], Iinv[k : k + 1]), 0.0)[0])
-            yield _test_result(
+            yield DataError(_INDEFINITE) if indefinite[k] else _test_result(
                 plan, fold, t_obs,
-                _moment_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv[k]),
+                _joint_null(fold, t_obs, null[k * p : (k + 1) * p], Iinv[k]),
                 n_failed=0, stat=stat, mu_null=mu, used_pinv=bool(used_pinv[k]),
             )
         del null
 
 
-def _moment_null(fold, t_obs, U, Iinv):
+def _joint_null(fold, t_obs, U, Iinv):
     """Joint statistic of each canonical row of the plan, from the rows'
     score components U (p, canonical rows); the identity row takes the
     observed statistic t_obs. The statistic is even in the signs, so it
@@ -580,9 +580,12 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
     """t3 root of each sign row's reflected sample at its own refit.
 
     The component is fixed at the center and the rest are profiled.
-    Each chunk of REFIT_CHUNK rows is refit in one refit_rows call,
-    started at init, the observed constrained fit, or at the rows' free
-    vectors in starts, and scored in one _statistics call. Raises
+    The rows are refit a chunk at a time, as many as CHUNK_BYTES holds
+    of their (rows, studies, p, p) weights (every row of a default plan
+    up to N = 16 at p <= 2), each chunk in one refit_rows call started
+    at init, the observed constrained fit, or at the rows' free vectors
+    in starts, and scored in one _statistics call; a kernel row does not
+    depend on the rows beside it, so the chunks move no bit. Raises
     UninformativeComponentError where a row's tested component carries
     no information at its refit. Returns (roots, failed, used_pinv,
     solutions): failed marks the rows whose scalar refit failed, and
@@ -597,8 +600,9 @@ def _permuted_statistics(data, center, component, signs, structure, init, starts
     failed = np.empty(signs.shape[0], dtype=bool)
     solutions = np.empty((signs.shape[0], structure.n_free(data.p)))
     used_pinv = False
-    for start in range(0, signs.shape[0], REFIT_CHUNK):
-        rows = slice(start, start + REFIT_CHUNK)
+    per_call = max(1, CHUNK_BYTES // (8 * data.n_studies * data.p * data.p))
+    for start in range(0, signs.shape[0], per_call):
+        rows = slice(start, start + per_call)
         Ys = _flipped_outcomes(data, center, signs[rows])
         X, mus, by_kernel, failed[rows] = refit_rows(
             data, Ys, fixed, center[fixed], structure, init,

@@ -12,7 +12,6 @@ from metaperm import (
     CovStructure,
     Dataset,
     HetParams,
-    NonConvergenceError,
     PermutationPlan,
     between_cov,
     fit_eta_given_mu,
@@ -26,6 +25,8 @@ import metaperm.estimators
 from metaperm.estimators import (
     _bounds,
     _derivative_patterns,
+    _het_from_free,
+    _lbfgs_refit,
     _neg_profiled_free,
     _pack,
     _row_terms,
@@ -193,12 +194,16 @@ class TestConstrainedEta:
         # pairwise correlations of +-0.99 form no correlation matrix, so the
         # start's marginal covariances are indefinite; the objective's
         # penalty there has a zero gradient, which must not pass for
-        # convergence
+        # convergence. The scalar run from a given start is refit_rows'
+        # fallback
         K = np.array([[1.0, 0.99, -0.99], [0.99, 1.0, 0.99], [-0.99, 0.99, 1.0]])
         start = HetParams(tau=[1.0, 1.0, 1.0], kappa=K)
-        with pytest.raises(NonConvergenceError) as info:
-            fit_eta_given_mu(trivariate_missing, [0.2, 0.0, -0.3], init=start)
-        assert not info.value.last_result.converged
+        structure = CovStructure.unstructured()
+        _, _, _, ok, _ = _lbfgs_refit(
+            trivariate_missing, np.arange(3), np.array([0.2, 0.0, -0.3]), structure,
+            _pack(start, structure),
+        )
+        assert not ok
 
 
 class TestMarginalNull:
@@ -450,7 +455,8 @@ class TestRefitRows:
     @pytest.mark.parametrize("component", [None, 1])
     def test_rows_match_scalar_fits(self, trivariate_missing, structure, component):
         # rows: the data and two rescalings of its deviations from mu0,
-        # refit together from one start and one at a time
+        # refit together from one start and one at a time by the scalar
+        # fitter, as refit_rows' fallback runs it
         data, Ys, fixed, values, structure, start = _trivariate_rows(
             trivariate_missing, structure, component, [0.3, 0.35, 0.4]
         )
@@ -461,14 +467,14 @@ class TestRefitRows:
         Y, S = data.Y, data.S
         for b, scale in enumerate([1.0, 0.6, 1.5]):
             row = Dataset.from_arrays(mu0 + scale * (Y - mu0), S, observed=data.observed)
-            if component is None:
-                cml = fit_eta_given_mu(row, mu0, structure, init=start)
-            else:
-                cml = fit_marginal_null(row, mu0[component], component, structure, init=start)
+            x, mu, _, ok, _ = _lbfgs_refit(
+                row, np.asarray(fixed), values, structure, _pack(start, structure)
+            )
+            assert ok
             assert np.array_equal(mus[b, fixed], mu0[fixed])
-            np.testing.assert_allclose(mus[b], cml.mu, atol=1e-6)
-            assert np.array_equal(cml.sigma, between_cov(cml.het, structure))
-            np.testing.assert_allclose(sigmas[b], cml.sigma, atol=1e-6)
+            np.testing.assert_allclose(mus[b], mu, atol=1e-6)
+            sigma = between_cov(_het_from_free(x, structure, 3), structure)
+            np.testing.assert_allclose(sigmas[b], sigma, atol=1e-6)
 
     @pytest.mark.parametrize(
         "case", ["bivariate5-exhaustive", "unstructured-far", "cs-far", "lone-row"]

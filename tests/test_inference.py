@@ -30,7 +30,7 @@ from metaperm import (
     wald_inference,
 )
 from metaperm.inference import XTOL, _chi2_ppf, _chi2_sf, ndtri
-from metaperm.permutation import MOMENT_CHUNK_BYTES, NullDistribution, _moment_tests, _sign_plan
+from metaperm.permutation import CHUNK_BYTES, NullDistribution, _joint_tests, _sign_plan
 
 from conftest import make_mvn
 
@@ -586,7 +586,8 @@ class TestConfidenceRegion:
     def test_failed_points_are_not_accepted(self, bivariate6, monkeypatch):
         # the t1 fit fails at two accepted lattice means only: those two
         # points are failed and not accepted, and every other point reads
-        # as it does without the failures, bit for bit
+        # as it does without the failures, bit for bit, from one pass of
+        # the joint engine over the whole lattice
         kwargs = dict(bounds=[(-0.5, 1.2), (-1.0, 0.6)], plan=PermutationPlan.exhaustive())
         base = confidence_region(bivariate6, **kwargs)
         mus = _lattice_means(base, 2)
@@ -600,7 +601,16 @@ class TestConfidenceRegion:
             return real(data, mu, *args, **kw)
 
         monkeypatch.setattr(metaperm.permutation, "fit_eta_given_mu", failing_at_two_means)
+        passes = []
+        real_tests = metaperm.inference._joint_tests
+
+        def counted(data, mus, *args):
+            passes.append(len(mus))
+            return real_tests(data, mus, *args)
+
+        monkeypatch.setattr(metaperm.inference, "_joint_tests", counted)
         grid = confidence_region(bivariate6, **kwargs)
+        assert passes == [base.p_value.size]
         failed = np.zeros(base.p_value.size, dtype=bool)
         failed[chosen] = True
         np.testing.assert_array_equal(grid.failed.ravel(), failed)
@@ -719,13 +729,15 @@ class TestMomentRegionChunks:
     def test_first_failing_point_raises(self, bivariate12, monkeypatch):
         # two neighbouring points of the second chunk get an indefinite
         # setup: the points before them are yielded as they are without
-        # the fault, and the first of them raises
+        # the fault, each of the two yields its DataError in its own turn,
+        # the pass goes on to the point after them, and the region raises
+        # the first
         plan = PermutationPlan.exhaustive()
-        per_chunk = MOMENT_CHUNK_BYTES // (8 * 2 * 2 ** 11)
+        per_chunk = CHUNK_BYTES // (8 * 2 * 2 ** 11)
         first = per_chunk + 1
         kwargs = dict(bounds=[(-0.5, 1.0), (-1.0, 0.5)], resolution=20, stat="moment", plan=plan)
         mus = _lattice_means(confidence_region(bivariate12, **kwargs), 2)
-        expected = list(_moment_tests(bivariate12, mus[:first], plan))
+        expected = list(_joint_tests(bivariate12, mus[: first + 3], plan))
         real = metaperm.permutation.moment_between_cov
 
         def indefinite_at_two_points(data, chunk):
@@ -735,13 +747,14 @@ class TestMomentRegionChunks:
             return sigma, truncated
 
         monkeypatch.setattr(metaperm.permutation, "moment_between_cov", indefinite_at_two_points)
-        tests = _moment_tests(bivariate12, mus, plan)
-        for want in expected:
+        tests = _joint_tests(bivariate12, mus, plan)
+        for k, want in enumerate(expected):
             got = next(tests)
+            if k in (first, first + 1):
+                assert isinstance(got, DataError)
+                continue
             np.testing.assert_array_equal(got.mu_null, want.mu_null)
             assert got.statistic == want.statistic and got.p_value == want.p_value
-        with pytest.raises(DataError):
-            next(tests)
         with pytest.raises(DataError):
             confidence_region(bivariate12, **kwargs)
 
@@ -768,17 +781,17 @@ class TestMomentRegionChunks:
 
     def test_memory_within_the_chunk_cap(self):
         # above the held sign plan, a 20 x 20 exhaustive region at N = 16
-        # holds one chunk's product, at most MOMENT_CHUNK_BYTES, and less
+        # holds one chunk's product, at most CHUNK_BYTES, and less
         # than three float vectors of the plan's length: the point under
         # test's null expanded to every row and the NullDistribution's
         # copy of it. A chunk's product must be released before the next
         # one is formed, and a point's null before the next point's
         vector = 8 * 2 ** 16
-        assert self._region_peak(20) < MOMENT_CHUNK_BYTES + 3 * vector
+        assert self._region_peak(20) < CHUNK_BYTES + 3 * vector
 
     def test_memory_of_a_large_lattice_within_the_chunk_cap(self):
         # 3,600 points are set up a chunk at a time: setting the whole
         # lattice up at once would hold every point's weights and
         # residuals beside a chunk's product
         vector = 8 * 2 ** 16
-        assert self._region_peak(60) < MOMENT_CHUNK_BYTES + 3 * vector
+        assert self._region_peak(60) < CHUNK_BYTES + 3 * vector

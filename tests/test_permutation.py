@@ -42,7 +42,7 @@ from metaperm.permutation import (
     _observed_statistic,
     _own_outcomes,
     _FoldedPlan,
-    _moment_setup,
+    _joint_setup,
     _permuted_statistics,
     _refit_distribution,
     _sign_plan,
@@ -66,7 +66,7 @@ def _stat_at(data, mu, sigma, component=None):
     """The t1 statistic (component None) or signed t3 root of the data at mu and Sigma."""
     mu = np.asarray(mu, dtype=float)[None]
     if component is None:
-        U, _, Iinv, _, _ = _moment_setup(data, mu, sigma[None])
+        U, _, Iinv, _, _ = _joint_setup(data, mu, sigma[None])
         return float(np.maximum(_quad_forms(U, Iinv), 0.0)[0])
     stats, _, _ = _statistics(data, _own_outcomes(data), mu, sigma[None], component)
     return float(stats[0])
@@ -627,7 +627,9 @@ def _enumerated_joint_null(data, mu, structure):
     stats = []
     for v in _binary_flips(data.n_studies):
         flipped = Dataset(Y=mu + v[:, None] * (data.Y - mu), S=data.S)
-        het = fit_eta_given_mu(flipped, mu, structure, init=warm).het
+        fit, failed = _scalar_refit(flipped, mu, None, structure, warm)
+        assert not failed
+        het = fit.het
         U, info = _score_and_information(flipped, mu, between_cov(het, structure))
         stats.append(U @ np.linalg.solve(info, U))
     return np.array(stats)
@@ -643,7 +645,8 @@ def _enumerated_marginal_null(data, value, c, structure):
     stats = []
     for v in _binary_flips(data.n_studies):
         flipped = Dataset(Y=center + v[:, None] * (data.Y - center), S=data.S)
-        fit = fit_marginal_null(flipped, value, c, structure, init=observed.het)
+        fit, failed = _scalar_refit(flipped, center, c, structure, observed.het)
+        assert not failed
         U, info = _score_and_information(flipped, fit.mu, between_cov(fit.het, structure))
         J = info[c, c] - info[c, rest] @ np.linalg.solve(info[np.ix_(rest, rest)], info[rest, c])
         stats.append(U[c] ** 2 / J)
@@ -976,7 +979,7 @@ class TestFoldedMomentNull:
                 )
                 assert res.p_value == named.p_value
             mus = np.array([mu])
-            U_obs, rows, Iinv, _, _ = _moment_setup(data, mus, moment_between_cov(data, mus)[0])
+            U_obs, rows, Iinv, _, _ = _joint_setup(data, mus, moment_between_cov(data, mus)[0])
             t_obs = float(np.maximum(_quad_forms(U_obs, Iinv), 0.0)[0])
             full = np.maximum(_quad_forms(signs.astype(float) @ rows[0], Iinv[0]), 0.0)
             full[ends] = t_obs
@@ -1257,10 +1260,7 @@ def _assert_kernel_row_no_worse(run, i, x_kernel, mu_kernel, statistic):
 
     value = run.center[component]
     fun = _neg_profiled_free(flipped, structure, [component], [value])
-    try:
-        scalar_het = fit_marginal_null(flipped, value, component, structure, init=run.init).het
-    except NonConvergenceError as exc:
-        scalar_het = exc.last_result.het
+    scalar_het = _scalar_refit(flipped, run.center, component, structure, run.init)[0].het
     f_kernel = fun(_pack(kernel_het, structure))[0]
     f_scalar = fun(_pack(scalar_het, structure))[0]
     assert f_kernel <= f_scalar + 8 * np.spacing(abs(f_scalar)), (
@@ -1326,25 +1326,94 @@ class TestBatchedRefits:
             for a, b in zip(out, kept):
                 np.testing.assert_array_equal(a, b)
 
-    def test_rows_processed_in_chunks(self, bivariate12, monkeypatch):
-        plan = PermutationPlan.random(n_draws=150, seed=8)
-        whole = marginal_permutation_test(bivariate12, 0.6, 0, plan=plan)
-        monkeypatch.setattr(metaperm.permutation, "REFIT_CHUNK", 16)
-        chunked = marginal_permutation_test(bivariate12, 0.6, 0, plan=plan)
-        np.testing.assert_array_equal(
-            whole.distribution.statistics, chunked.distribution.statistics
-        )
+    @pytest.mark.parametrize("case", ["bivariate12-random", "bivariate5-cs-warm"])
+    def test_rows_processed_in_chunks(self, request, monkeypatch, case):
+        # a CHUNK_BYTES that splits the refit rows into four or more
+        # refit_rows calls changes no bit of the roots, n_failed,
+        # used_pinv or solutions: a kernel row does not depend on the
+        # rows beside it. The warm case starts its rows from the
+        # solutions of a test at a nearby value, as an inversion does
+        if case == "bivariate12-random":
+            data, structure = request.getfixturevalue("bivariate12"), CovStructure.unstructured()
+            plan, value, starts = PermutationPlan.random(n_draws=150, seed=8), 0.6, None
+        else:
+            data, structure = request.getfixturevalue("bivariate5"), CovStructure.cs(0.3)
+            plan = PermutationPlan.exhaustive()
+            value = fit_ml(data, structure).mu[0] + 0.15
+            starts = _refit_distribution(data, value - 0.05, 0, structure, plan)[-1]
+            assert np.isfinite(starts).all(axis=1).any()
+
+        def run():
+            return _refit_distribution(data, value, 0, structure, plan, starts)
+
+        whole = run()
+        rows = int((~whole[4].identity).sum())
+        calls = []
+        with monkeypatch.context() as m:
+            per_row = 8 * data.n_studies * data.p * data.p
+            m.setattr(metaperm.permutation, "CHUNK_BYTES", per_row * (rows // 4))
+            _spy(m, "refit_rows", calls)
+            chunked = run()
+        assert len(calls) >= 4
+        s_obs, roots, n_failed, used_pinv, _, solutions = whole
+        assert chunked[0] == s_obs and chunked[2] == n_failed and chunked[3] == used_pinv
+        assert roots.tobytes() == chunked[1].tobytes()
+        assert solutions.tobytes() == chunked[5].tobytes()
+
+    def test_default_plan_refits_in_one_call(self, bivariate12, monkeypatch):
+        # the byte budget holds every refit row of a default (exhaustive)
+        # test at N = 12 in one refit_rows call
+        calls = []
+        _spy(monkeypatch, "refit_rows", calls)
+        res = marginal_permutation_test(bivariate12, 0.6, 0)
+        assert res.distribution.mode == "exhaustive"
+        ((_, (X, _, _, _)),) = calls
+        assert X.shape[0] == 2 ** 11 - 1
+
+    def test_memory_of_an_exhaustive_test_within_the_budget(self, monkeypatch):
+        # 8,191 refit rows at N = 14 take two refit_rows calls under the
+        # 2 MiB budget. The traced peak above the held sign plan, what
+        # one call's likelihood passes and Newton steps hold, read
+        # 21.75 MiB (numpy 2.4); the bound leaves about 30 % over that
+        data = make_mvn(7, 14)
+        plan = PermutationPlan.exhaustive()
+        real, rows = metaperm.permutation.refit_rows, []
+
+        def counted(data, Ys, *args):
+            rows.append(Ys[0].shape[0])
+            return real(data, Ys, *args)
+
+        monkeypatch.setattr(metaperm.permutation, "refit_rows", counted)
+        _sign_plan.cache_clear()
+        _sign_plan(plan, 14)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            marginal_permutation_test(data, 0.5, 0, plan=plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _sign_plan.cache_clear()
+        assert rows == [4681, 3510]
+        assert peak - base < 28 * 2 ** 20
 
 
 def _scalar_refit(data, center, component, structure, init):
     """The scalar fitter's constrained fit of data at the flip center, and
-    whether it failed (then the fit is its last iterate)."""
-    try:
-        if component is None:
-            return fit_eta_given_mu(data, center, structure, init=init), False
-        return fit_marginal_null(data, center[component], component, structure, init=init), False
-    except NonConvergenceError as exc:
-        return exc.last_result, True
+    whether it failed (then the fit is its last iterate). Without init it
+    is fit_eta_given_mu's or fit_marginal_null's; from init it is the
+    run refit_rows' fallback makes."""
+    if init is None:
+        try:
+            if component is None:
+                return fit_eta_given_mu(data, center, structure), False
+            return fit_marginal_null(data, center[component], component, structure), False
+        except NonConvergenceError as exc:
+            return exc.last_result, True
+    fixed = np.arange(data.p) if component is None else np.array([component])
+    x, mu, _, ok, _ = _lbfgs_refit(data, fixed, center[fixed], structure, _pack(init, structure))
+    het = _het_from_free(x, structure, data.p)
+    return SimpleNamespace(het=het, mu=mu, sigma=between_cov(het, structure)), not ok
 
 
 @pytest.mark.parametrize("name", ["bivariate5", "bivariate6"])
